@@ -9,6 +9,7 @@ leave no partial artifacts.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import sys
@@ -78,6 +79,13 @@ def _scheduler_from_config(raw, where: str) -> SchedulerSpec:
         return SchedulerSpec(**{str(k): v for k, v in raw.items()})
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _positive_number(config, key: str, default: float) -> float:
+    raw = config.get(key, default)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not (0 < raw < float("inf")):
+        raise ConfigError(f"{key} must be a finite positive number, got {raw!r}")
+    return float(raw)
 
 
 def _plan_from_config(raw, default_seed: int, where: str):
@@ -161,7 +169,7 @@ def cmd_curl_scan(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         plan_cfg = config.get("plan")
-        epsilon = float(config.get("epsilon", 1e-6))
+        epsilon = _positive_number(config, "epsilon", 1e-6)
         entries = []
         for cid, context in enumerate(contexts):
             plan = _plan_from_config(plan_cfg, seed, "plan")
@@ -182,23 +190,20 @@ def cmd_order_gap(config_path, seed, out_dir, fmt):
         mc_cfg = config.get("monte_carlo")
         entries = []
         for cid, context in enumerate(contexts):
-            block = sorted(context.block)
-            for x in range(len(block)):
-                for y in range(x + 1, len(block)):
-                    i, j = block[x], block[y]
-                    entry = {
-                        "context_id": cid,
-                        "i": i,
-                        "j": j,
-                        "kl_ij": order_swap_kl(bundle.oracle, context, i, j).value,
-                        "kl_ji": order_swap_kl(bundle.oracle, context, j, i).value,
-                    }
-                    if mc_cfg is not None:
-                        check_keys(mc_cfg, {"n", "seed"}, {"n"}, "monte_carlo")
-                        plan = MonteCarloPlan(seed=int(mc_cfg.get("seed", seed)), n=int(mc_cfg["n"]))
-                        est = order_swap_kl(bundle.oracle, context, i, j, mode=plan)
-                        entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
-                    entries.append(entry)
+            for i, j in itertools.combinations(sorted(context.block), 2):
+                entry = {
+                    "context_id": cid,
+                    "i": i,
+                    "j": j,
+                    "kl_ij": order_swap_kl(bundle.oracle, context, i, j).value,
+                    "kl_ji": order_swap_kl(bundle.oracle, context, j, i).value,
+                }
+                if mc_cfg is not None:
+                    check_keys(mc_cfg, {"n", "seed"}, {"n"}, "monte_carlo")
+                    plan = MonteCarloPlan(seed=int(mc_cfg.get("seed", seed)), n=int(mc_cfg["n"]))
+                    est = order_swap_kl(bundle.oracle, context, i, j, mode=plan)
+                    entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
+                entries.append(entry)
         return {"order_gap": entries}
 
     _run("order-gap", config_path, seed, out_dir, fmt, {"monte_carlo"}, body)
@@ -255,14 +260,12 @@ def cmd_commutator(config_path, seed, out_dir, fmt):
         for cid, context in enumerate(contexts):
             state = DecodeState(context=context, rng_seed=seed)
             block = sorted(context.block)
-            for x in range(len(block)):
-                for y in range(x + 1, len(block)):
-                    i, j = block[x], block[y]
-                    try:
-                        report = commutator(bundle.oracle, state, operator, i, j)
-                    except DegenerateComparisonError:
-                        continue
-                    pairs_out.append({"context_id": cid, "i": i, "j": j, "value": report.value})
+            for i, j in itertools.combinations(block, 2):
+                try:
+                    report = commutator(bundle.oracle, state, operator, i, j)
+                except DegenerateComparisonError:
+                    continue
+                pairs_out.append({"context_id": cid, "i": i, "j": j, "value": report.value})
             if len(block) >= 2:
                 conflicts.append({"context_id": cid, **conflict_score(bundle.oracle, state, operator, block).to_dict()})
         return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
@@ -365,7 +368,7 @@ def cmd_consistency(config_path, seed, out_dir, fmt):
     """Brute-force order-consistency verdicts per context."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        tol = float(config.get("tol", 1e-8))
+        tol = _positive_number(config, "tol", 1e-8)
         entries = [
             {"context_id": cid, "report": order_consistency_check(bundle.oracle, context, tol).to_dict()}
             for cid, context in enumerate(contexts)

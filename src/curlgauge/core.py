@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -71,15 +70,6 @@ def stable_uniform(*parts: int) -> float:
 
 def seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_seed_key(*parts)))
-
-
-def worker_count() -> int:
-    """Worker cap from CURLGAUGE_THREADS (default 1, sequential)."""
-    raw = os.environ.get("CURLGAUGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -500,18 +490,25 @@ def model_from_dict(data: Mapping) -> ModelBundle:
         if joint is None:
             raise DimensionError("model file needs log_mass and/or logit_table")
         oracle = joint
-    payload = json.dumps(_plain(data), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(plain_json(data), sort_keys=True, separators=(",", ":"))
     model_id = hashlib.sha256(payload.encode()).hexdigest()[:12]
     return ModelBundle(oracle=oracle, joint=joint, model_id=model_id)
 
 
-def _plain(obj):
+def plain_json(obj):
+    """Copy of obj with numpy scalars and arrays turned into plain JSON types."""
     if isinstance(obj, Mapping):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): plain_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return [plain_json(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [plain_json(v) for v in obj.tolist()]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import rel_entr
-from scipy.stats import spearmanr
 
 from .core import (
     ConditionalOracle,
@@ -31,12 +30,11 @@ from .core import (
     derived_seed,
     seeded_rng,
     stable_uniform,
-    worker_count,
 )
 from .dependence import kl_vs_marginal_product, total_correlation
 from .errors import ContractViolationError, DegenerateComparisonError
 from .ordererror import local_estimation_error
-from .pseudojoint import ExhaustivePlan, ecirc_abs
+from .pseudojoint import ExhaustivePlan, _pair_terms, ecirc_abs
 
 ARGMAX = "argmax-commit"
 SAMPLE = "sample-commit"
@@ -281,6 +279,10 @@ class SchedulerSpec:
             raise ContractViolationError(f"unknown scheduler kind {self.kind!r}")
         if self.block_search not in ("contiguous", "subsets"):
             raise ContractViolationError(f"block_search must be 'contiguous' or 'subsets', got {self.block_search!r}")
+        for name in ("lam_confidence", "lam_conflict", "lam_dependence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (-math.inf < value < math.inf):
+                raise ContractViolationError(f"{name} must be a finite real number, got {value!r}")
 
     def label(self) -> str:
         return self.kind
@@ -299,16 +301,9 @@ class SchedulerSpec:
 def _oracle_pair_dependence(oracle: ConditionalOracle, state: DecodeState, i: int, j: int) -> float:
     """Dependence proxy from the oracle alone: mean over both resolution orders
     of the mutual information of the order-induced pair product."""
-    assigned = state.context.observed
-    vocab = oracle.vocab.size
-    pa = np.exp(oracle.log_dist(i, assigned))
-    pb = np.exp(oracle.log_dist(j, assigned))
-    q_ij = np.empty((vocab, vocab))
-    q_ji = np.empty((vocab, vocab))
-    for a in range(vocab):
-        q_ij[a, :] = pa[a] * np.exp(oracle.log_dist(j, {**assigned, i: a}))
-    for b in range(vocab):
-        q_ji[:, b] = pb[b] * np.exp(oracle.log_dist(i, {**assigned, j: b}))
+    t0, t1, t2, t3 = _pair_terms(oracle, state.context.observed, i, j)
+    q_ij = np.exp(t0) * np.exp(t1)
+    q_ji = np.exp(t2) * np.exp(t3)
     return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))
 
 
@@ -469,6 +464,7 @@ def spearman_rank(x: Sequence[float], y: Sequence[float]) -> float | None:
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
         return None
+    from scipy.stats import spearmanr  # deferred: importing scipy.stats dominates CLI start-up
     rho = float(spearmanr(x, y).statistic)
     return None if math.isnan(rho) else rho
 
@@ -517,8 +513,8 @@ def stress_test(
     if 1 not in widths:
         widths = [1] + widths
 
-    def run_context(ci: int):
-        context = contexts[ci]
+    per_context = []
+    for ci, context in enumerate(contexts):
         log_p = joint.log_block_conditional(context)
         predictors = _context_predictors(oracle, joint, context, operator, seed, ci)
         nll: dict[tuple[int, int], float] = {}
@@ -534,14 +530,7 @@ def stress_test(
                     idx = tuple(decoded[p] for p in context.block)
                     total += -float(log_p[idx])
                 nll[(si, w)] = total / runs
-        return predictors, nll
-
-    n_workers = worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_context = list(pool.map(run_context, range(len(contexts))))
-    else:
-        per_context = [run_context(ci) for ci in range(len(contexts))]
+        per_context.append((predictors, nll))
 
     rows: list[StressRow] = []
     any_skipped = False

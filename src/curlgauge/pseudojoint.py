@@ -28,8 +28,8 @@ from .errors import ContractViolationError, SizeCapError
 DEFAULT_NORMALIZER_EPSILON = 1e-6
 DEFAULT_CONSISTENCY_TOL = 1e-8
 
-# curl_local cross-checks its four-term value against the two sequential
-# products computed independently; disagreement beyond this means a bug.
+# Circulation grids are checked against the independently computed pair-order products, and
+# the order-swap KL against the circulation's expectation; disagreement beyond this means a bug.
 _CROSSCHECK_TOL = 1e-12
 
 
@@ -209,6 +209,53 @@ def curl_local(
     )
 
 
+def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], i: int, j: int):
+    """The four log-conditional terms of every square on positions (i, j) as
+    ``[a, b]``-indexed arrays: ``t0 = log q_i(a|S)`` as a column,
+    ``t1[a, b] = log q_j(b|S, i=a)``, ``t2 = log q_j(b|S)`` as a row and
+    ``t3[a, b] = log q_i(a|S, j=b)``.  Costs 2 + 2V conditional lookups."""
+    vocab = oracle.vocab.size
+    t0 = oracle.log_dist(i, observed)[:, None]
+    t1 = np.stack([oracle.log_dist(j, {**observed, i: a}) for a in range(vocab)])
+    t2 = oracle.log_dist(j, observed)[None, :]
+    # stacked along axis 1, not transposed: tables built from t3 stay C-contiguous,
+    # which fixes the summation order of reductions over them
+    t3 = np.stack([oracle.log_dist(i, {**observed, j: b}) for b in range(vocab)], axis=1)
+    return t0, t1, t2, t3
+
+
+def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], i: int, j: int, epsilon: float):
+    """Four-term circulation of every square on (i, j) as a V×V grid, with its
+    terms and its normalised grid; cross-checked once per grid against the
+    log-ratio of the two independently computed pair-order tables."""
+    pair_context = PartialContext(observed=observed, block=(i, j))
+    log_ratio = pseudo_joint_table(oracle, pair_context, (i, j)) - pseudo_joint_table(oracle, pair_context, (j, i))
+    terms = _pair_terms(oracle, observed, i, j)
+    t0, t1, t2, t3 = terms
+    value = (t0 + t1) - (t2 + t3)
+    residual = float(np.abs(value - log_ratio).max())
+    if residual > _CROSSCHECK_TOL:
+        raise RuntimeError(
+            f"circulation cross-check failed: four-term values differ from the product log-ratio by {residual!r}"
+        )
+    normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)
+    return terms, value, normalized
+
+
+def _square_groups(context: PartialContext, vocab: int) -> Iterator[tuple[dict[int, int], int, int]]:
+    """Every reachable square group (visible assignment, i, j) of the block, in
+    the order visible-subset size, subset, its values, position pair; each
+    group holds the V×V token squares of one pair."""
+    block = sorted(context.block)
+    for size in range(len(block) - 1):
+        for visible in itertools.combinations(block, size):
+            pairs = list(itertools.combinations([p for p in block if p not in visible], 2))
+            for values in itertools.product(range(vocab), repeat=size):
+                observed = {**context.observed, **dict(zip(visible, values))}
+                for i, j in pairs:
+                    yield observed, i, j
+
+
 def curl_normalized(sample: CurlSample, epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> float:
     """|value| over the summed magnitudes of the four log terms, plus epsilon."""
     if not (epsilon > 0):
@@ -218,8 +265,7 @@ def curl_normalized(sample: CurlSample, epsilon: float = DEFAULT_NORMALIZER_EPSI
 
 
 def _block_pairs(context: PartialContext) -> list[tuple[int, int]]:
-    block = sorted(context.block)
-    return [(block[p], block[q]) for p in range(len(block)) for q in range(p + 1, len(block))]
+    return list(itertools.combinations(sorted(context.block), 2))
 
 
 def iter_plan_samples(
@@ -235,9 +281,13 @@ def iter_plan_samples(
         if not pairs:
             raise ContractViolationError("exhaustive scan needs a block with at least two positions")
         for i, j in pairs:
-            for a in range(vocab):
-                for b in range(vocab):
-                    yield curl_local(oracle, context, i, j, a, b, epsilon)
+            terms, value, normalized = _pair_circulation(oracle, context.observed, i, j, epsilon)
+            grids = np.broadcast_arrays(*terms)
+            for a, b in itertools.product(range(vocab), repeat=2):
+                yield CurlSample(
+                    i=i, j=j, a=a, b=b, context=context, value=float(value[a, b]),
+                    terms=tuple(float(t[a, b]) for t in grids), normalized_value=float(normalized[a, b]),
+                )
     elif isinstance(plan, MonteCarloPlan):
         pairs = _block_pairs(context)
         if not pairs:
@@ -276,49 +326,40 @@ def order_swap_kl(
 ) -> Estimate:
     """KL between the two order-induced pair products, resolving i first vs j first.
 
-    Exact mode enumerates all token pairs and cross-checks the KL against the
-    expectation of the four-term circulation under the i-first product.
-    Monte Carlo mode averages circulation over samples drawn from that product.
+    Both modes cross-check the exact KL over all token pairs against the expectation
+    of the four-term circulation under the i-first product; Monte Carlo mode then
+    averages circulation over samples drawn from that product.
     """
     if i == j or i not in context.block or j not in context.block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
+    if mode != "exact" and not isinstance(mode, MonteCarloPlan):
+        raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
     vocab = oracle.vocab.size
-    assigned = context.observed
-    la = oracle.log_dist(i, assigned)
-    lb = oracle.log_dist(j, assigned)
-
+    pair_context = PartialContext(observed=context.observed, block=(i, j), time=context.time)
+    log_q_ij = pseudo_joint_table(oracle, pair_context, (i, j))
+    log_q_ji = pseudo_joint_table(oracle, pair_context, (j, i))
+    t0, t1, t2, t3 = _pair_terms(oracle, context.observed, i, j)
+    curl = (t0 + t1) - (t2 + t3)
+    weight = np.exp(log_q_ij)
+    kl = float((weight * (log_q_ij - log_q_ji)).sum())
+    curl_expectation = float((weight * curl).sum())
+    if abs(kl - curl_expectation) > _CROSSCHECK_TOL:
+        raise RuntimeError(
+            f"order-swap KL cross-check failed: {kl!r} vs circulation expectation {curl_expectation!r}"
+        )
     if mode == "exact":
-        kl = 0.0
-        curl_expectation = 0.0
-        for a in range(vocab):
-            lb_given_a = oracle.log_dist(j, {**assigned, i: a})
-            for b in range(vocab):
-                la_given_b = oracle.log_dist(i, {**assigned, j: b})
-                log_q_ij = float(la[a]) + float(lb_given_a[b])
-                log_q_ji = float(lb[b]) + float(la_given_b[a])
-                weight = math.exp(log_q_ij)
-                kl += weight * (log_q_ij - log_q_ji)
-                curl = curl_local(oracle, context, i, j, a, b)
-                curl_expectation += weight * curl.value
-        if abs(kl - curl_expectation) > _CROSSCHECK_TOL:
-            raise RuntimeError(
-                f"order-swap KL cross-check failed: {kl!r} vs circulation expectation {curl_expectation!r}"
-            )
         return Estimate(value=kl, mode="exact")
 
-    if isinstance(mode, MonteCarloPlan):
-        rng = seeded_rng(mode.seed)
-        pa = np.exp(la)
-        values = np.empty(mode.n)
-        for k in range(mode.n):
-            a = int(np.searchsorted(np.cumsum(pa), rng.random(), side="right").clip(0, vocab - 1))
-            pb = np.exp(oracle.log_dist(j, {**assigned, i: a}))
-            b = int(np.searchsorted(np.cumsum(pb), rng.random(), side="right").clip(0, vocab - 1))
-            values[k] = curl_local(oracle, context, i, j, a, b).value
-        stderr = float(values.std(ddof=1) / math.sqrt(mode.n)) if mode.n > 1 else 0.0
-        return Estimate(value=float(values.mean()), stderr=stderr, n=mode.n, mode="monte-carlo")
-
-    raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
+    rng = seeded_rng(mode.seed)
+    cdf_a = np.cumsum(np.exp(t0[:, 0]))
+    cdf_b = np.cumsum(np.exp(t1), axis=1)
+    values = np.empty(mode.n)
+    for k in range(mode.n):
+        a = int(np.searchsorted(cdf_a, rng.random(), side="right").clip(0, vocab - 1))
+        b = int(np.searchsorted(cdf_b[a], rng.random(), side="right").clip(0, vocab - 1))
+        values[k] = curl[a, b]
+    stderr = float(values.std(ddof=1) / math.sqrt(mode.n)) if mode.n > 1 else 0.0
+    return Estimate(value=float(values.mean()), stderr=stderr, n=mode.n, mode="monte-carlo")
 
 
 @dataclass(frozen=True)
@@ -495,27 +536,19 @@ def order_consistency_check(
     gaps = tables.max(axis=0) - tables.min(axis=0)
     max_order_gap = float(gaps.max())
 
-    sorted_block = sorted(block)
     max_curl = 0.0
     witness: CurlSample | None = None
     squares = 0
-    for size in range(0, n - 1):
-        for visible in itertools.combinations(sorted_block, size):
-            rest = [p for p in sorted_block if p not in visible]
-            for values in itertools.product(range(vocab), repeat=size):
-                ctx = context
-                for p, v in zip(visible, values):
-                    ctx = ctx.assign(p, v)
-                for i, j in itertools.combinations(rest, 2):
-                    for a in range(vocab):
-                        for b in range(vocab):
-                            squares += 1
-                            sample = curl_local(oracle, ctx, i, j, a, b)
-                            magnitude = abs(sample.value)
-                            if magnitude > max_curl:
-                                max_curl = magnitude
-                            if witness is None and magnitude >= tol:
-                                witness = sample
+    for observed, i, j in _square_groups(context, vocab):
+        _, value, _ = _pair_circulation(oracle, observed, i, j, DEFAULT_NORMALIZER_EPSILON)
+        magnitude = np.abs(value)
+        squares += magnitude.size
+        group_max = float(magnitude.max())
+        max_curl = max(max_curl, group_max)
+        if witness is None and group_max >= tol:
+            a, b = np.unravel_index(int(np.argmax(magnitude >= tol)), magnitude.shape)
+            square_context = PartialContext(observed, tuple(p for p in block if p not in observed), context.time)
+            witness = curl_local(oracle, square_context, i, j, int(a), int(b))
 
     gap_ok = max_order_gap < tol
     curl_ok = max_curl < tol

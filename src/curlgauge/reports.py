@@ -19,10 +19,8 @@ import tempfile
 import time
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
-from .core import ModelBundle, PartialContext, model_from_dict, seeded_rng
+from .core import ModelBundle, PartialContext, model_from_dict, plain_json, seeded_rng
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -153,31 +151,15 @@ def build_report(command: str, config: Mapping, seed: int, model_id: str, sectio
     return {
         "tool_version": __version__,
         "command": command,
-        "config_hash": config_hash(_plain_json(config)),
+        "config_hash": config_hash(plain_json(config)),
         "seed": seed,
         "model_id": model_id,
-        "sections": _plain_json(sections),
+        "sections": plain_json(sections),
         "meta": {
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
             "duration_s": time.time() - started,
         },
     }
-
-
-def _plain_json(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _plain_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain_json(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain_json(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def atomic_write_text(path, text: str) -> None:

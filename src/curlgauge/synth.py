@@ -43,6 +43,8 @@ from .pseudojoint import (
     ExhaustivePlan,
     MonteCarloPlan,
     Estimate,
+    _pair_circulation,
+    _square_groups,
     curl_local,
 )
 
@@ -170,17 +172,6 @@ def _square_patterns(positions: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _iter_exhaustive_squares(positions: int, vocab: int):
-    for pattern in _square_patterns(positions):
-        rest = [p for p in range(positions) if p not in pattern]
-        for values in itertools.product(range(vocab), repeat=len(pattern)):
-            assigned = dict(zip(pattern, values))
-            for i, j in itertools.combinations(rest, 2):
-                for a in range(vocab):
-                    for b in range(vocab):
-                        yield assigned, i, j, a, b
-
-
 def _sample_square(rng: np.random.Generator, patterns: list, positions: int, vocab: int):
     pattern = patterns[rng.integers(len(patterns))]
     assigned = {p: int(rng.integers(vocab)) for p in pattern}
@@ -249,7 +240,10 @@ def ecirc_penalty(
         return curl_local(oracle, context, i, j, a, b, epsilon).normalized_value ** 2
 
     if isinstance(plan, ExhaustivePlan):
-        values = np.array([value(*square) for square in _iter_exhaustive_squares(positions, vocab)])
+        values = np.concatenate([
+            _pair_circulation(oracle, observed, i, j, epsilon)[2].reshape(-1) ** 2
+            for observed, i, j in _square_groups(PartialContext({}, tuple(range(positions))), vocab)
+        ])
         return Estimate(value=float(values.mean()), n=len(values), mode="exact")
     if isinstance(plan, MonteCarloPlan):
         rng = seeded_rng(plan.seed)

@@ -226,6 +226,15 @@ class TestModelFiles:
             bundle.oracle.log_conditional_dist(0, ctx), pert.log_conditional_dist(0, ctx)
         )
 
+    def test_model_id_is_pinned(self):
+        data = {
+            "vocab_size": 2,
+            "positions": 2,
+            "log_mass": [-1.2, -1.4, -1.6, -1.4],
+            "perturbation": {"delta": 0.5, "seed": 3},
+        }
+        assert model_from_dict(data).model_id == "3ade00368574"
+
     def test_unknown_model_field_rejected(self):
         with pytest.raises(DimensionError):
             model_from_dict({"vocab_size": 2, "positions": 1, "log_mass": [0.0, 0.0], "bogus": 1})

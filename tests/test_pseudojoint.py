@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_context, random_joint, random_oracle
+from curlgauge import pseudojoint
 from curlgauge.core import (
     ConditionalOracle,
+    LogitTable,
+    LogitTableOracle,
     PartialContext,
     PerturbedConditionalModel,
     Vocabulary,
@@ -25,6 +28,7 @@ from curlgauge.pseudojoint import (
     curl_normalized,
     curl_scan_report,
     ecirc_abs,
+    iter_plan_samples,
     order_consistency_check,
     order_swap_kl,
     pseudo_joint_log_prob,
@@ -330,3 +334,72 @@ def test_curl_scan_report_shape():
     assert len(report["samples"]) == 3 * 9
     assert report["stats"]["max_curl"] == max(abs(s["value"]) for s in report["samples"])
     assert set(report["stats"]["order_swap_kl"]) == {"0-1", "0-2", "1-2"}
+
+
+def _scalar_consistency_scan(oracle, context, tol):
+    """Reference square loop: one curl_local call per reachable square."""
+    block = sorted(context.block)
+    vocab = oracle.vocab.size
+    max_curl, witness, squares = 0.0, None, 0
+    for size in range(len(block) - 1):
+        for visible in itertools.combinations(block, size):
+            rest = [p for p in block if p not in visible]
+            for values in itertools.product(range(vocab), repeat=size):
+                ctx = context
+                for p, v in zip(visible, values):
+                    ctx = ctx.assign(p, v)
+                for i, j in itertools.combinations(rest, 2):
+                    for a in range(vocab):
+                        for b in range(vocab):
+                            squares += 1
+                            sample = curl_local(oracle, ctx, i, j, a, b)
+                            max_curl = max(max_curl, abs(sample.value))
+                            if witness is None and abs(sample.value) >= tol:
+                                witness = sample
+    return max_curl, squares, witness
+
+
+class TestSquareEngineMatchesScalarReference:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(["perturbed", "logit-table"]),
+        seed=st.integers(0, 10_000),
+        positions=st.integers(2, 4),
+        vocab=st.integers(2, 4),
+        tol=st.sampled_from([1e-8, 0.05, 0.3, 10.0]),
+    )
+    def test_grid_scans_equal_curl_local(self, kind, seed, positions, vocab, tol):
+        joint = random_joint(seed, positions, vocab)
+        if kind == "perturbed":
+            oracle = PerturbedConditionalModel(joint, 0.4, seed)
+        else:
+            oracle = LogitTableOracle(LogitTable.random(vocab, positions, seed))
+        ctx = random_context(seed, joint)
+
+        for sample in iter_plan_samples(oracle, ctx, ExhaustivePlan()):
+            reference = curl_local(oracle, ctx, sample.i, sample.j, sample.a, sample.b)
+            assert sample.value == reference.value
+            assert sample.normalized_value == reference.normalized_value
+
+        report = order_consistency_check(oracle, ctx, tol)
+        max_curl, squares, witness = _scalar_consistency_scan(oracle, ctx, tol)
+        assert report.max_curl == max_curl
+        assert report.squares_checked == squares
+        assert report.witness == witness
+
+    def test_fault_in_one_term_trips_both_identities(self, monkeypatch):
+        exact_terms = pseudojoint._pair_terms
+
+        def faulty_terms(*args):
+            t0, t1, t2, t3 = exact_terms(*args)
+            return t0, t1 + 1e-9, t2, t3
+
+        monkeypatch.setattr(pseudojoint, "_pair_terms", faulty_terms)
+        joint = random_joint(32, positions=3, vocab=3)
+        ctx = PartialContext({}, (0, 1, 2))
+        with pytest.raises(RuntimeError, match="circulation cross-check"):
+            order_consistency_check(joint, ctx)
+        with pytest.raises(RuntimeError, match="circulation cross-check"):
+            ecirc_abs(joint, ctx, ExhaustivePlan())
+        with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
+            order_swap_kl(joint, ctx, 0, 1)
