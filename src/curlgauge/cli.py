@@ -1,9 +1,9 @@
 """Command-line front end: config-driven diagnostic runs with JSON/CSV reports.
 
-Exit codes: 0 success, 2 configuration error (including malformed JSON and
-unknown fields), 3 enumeration-cap refusal, 4 training failure.  Reports are
-written only after the whole computation succeeds, atomically, so failed runs
-leave no partial artifacts.
+Exit codes: 0 success, 2 configuration error (malformed JSON, unknown fields,
+or values a library call rejects as out of contract), 3 enumeration-cap
+refusal, 4 training failure.  Reports are written only after the whole
+computation succeeds, atomically, so failed runs leave no partial artifacts.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .reports import (
     check_keys,
     emit_plot_data,
     load_config,
+    number_field,
     resolve_contexts,
     resolve_model,
     write_report_json,
@@ -62,10 +63,7 @@ def _operator_from_config(raw, where: str) -> UpdateOperator:
     if raw is None:
         return sample_commit()
     check_keys(raw, {"kind", "tau"}, {"kind"}, where)
-    try:
-        return UpdateOperator(kind=raw["kind"], tau=raw.get("tau"))
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return UpdateOperator(kind=raw["kind"], tau=raw.get("tau"))
 
 
 def _scheduler_from_config(raw, where: str) -> SchedulerSpec:
@@ -75,17 +73,14 @@ def _scheduler_from_config(raw, where: str) -> SchedulerSpec:
         {"kind"},
         where,
     )
-    try:
-        return SchedulerSpec(**{str(k): v for k, v in raw.items()})
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SchedulerSpec(**{str(k): v for k, v in raw.items()})
 
 
 def _positive_number(config, key: str, default: float) -> float:
-    raw = config.get(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not (0 < raw < float("inf")):
-        raise ConfigError(f"{key} must be a finite positive number, got {raw!r}")
-    return float(raw)
+    value = number_field(config.get(key, default), key)
+    if not (0 < value < float("inf")):
+        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+    return value
 
 
 def _plan_from_config(raw, default_seed: int, where: str):
@@ -97,8 +92,15 @@ def _plan_from_config(raw, default_seed: int, where: str):
     if raw["mode"] == "monte-carlo":
         if "n" not in raw:
             raise ConfigError(f"{where} monte-carlo plan needs 'n'")
-        return MonteCarloPlan(seed=int(raw.get("seed", default_seed)), n=int(raw["n"]))
+        return _monte_carlo_plan(raw, default_seed, where)
     raise ConfigError(f"{where}.mode must be 'exhaustive' or 'monte-carlo'")
+
+
+def _monte_carlo_plan(raw, default_seed: int, where: str) -> MonteCarloPlan:
+    return MonteCarloPlan(
+        seed=number_field(raw.get("seed", default_seed), f"{where}.seed", integer=True),
+        n=number_field(raw["n"], f"{where}.n", integer=True),
+    )
 
 
 def config_options(fn):
@@ -128,11 +130,11 @@ def _run(command: str, config_path, seed_override, out_dir, fmt, allowed_keys: s
         check_keys(config, _COMMON_KEYS | allowed_keys, {"model"}, "config")
         if seed_override is not None:
             config["seed"] = int(seed_override)
-        seed = int(config.get("seed", 0))
+        seed = number_field(config.get("seed", 0), "seed", integer=True)
         bundle = resolve_model(config["model"])
         contexts = resolve_contexts(config.get("contexts"), bundle, seed)
         sections = body(config, seed, bundle, contexts, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, ContractViolationError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except SizeCapError as exc:
@@ -200,8 +202,7 @@ def cmd_order_gap(config_path, seed, out_dir, fmt):
                 }
                 if mc_cfg is not None:
                     check_keys(mc_cfg, {"n", "seed"}, {"n"}, "monte_carlo")
-                    plan = MonteCarloPlan(seed=int(mc_cfg.get("seed", seed)), n=int(mc_cfg["n"]))
-                    est = order_swap_kl(bundle.oracle, context, i, j, mode=plan)
+                    est = order_swap_kl(bundle.oracle, context, i, j, mode=_monte_carlo_plan(mc_cfg, seed, "monte_carlo"))
                     entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
                 entries.append(entry)
         return {"order_gap": entries}
@@ -290,10 +291,10 @@ def cmd_stress(config_path, seed, out_dir, fmt):
             bundle.oracle,
             joint,
             contexts,
-            [int(w) for w in stress_cfg["widths"]],
+            [number_field(w, f"stress.widths[{k}]", integer=True) for k, w in enumerate(stress_cfg["widths"])],
             schedulers,
             operator=operator,
-            runs=int(stress_cfg.get("runs", 200)),
+            runs=number_field(stress_cfg.get("runs", 200), "stress.runs", integer=True),
             seed=seed,
         )
         return {"stress": report.to_dict()}
@@ -340,10 +341,7 @@ def cmd_train(config_path, seed, out_dir, fmt):
             set(),
             "train",
         )
-        try:
-            train_config = TrainConfig(**{str(k): v for k, v in raw.items()})
-        except ContractViolationError as exc:
-            raise ConfigError(str(exc)) from exc
+        train_config = TrainConfig(**{str(k): v for k, v in raw.items()})
         oracle = train_tabular(joint, train_config)
         out_name = config.get("model_out", "trained_model.json")
         path = os.path.join(out_dir, out_name)

@@ -2,14 +2,15 @@
 
 Every diagnostic in this package consumes the same query surface: a family
 of normalized local conditionals ``log q(x_i = a | visible assignment)`` in
-nats, exposed by :class:`ConditionalOracle`.  A :class:`TabularJointModel`
-answers those queries by exact marginalization over its mass table, so it
-doubles as the exact ("Bayes") oracle for its own distribution.
+nats, exposed by :class:`ConditionalOracle` as row gathers by context class
+index (one base ``V+1`` digit per other position, 0 when unassigned).  A
+:class:`TabularJointModel` answers from one padded log-marginal array, so it
+is the exact ("Bayes") oracle for its own distribution;
 :class:`PerturbedConditionalModel` and :class:`LogitTableOracle` layer
 controlled incompatibility on top of the same surface.
 
-All probability arithmetic is done in the log domain and combined with
-logsumexp; products over a block of positions would underflow otherwise.
+All arithmetic is in the log domain, through the one ``logsumexp``/
+``log_normalize`` pair and the one ``kl``/``entropy`` pair below.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractViolationError, DimensionError, SizeCapError
 
@@ -30,12 +30,35 @@ from .errors import ContractViolationError, DimensionError, SizeCapError
 MAX_POSITIONS = 6
 MAX_VOCAB = 8
 LOG_MASS_FLOOR = -50.0
+# a log-mass table within this of normalized and floored is kept bit for bit
+_NORMALIZED_TOL = 1e-12
+
+
+def logsumexp(values) -> np.ndarray:
+    """log(sum(exp(values))) over the last axis, kept as a length-1 axis; the axis
+    is made C-contiguous, so a row gives the same bits alone and inside a batch."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    top = arr.max(axis=-1, keepdims=True)
+    return np.log(np.exp(arr - top).sum(axis=-1, keepdims=True)) + top
 
 
 def log_normalize(values) -> np.ndarray:
-    """Shift log weights so they form a normalized log distribution."""
-    arr = np.asarray(values, dtype=np.float64)
-    return arr - logsumexp(arr)
+    """Shift log weights so every row along the last axis is a normalized log distribution."""
+    return np.asarray(values, dtype=np.float64) - logsumexp(values)
+
+
+def kl(log_p, log_q, axis=None):
+    """KL(p || q) in nats from two log tables, summed over ``axis`` (all axes
+    when None); cells where p is 0 add nothing."""
+    p = np.exp(log_p)
+    with np.errstate(invalid="ignore"):
+        return np.where(p > 0, p * (log_p - log_q), 0.0).sum(axis=axis)
+
+
+def entropy(log_p, axis=None):
+    """Shannon entropy in nats from a log table, summed over ``axis`` (all axes
+    when None): minus the KL against the all-ones measure."""
+    return -kl(log_p, 0.0, axis=axis)
 
 
 def _seed_key(*parts: int) -> list[int]:
@@ -164,37 +187,57 @@ def context_class_count(positions: int, vocab_size: int) -> int:
     return (vocab_size + 1) ** (positions - 1)
 
 
-class ConditionalOracle:
-    """Abstract query surface: one normalized log conditional per (position, context).
+def class_strides(positions: int, vocab_size: int) -> list[list[int]]:
+    """Per-position weights of the context class index as plain ints:
+    ``sum(strides[i][j] * (t + 1) for j, t in assigned.items())`` equals
+    :func:`context_class_index`; ``strides[i][i]`` is 0."""
+    radix = vocab_size + 1
+    return [
+        [0 if j == i else radix ** (positions - 2 - j + (j > i)) for j in range(positions)] for i in range(positions)
+    ]
 
-    Implementations are immutable after construction; results are cached per
-    (position, assigned set), so concurrent read-only queries are safe.
+
+class ConditionalOracle:
+    """Abstract query surface: one normalized log conditional per (position, context class).
+
+    Subclasses implement :meth:`log_rows`; every other query is a gather
+    through it.  Implementations are immutable after construction and keep
+    no cache, so concurrent read-only queries are safe.
     """
 
-    vocab: Vocabulary
-    positions: int
+    def __init__(self, vocab_size: int, positions: int):
+        self.vocab = Vocabulary(int(vocab_size))
+        self.positions = int(positions)
+        self._strides = class_strides(self.positions, self.vocab.size)
 
-    def __init__(self):
-        self._dist_cache: dict = {}
-
-    def _dist_uncached(self, position: int, assigned: dict[int, int]) -> np.ndarray:
+    def log_rows(self, position: int, cls) -> np.ndarray:
+        """Normalized log conditionals of ``position`` for an int array of
+        context class indices, shaped ``cls.shape + (V,)``."""
         raise NotImplementedError
 
     def log_dist(self, position: int, assigned: Mapping[int, int]) -> np.ndarray:
         """Log conditional over all tokens given an assigned position set.
 
-        Hot path used by the enumeration loops; validation is minimal.
-        The returned array is cached and read-only.
+        Hot path used by the scalar loops; validation is minimal.
         """
-        key = (position, tuple(sorted(assigned.items())))
-        cached = self._dist_cache.get(key)
-        if cached is None:
-            if position in assigned:
-                raise ContractViolationError(f"position {position} is already observed")
-            cached = np.asarray(self._dist_uncached(position, dict(assigned)), dtype=np.float64)
-            cached.flags.writeable = False
-            self._dist_cache[key] = cached
-        return cached
+        if position in assigned:
+            raise ContractViolationError(f"position {position} is already observed")
+        strides = self._strides[position]
+        cls = 0
+        for p, t in assigned.items():
+            cls += strides[p] * (t + 1)
+        return self.log_rows(position, cls)
+
+    def class_grid(self, position: int, observed: Mapping[int, int], free) -> np.ndarray:
+        """Class indices of ``position`` over a grid of contexts: ``observed``
+        plus, for the k-th entry of ``free``, an axis k along which that
+        position takes every token.  A ``None`` entry gives a length-1 axis."""
+        strides, digits = self._strides[position], np.arange(1, self.vocab.size + 1)
+        grid = np.full((1,) * len(free), sum(strides[p] * (t + 1) for p, t in observed.items()))
+        for k, p in enumerate(free):
+            if p is not None:
+                grid = grid + (strides[p] * digits).reshape((1,) * k + (-1,) + (1,) * (len(free) - k - 1))
+        return grid
 
     def _validate_query(self, position: int, context: PartialContext) -> None:
         if not (0 <= position < self.positions):
@@ -238,21 +281,20 @@ class ConditionalOracle:
 class TabularJointModel(ConditionalOracle):
     """Exact joint over ``vocab_size ** positions`` states.
 
-    The log-mass table is normalized, floored at :data:`LOG_MASS_FLOOR` per
-    state, and renormalized, so every state keeps strictly positive mass.
-    Conditionals are computed by exact marginalization, which makes the model
-    its own exact oracle (``q = p``) and the brute-force reference for every
-    other oracle.
+    The log-mass table is normalized and floored at :data:`LOG_MASS_FLOOR`
+    per state, so every state keeps strictly positive mass; a table that is
+    already normalized and floored (to 1e-12) is kept as given, so a saved
+    model reloads to the same bits.  Conditionals are ratios of exact
+    marginals, which makes the model its own exact oracle (``q = p``) and
+    the brute-force reference for every other oracle.
     """
 
     def __init__(self, vocab_size: int, positions: int, log_mass):
-        super().__init__()
         if not (1 <= positions <= MAX_POSITIONS):
             raise SizeCapError(f"positions must be in 1..{MAX_POSITIONS}, got {positions}")
         if not (2 <= vocab_size <= MAX_VOCAB):
             raise SizeCapError(f"vocab size must be in 2..{MAX_VOCAB}, got {vocab_size}")
-        self.vocab = Vocabulary(int(vocab_size))
-        self.positions = int(positions)
+        super().__init__(vocab_size, positions)
         arr = np.array(log_mass, dtype=np.float64).reshape(-1)
         if arr.size != vocab_size**positions:
             raise DimensionError(
@@ -260,12 +302,27 @@ class TabularJointModel(ConditionalOracle):
             )
         if np.any(np.isnan(arr)) or np.any(arr == np.inf):
             raise ContractViolationError("log mass entries must be finite or -inf")
-        arr = arr - logsumexp(arr)
-        arr = np.maximum(arr, LOG_MASS_FLOOR)
-        arr = arr - logsumexp(arr)
+        total = float(logsumexp(arr)[0])
+        if not (abs(total) <= _NORMALIZED_TOL and arr.min() >= LOG_MASS_FLOOR - _NORMALIZED_TOL):
+            arr = np.maximum(arr - total, LOG_MASS_FLOOR)
+            arr = arr - logsumexp(arr)
         arr.flags.writeable = False
         self._log_mass = arr
         self._nd = arr.reshape((self.vocab.size,) * self.positions)
+
+        # log_marginal[d_0, ..., d_{m-1}]: digit d > 0 fixes that position to
+        # token d - 1, digit 0 sums it out; filled one axis at a time in place
+        m, radix = self.positions, self.vocab.size + 1
+        marginal = np.zeros((radix,) * m)
+        marginal[(slice(1, None),) * m] = np.exp(self._nd)
+        for axis in range(m):
+            head = (slice(None),) * axis
+            np.sum(marginal[head + (slice(1, None),)], axis=axis, keepdims=True, out=marginal[head + (slice(0, 1),)])
+        np.log(marginal, out=marginal)
+        marginal.flags.writeable = False
+        self._log_marginal = marginal
+        # per position i, the same array as [digits before i, digit i, digits after i]
+        self._by_position = [marginal.reshape(radix**i, radix, radix ** (m - 1 - i)) for i in range(m)]
 
     @classmethod
     def from_probabilities(cls, table) -> "TabularJointModel":
@@ -288,21 +345,12 @@ class TabularJointModel(ConditionalOracle):
     def log_mass_nd(self) -> np.ndarray:
         return self._nd
 
-    def log_joint(self, assignment: Mapping[int, int]) -> float:
-        if sorted(assignment) != list(range(self.positions)):
-            raise ContractViolationError("full-joint lookup needs a value for every position")
-        return float(self._nd[tuple(assignment[p] for p in range(self.positions))])
-
-    def _dist_uncached(self, position: int, assigned: dict[int, int]) -> np.ndarray:
-        idx: list = [slice(None)] * self.positions
-        for p, v in assigned.items():
-            idx[p] = int(v)
-        sub = self._nd[tuple(idx)]
-        free = sorted(p for p in range(self.positions) if p not in assigned)
-        axis = free.index(position)
-        others = tuple(k for k in range(sub.ndim) if k != axis)
-        vec = logsumexp(sub, axis=others) if others else sub
-        return vec - logsumexp(vec)
+    def log_rows(self, position: int, cls) -> np.ndarray:
+        # the digits before and after `position` index the outer and inner axis
+        low = (self.vocab.size + 1) ** (self.positions - 1 - position)
+        hi, lo = cls // low, cls % low
+        marginal = self._by_position[position]
+        return marginal[hi, 1:, lo] - marginal[hi, 0:1, lo]
 
     def log_block_conditional(self, context: PartialContext) -> np.ndarray:
         """Exact log p(x_block | observed) as an array with one axis per block position.
@@ -313,18 +361,15 @@ class TabularJointModel(ConditionalOracle):
         if not context.block:
             raise ContractViolationError("block must be non-empty")
         self._validate_query(context.block[0], context)
-        idx: list = [slice(None)] * self.positions
+        digits: list = [0] * self.positions
         for p, v in context.observed.items():
-            idx[p] = v
-        sub = self._nd[tuple(idx)]
-        free = sorted(p for p in range(self.positions) if p not in context.observed)
-        block_set = set(context.block)
-        drop = tuple(k for k, p in enumerate(free) if p not in block_set)
-        if drop:
-            sub = logsumexp(sub, axis=drop)
-        kept = [p for p in free if p in block_set]
-        sub = np.transpose(sub, [kept.index(p) for p in context.block])
-        return sub - logsumexp(sub)
+            digits[p] = v + 1
+        evidence = self._log_marginal[tuple(digits)]
+        for p in context.block:
+            digits[p] = slice(1, None)
+        joint = self._log_marginal[tuple(digits)]
+        kept = sorted(context.block)
+        return np.transpose(joint, [kept.index(p) for p in context.block]) - evidence
 
     def to_dict(self) -> dict:
         return {
@@ -349,23 +394,19 @@ class PerturbedConditionalModel(ConditionalOracle):
     """
 
     def __init__(self, base: TabularJointModel, delta: float, perturbation_seed: int):
-        super().__init__()
         if not (math.isfinite(delta) and delta >= 0):
             raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
+        super().__init__(base.vocab.size, base.positions)
         self.base = base
         self.delta = float(delta)
         self.perturbation_seed = int(perturbation_seed)
-        self.vocab = base.vocab
-        self.positions = base.positions
         shape = (self.positions, context_class_count(self.positions, self.vocab.size), self.vocab.size)
         offsets = seeded_rng(self.perturbation_seed).standard_normal(shape)
         offsets.flags.writeable = False
         self._offsets = offsets
 
-    def _dist_uncached(self, position: int, assigned: dict[int, int]) -> np.ndarray:
-        base_vec = self.base.log_dist(position, assigned)
-        cls = context_class_index(position, assigned, self.positions, self.vocab.size)
-        return log_normalize(base_vec + self.delta * self._offsets[position, cls])
+    def log_rows(self, position: int, cls) -> np.ndarray:
+        return log_normalize(self.base.log_rows(position, cls) + self.delta * self._offsets[position, cls])
 
     def to_dict(self) -> dict:
         out = self.base.to_dict()
@@ -433,13 +474,10 @@ class LogitTableOracle(ConditionalOracle):
     """Oracle whose conditionals are softmaxes of a logit table's cells."""
 
     def __init__(self, table: LogitTable):
-        super().__init__()
+        super().__init__(table.vocab.size, table.positions)
         self.table = table
-        self.vocab = table.vocab
-        self.positions = table.positions
 
-    def _dist_uncached(self, position: int, assigned: dict[int, int]) -> np.ndarray:
-        cls = context_class_index(position, assigned, self.positions, self.vocab.size)
+    def log_rows(self, position: int, cls) -> np.ndarray:
         return log_normalize(self.table.logits[position, cls])
 
     def to_dict(self) -> dict:

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .core import (
     ConditionalOracle,
     PartialContext,
     TabularJointModel,
     derived_seed,
+    kl,
     seeded_rng,
     stable_uniform,
 )
@@ -119,8 +119,9 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence in nats, in [0, ln 2]."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     q = np.asarray(q, dtype=np.float64).reshape(-1)
-    m = 0.5 * (p + q)
-    return max(0.0, float(0.5 * (rel_entr(p, m).sum() + rel_entr(q, m).sum())))
+    with np.errstate(divide="ignore"):
+        log_p, log_q, log_m = np.log(p), np.log(q), np.log(0.5 * (p + q))
+    return max(0.0, float(0.5 * (kl(log_p, log_m) + kl(log_q, log_m))))
 
 
 def _predictive_product(oracle: ConditionalOracle, state: DecodeState, coords: Sequence[int]) -> np.ndarray:
@@ -277,6 +278,8 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in ("left-to-right", "random", "confidence", "conflict-aware"):
             raise ContractViolationError(f"unknown scheduler kind {self.kind!r}")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)):
+            raise ContractViolationError(f"scheduler seed must be an integer, got {self.seed!r}")
         if self.block_search not in ("contiguous", "subsets"):
             raise ContractViolationError(f"block_search must be 'contiguous' or 'subsets', got {self.block_search!r}")
         for name in ("lam_confidence", "lam_conflict", "lam_dependence"):
@@ -402,8 +405,7 @@ def run_scheduler(
             # forever, so write the most confident selection as a plain argmax
             conf = _confidences(oracle, state, chosen)
             p = min(chosen, key=lambda q: (-conf[q], q))
-            dist = np.exp(oracle.log_dist(p, state.context.observed))
-            commits = [(p, int(dist.argmax()), "forced-argmax")]
+            commits = [(p, _decide(oracle, state, argmax_commit(), p), "forced-argmax")]
             forced = True
         commits.sort()
         for p, t, kind in commits:
@@ -458,15 +460,22 @@ class StressReport:
         }
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span, which
+    run from (count of smaller values) + 1 to (count of values not larger)."""
+    ordered = np.sort(values)
+    return 0.5 * (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1)
+
+
 def spearman_rank(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Spearman rank correlation; None when undefined (n < 2 or a constant side)."""
+    """Spearman rank correlation (Pearson correlation of average ranks); None
+    when undefined (n < 2, a constant side, or a NaN value)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]) or np.isnan(x).any() or np.isnan(y).any():
         return None
-    from scipy.stats import spearmanr  # deferred: importing scipy.stats dominates CLI start-up
-    rho = float(spearmanr(x, y).statistic)
-    return None if math.isnan(rho) else rho
+    dx, dy = _average_ranks(x) - 0.5 * (len(x) + 1), _average_ranks(y) - 0.5 * (len(y) + 1)
+    return min(1.0, max(-1.0, float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))))
 
 
 def _context_predictors(

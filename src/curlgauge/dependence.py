@@ -13,23 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel
-from .errors import ContractViolationError
+from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
 
 _FORM_AGREEMENT_TOL = 1e-10
-
-
-def _entropy(probs: np.ndarray) -> float:
-    p = probs.reshape(-1)
-    mask = p > 0
-    return float(-(p[mask] * np.log(p[mask])).sum())
 
 
 def _axis_marginal(probs: np.ndarray, axis: int) -> np.ndarray:
     others = tuple(k for k in range(probs.ndim) if k != axis)
     return probs.sum(axis=others) if others else probs
+
+
+def _sum_marginal_entropies(probs: np.ndarray) -> float:
+    return float(sum(entropy(np.log(_axis_marginal(probs, k))) for k in range(probs.ndim)))
 
 
 def kl_vs_marginal_product(probs: np.ndarray) -> float:
@@ -39,13 +35,8 @@ def kl_vs_marginal_product(probs: np.ndarray) -> float:
         shape = [1] * probs.ndim
         shape[axis] = probs.shape[axis]
         product = product * _axis_marginal(probs, axis).reshape(shape)
-    return float(rel_entr(probs, product).sum())
-
-
-def _block_probs(joint: TabularJointModel, context: PartialContext) -> np.ndarray:
-    if len(context.block) < 1:
-        raise ContractViolationError("dependence diagnostics need a non-empty block")
-    return np.exp(joint.log_block_conditional(context))
+    with np.errstate(divide="ignore"):
+        return float(kl(np.log(probs), np.log(product)))
 
 
 def total_correlation(joint: TabularJointModel, context: PartialContext) -> float:
@@ -55,9 +46,10 @@ def total_correlation(joint: TabularJointModel, context: PartialContext) -> floa
     conditionals) and independently as the entropy difference
     sum_i H(X_i | x_S) - H(X_block | x_S); the two must agree to 1e-10.
     """
-    probs = _block_probs(joint, context)
+    log_probs = joint.log_block_conditional(context)
+    probs = np.exp(log_probs)
     kl_form = kl_vs_marginal_product(probs)
-    entropy_form = sum(_entropy(_axis_marginal(probs, k)) for k in range(probs.ndim)) - _entropy(probs)
+    entropy_form = _sum_marginal_entropies(probs) - float(entropy(log_probs))
     if abs(kl_form - entropy_form) > _FORM_AGREEMENT_TOL:
         raise RuntimeError(
             f"total-correlation forms disagree: KL {kl_form!r} vs entropy {entropy_form!r}"
@@ -70,15 +62,14 @@ def independent_parallel_gap(
 ) -> float:
     """KL of the reference block conditional against the oracle's one-shot
     independent product of per-position conditionals at the same context."""
-    probs = _block_probs(joint, context)
-    log_product = np.zeros_like(probs)
+    log_probs = joint.log_block_conditional(context)
+    log_product = np.zeros_like(log_probs)
     for axis, pos in enumerate(context.block):
         vec = oracle.log_conditional_dist(pos, context)
-        shape = [1] * probs.ndim
+        shape = [1] * log_probs.ndim
         shape[axis] = oracle.vocab.size
         log_product = log_product + vec.reshape(shape)
-    mask = probs > 0
-    gap = float((probs[mask] * (np.log(probs[mask]) - log_product[mask])).sum())
+    gap = float(kl(log_probs, log_product))
     if not np.isfinite(gap):
         raise RuntimeError("independent-parallel gap is non-finite; oracle assigns zero mass on the block")
     return gap
@@ -86,7 +77,7 @@ def independent_parallel_gap(
 
 def pairwise_cmi(joint: TabularJointModel, context: PartialContext) -> dict[tuple[int, int], float]:
     """Mutual information of every unordered block pair given the observed set."""
-    probs = _block_probs(joint, context)
+    probs = np.exp(joint.log_block_conditional(context))
     block = context.block
     out: dict[tuple[int, int], float] = {}
     for ai in range(len(block)):
@@ -130,11 +121,12 @@ class DependenceReport:
 def dependence_report(
     oracle: ConditionalOracle, joint: TabularJointModel, context: PartialContext
 ) -> DependenceReport:
-    probs = _block_probs(joint, context)
+    log_probs = joint.log_block_conditional(context)
+    probs = np.exp(log_probs)
     return DependenceReport(
         tc=total_correlation(joint, context),
-        sum_marginal_entropies=float(sum(_entropy(_axis_marginal(probs, k)) for k in range(probs.ndim))),
-        joint_entropy=_entropy(probs),
+        sum_marginal_entropies=_sum_marginal_entropies(probs),
+        joint_entropy=float(entropy(log_probs)),
         independent_parallel_kl=independent_parallel_gap(oracle, joint, context),
         pairwise_cmi=pairwise_cmi(joint, context),
     )

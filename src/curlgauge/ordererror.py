@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel
+from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
 from .errors import ContractViolationError, SizeCapError
 from .pseudojoint import pseudo_joint_table
 
@@ -62,16 +62,6 @@ class OrderErrorProfile:
         }
 
 
-def _kl_vec(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
-    mask = p > 0
-    return float((p[mask] * (log_p[mask] - log_q[mask])).sum())
-
-
-def _entropy_from_log(p: np.ndarray, log_p: np.ndarray) -> float:
-    mask = p > 0
-    return float(-(p[mask] * log_p[mask]).sum())
-
-
 def _is_prefix_like(position: int, conditioning: Sequence[int], block: Sequence[int]) -> bool:
     """A step is prefix-like when it conditions on exactly the block positions
     below the resolved one, in the block's coordinate order."""
@@ -93,39 +83,27 @@ def order_cross_entropy(
     block = context.block
     if sorted(order) != sorted(block):
         raise ContractViolationError(f"order {order} is not a permutation of the block {block}")
-    vocab = oracle.vocab.size
 
     log_p = joint.log_block_conditional(context)
     p = np.exp(log_p)
     log_q = pseudo_joint_table(oracle, context, order)
     cross_entropy = float(-(p * log_q)[p > 0].sum())
-    conditional_entropy = _entropy_from_log(p, log_p)
-    kl_total = _kl_vec(p, log_p, log_q)
+    conditional_entropy = float(entropy(log_p))
+    kl_total = float(kl(log_p, log_q))
 
-    axis_of = {pos: k for k, pos in enumerate(block)}
     per_step: list[float] = []
     steps: list[StepRecord] = []
     for m, pos in enumerate(order):
         prefix = order[:m]
-        step_kl = 0.0
-        step_entropy = 0.0
-        for vals in itertools.product(range(vocab), repeat=m):
-            ctx = context
-            for pp, vv in zip(prefix, vals):
-                ctx = ctx.assign(pp, vv)
-            # weight of this prefix under the true block conditional
-            idx: list = [slice(None)] * len(block)
-            for pp, vv in zip(prefix, vals):
-                idx[axis_of[pp]] = vv
-            weight = float(p[tuple(idx)].sum())
-            if weight == 0.0:
-                continue
-            p_step = np.exp(joint.log_dist(pos, ctx.observed))
-            q_step_log = oracle.log_dist(pos, ctx.observed)
-            mask = p_step > 0
-            step_kl += weight * float((p_step[mask] * (np.log(p_step[mask]) - q_step_log[mask])).sum())
-            q_step = np.exp(q_step_log)
-            step_entropy += weight * float(-(q_step * q_step_log).sum())
+        # one row per value of the prefix, weighted by its mass under the
+        # true block conditional; the other block axes have length 1
+        free = [pp if pp in prefix else None for pp in block]
+        weight = p.sum(axis=tuple(k for k, pp in enumerate(free) if pp is None), keepdims=True)
+        grid = joint.class_grid(pos, context.observed, free)
+        log_p_step = joint.log_rows(pos, grid)
+        log_q_step = oracle.log_rows(pos, grid)
+        step_kl = float((weight * kl(log_p_step, log_q_step, axis=-1)).sum())
+        step_entropy = float((weight * entropy(log_q_step, axis=-1)).sum())
         per_step.append(step_kl)
         steps.append(
             StepRecord(
@@ -167,10 +145,7 @@ def local_estimation_error(
     """Exact KL of the reference conditional at one position against the oracle's."""
     if position in context.observed:
         raise ContractViolationError(f"position {position} is already observed")
-    p = np.exp(joint.log_dist(position, context.observed))
-    log_q = oracle.log_dist(position, context.observed)
-    mask = p > 0
-    return float((p[mask] * (np.log(p[mask]) - log_q[mask])).sum())
+    return float(kl(joint.log_dist(position, context.observed), oracle.log_dist(position, context.observed)))
 
 
 # kl_total values within one grid cell count as tied for ranking purposes;

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, seeded_rng
+from .core import ConditionalOracle, PartialContext, kl, seeded_rng
 from .errors import ContractViolationError, SizeCapError
 
 DEFAULT_NORMALIZER_EPSILON = 1e-6
@@ -141,27 +141,13 @@ def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order
     """
     spec = PseudoJointSpec(context, tuple(order))
     block = context.block
-    n = len(block)
-    vocab = oracle.vocab.size
-    axis_of = {pos: k for k, pos in enumerate(block)}
-    table = np.zeros((vocab,) * n)
-    base = dict(context.observed)
     oracle._validate_query(spec.order[0], context)
+    table = np.zeros((oracle.vocab.size,) * len(block))
     for m, pos in enumerate(spec.order):
         prefix = spec.order[:m]
-        fixed_axes = sorted(axis_of[p] for p in prefix)
-        free_axes = [k for k in range(n) if k not in fixed_axes]
-        slot = free_axes.index(axis_of[pos])
-        shape = [1] * len(free_axes)
-        shape[slot] = vocab
-        for vals in itertools.product(range(vocab), repeat=m):
-            assigned = dict(base)
-            assigned.update(zip(prefix, vals))
-            vec = oracle.log_dist(pos, assigned)
-            idx: list = [slice(None)] * n
-            for p, v in zip(prefix, vals):
-                idx[axis_of[p]] = v
-            table[tuple(idx)] += vec.reshape(shape)
+        grid = oracle.class_grid(pos, context.observed, [p if p in prefix else None for p in block])
+        # the token axis of the rows replaces the length-1 grid axis of pos
+        table += np.swapaxes(oracle.log_rows(pos, grid), block.index(pos), -1)[..., 0]
     return table
 
 
@@ -213,14 +199,13 @@ def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], i: int, 
     """The four log-conditional terms of every square on positions (i, j) as
     ``[a, b]``-indexed arrays: ``t0 = log q_i(a|S)`` as a column,
     ``t1[a, b] = log q_j(b|S, i=a)``, ``t2 = log q_j(b|S)`` as a row and
-    ``t3[a, b] = log q_i(a|S, j=b)``.  Costs 2 + 2V conditional lookups."""
-    vocab = oracle.vocab.size
+    ``t3[a, b] = log q_i(a|S, j=b)``.  Costs two rows and two V-row gathers."""
     t0 = oracle.log_dist(i, observed)[:, None]
-    t1 = np.stack([oracle.log_dist(j, {**observed, i: a}) for a in range(vocab)])
+    t1 = oracle.log_rows(j, oracle.class_grid(j, observed, [i]))
     t2 = oracle.log_dist(j, observed)[None, :]
-    # stacked along axis 1, not transposed: tables built from t3 stay C-contiguous,
-    # which fixes the summation order of reductions over them
-    t3 = np.stack([oracle.log_dist(i, {**observed, j: b}) for b in range(vocab)], axis=1)
+    # copied into C order: tables built from t3 stay C-contiguous, which fixes
+    # the summation order of reductions over them
+    t3 = np.ascontiguousarray(oracle.log_rows(i, oracle.class_grid(i, observed, [j])).T)
     return t0, t1, t2, t3
 
 
@@ -341,14 +326,14 @@ def order_swap_kl(
     t0, t1, t2, t3 = _pair_terms(oracle, context.observed, i, j)
     curl = (t0 + t1) - (t2 + t3)
     weight = np.exp(log_q_ij)
-    kl = float((weight * (log_q_ij - log_q_ji)).sum())
+    swap_kl = float(kl(log_q_ij, log_q_ji))
     curl_expectation = float((weight * curl).sum())
-    if abs(kl - curl_expectation) > _CROSSCHECK_TOL:
+    if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
         raise RuntimeError(
-            f"order-swap KL cross-check failed: {kl!r} vs circulation expectation {curl_expectation!r}"
+            f"order-swap KL cross-check failed: {swap_kl!r} vs circulation expectation {curl_expectation!r}"
         )
     if mode == "exact":
-        return Estimate(value=kl, mode="exact")
+        return Estimate(value=swap_kl, mode="exact")
 
     rng = seeded_rng(mode.seed)
     cdf_a = np.cumsum(np.exp(t0[:, 0]))

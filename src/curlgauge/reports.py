@@ -20,7 +20,7 @@ import time
 from typing import Mapping, Sequence
 
 from . import __version__
-from .core import ModelBundle, PartialContext, model_from_dict, plain_json, seeded_rng
+from .core import ModelBundle, PartialContext, PerturbedConditionalModel, model_from_dict, plain_json, seeded_rng
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -42,6 +42,15 @@ def check_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) 
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing required fields {sorted(missing)} in {where}")
+
+
+def number_field(raw, where: str, integer: bool = False):
+    """A config value that must be a JSON number (as a float), or a JSON integer
+    when ``integer``; range checks stay with each field's consumer."""
+    kinds = int if integer else (int, float)
+    if isinstance(raw, bool) or not isinstance(raw, kinds):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {raw!r}")
+    return raw if integer else float(raw)
 
 
 def load_config(path) -> dict:
@@ -81,16 +90,17 @@ def resolve_model(model_config: Mapping, where: str = "model") -> ModelBundle:
     check_keys(synth, _SYNTH_KEYS, {"family", "positions", "vocab_size"}, f"{where}.synthetic")
     perturbation = synth.pop("perturbation", None)
     if "table" in synth:
-        synth["table"] = tuple(float(v) for v in synth["table"])
+        synth["table"] = tuple(number_field(v, f"{where}.synthetic.table") for v in synth["table"])
     spec = SyntheticTaskSpec(**synth)
     joint = generate_joint(spec)
+    oracle = joint
     if perturbation is not None:
         check_keys(perturbation, {"delta", "seed"}, {"delta", "seed"}, f"{where}.synthetic.perturbation")
-        from .core import PerturbedConditionalModel
-
-        oracle = PerturbedConditionalModel(joint, float(perturbation["delta"]), int(perturbation["seed"]))
-    else:
-        oracle = joint
+        oracle = PerturbedConditionalModel(
+            joint,
+            number_field(perturbation["delta"], f"{where}.synthetic.perturbation.delta"),
+            number_field(perturbation["seed"], f"{where}.synthetic.perturbation.seed", integer=True),
+        )
     payload = {"synthetic": spec.to_dict(), "perturbation": perturbation}
     model_id = hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
     return ModelBundle(oracle=oracle, joint=joint, model_id=model_id)
@@ -127,13 +137,13 @@ def resolve_contexts(contexts_config, bundle: ModelBundle, default_seed: int) ->
         return out
     sample = contexts_config["sample"]
     check_keys(sample, {"count", "seed", "min_block"}, {"count"}, "contexts.sample")
-    count = int(sample["count"])
-    min_block = int(sample.get("min_block", 2))
+    count = number_field(sample["count"], "contexts.sample.count", integer=True)
+    min_block = number_field(sample.get("min_block", 2), "contexts.sample.min_block", integer=True)
     if count < 1:
         raise ConfigError("contexts.sample.count must be >= 1")
     if not (1 <= min_block <= positions):
         raise ConfigError(f"contexts.sample.min_block must be in 1..{positions}")
-    rng = seeded_rng(int(sample.get("seed", default_seed)), 13)
+    rng = seeded_rng(number_field(sample.get("seed", default_seed), "contexts.sample.seed", integer=True), 13)
     out = []
     for _ in range(count):
         block_size = int(rng.integers(min_block, positions + 1))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     LogitTable,
@@ -34,7 +33,8 @@ from .core import (
     TabularJointModel,
     Vocabulary,
     ConditionalOracle,
-    context_class_index,
+    class_strides,
+    log_normalize,
     seeded_rng,
 )
 from .errors import ContractViolationError, TrainingFailureError
@@ -189,20 +189,17 @@ def penalty_batch(logits: np.ndarray, squares: Sequence, positions: int, vocab: 
     rows queried by the circulation's four log-conditional terms.
     """
     n = len(squares)
+    strides = class_strides(positions, vocab)
     pos_idx = np.empty((n, 4), dtype=np.intp)
     cls_idx = np.empty((n, 4), dtype=np.intp)
     tok_idx = np.empty((n, 4), dtype=np.intp)
     for s, (assigned, i, j, a, b) in enumerate(squares):
         pos_idx[s] = (i, j, j, i)
         tok_idx[s] = (a, b, b, a)
-        cls_idx[s] = (
-            context_class_index(i, assigned, positions, vocab),
-            context_class_index(j, {**assigned, i: a}, positions, vocab),
-            context_class_index(j, assigned, positions, vocab),
-            context_class_index(i, {**assigned, j: b}, positions, vocab),
-        )
-    rows = logits[pos_idx, cls_idx]
-    rows = rows - logsumexp(rows, axis=-1, keepdims=True)  # (n, 4, V) log conditionals
+        cls_i = sum(strides[i][p] * (t + 1) for p, t in assigned.items())
+        cls_j = sum(strides[j][p] * (t + 1) for p, t in assigned.items())
+        cls_idx[s] = (cls_i, cls_j + strides[j][i] * (a + 1), cls_j, cls_i + strides[i][j] * (b + 1))
+    rows = log_normalize(logits[pos_idx, cls_idx])  # (n, 4, V) log conditionals
     lq = np.take_along_axis(rows, tok_idx[:, :, None], axis=2)[:, :, 0]
     signs = np.array([1.0, 1.0, -1.0, -1.0])
     circ = lq @ signs
@@ -362,30 +359,23 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
         (positions, (vocab + 1) ** (positions - 1), vocab)
     )
 
-    cell_pos: list[int] = []
-    cell_cls: list[int] = []
-    targets: list[np.ndarray] = []
-    for i in range(positions):
-        for pattern in _covered_patterns(config, i, positions):
-            for values in itertools.product(range(vocab), repeat=len(pattern)):
-                assigned = dict(zip(pattern, values))
-                cell_pos.append(i)
-                cell_cls.append(context_class_index(i, assigned, positions, vocab))
-                targets.append(np.exp(joint.log_dist(i, assigned)))
-    cell_pos_arr = np.array(cell_pos)
-    cell_cls_arr = np.array(cell_cls)
-    target_arr = np.stack(targets)
+    # covered cells per position and pattern, the pattern's values in row-major order
+    cells = [
+        (i, joint.class_grid(i, {}, pattern).reshape(-1))
+        for i in range(positions)
+        for pattern in _covered_patterns(config, i, positions)
+    ]
+    cell_pos_arr = np.concatenate([np.full(cls.size, i) for i, cls in cells])
+    cell_cls_arr = np.concatenate([cls for _, cls in cells])
+    target_arr = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells])
 
     patterns = _square_patterns(positions)
     penalty_rng = seeded_rng(config.seed, 9)
     history: dict = {"loss": [], "penalty": [], "grad_norm": []}
 
-    def log_softmax(rows: np.ndarray) -> np.ndarray:
-        return rows - logsumexp(rows, axis=-1, keepdims=True)
-
     for _ in range(config.steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            cell_rows = log_softmax(logits[cell_pos_arr, cell_cls_arr])
+            cell_rows = log_normalize(logits[cell_pos_arr, cell_cls_arr])
             loss = float(-(target_arr * cell_rows).sum(axis=1).mean())
         ce_grad = np.exp(cell_rows) - target_arr
 

@@ -16,6 +16,8 @@ from curlgauge.core import (
     Vocabulary,
     apply_logit_shift,
     bayes_conditional,
+    class_strides,
+    context_class_index,
     load_model,
     log_normalize,
     model_from_dict,
@@ -23,7 +25,15 @@ from curlgauge.core import (
     save_model,
 )
 from curlgauge.errors import ContractViolationError, DimensionError, SizeCapError
-from curlgauge.pseudojoint import ExhaustivePlan, curl_local, ecirc_abs
+from curlgauge.pseudojoint import (
+    ExhaustivePlan,
+    PseudoJointSpec,
+    curl_local,
+    ecirc_abs,
+    pseudo_joint_log_prob,
+    pseudo_joint_table,
+)
+from curlgauge.synth import PREFIX_ONLY, TrainConfig, train_tabular
 
 
 class TestPartialContext:
@@ -250,3 +260,99 @@ def test_concurrent_queries_match_sequential():
         results = list(pool.map(lambda q: fresh.log_dist(q[0], q[1]).copy(), queries))
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+
+
+def _model_of_kind(kind: str, seed: int, positions: int, vocab: int):
+    joint = random_joint(seed, positions, vocab)
+    if kind == "joint":
+        return joint
+    if kind == "perturbed":
+        return PerturbedConditionalModel(joint, 0.6, seed)
+    return LogitTableOracle(LogitTable.random(vocab, positions, seed=seed, scale=1.5))
+
+
+def _brute_force_row(model, position: int, assigned: dict) -> np.ndarray:
+    """Reference conditional row, from the mass table or the logit row."""
+    cls = context_class_index(position, assigned, model.positions, model.vocab.size)
+    if isinstance(model, LogitTableOracle):
+        logits = model.table.logits[position, cls]
+        return logits - np.log(np.exp(logits).sum())
+    joint = model.base if isinstance(model, PerturbedConditionalModel) else model
+    idx = tuple(assigned.get(p, slice(None)) for p in range(model.positions))
+    sub = np.exp(joint.log_mass_nd)[idx]
+    free = [p for p in range(model.positions) if p not in assigned]
+    others = tuple(k for k, p in enumerate(free) if p != position)
+    row = np.log(sub.sum(axis=others) / sub.sum())
+    if isinstance(model, PerturbedConditionalModel):
+        row = row + model.delta * model._offsets[position, cls]
+        row = row - np.log(np.exp(row).sum())
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["joint", "perturbed", "logit"]),
+    seed=st.integers(0, 10_000),
+    positions=st.integers(1, 4),
+    vocab=st.integers(2, 4),
+)
+def test_gathers_match_brute_force_and_single_rows(kind, seed, positions, vocab):
+    model = _model_of_kind(kind, seed, positions, vocab)
+    strides = class_strides(positions, vocab)
+    for i in range(positions):
+        others = [p for p in range(positions) if p != i]
+        # every context class of position i, row by row and as one grid
+        grid = model.class_grid(i, {}, others)
+        rows = model.log_rows(i, grid)
+        assert rows.shape == (vocab,) * len(others) + (vocab,)
+        for values in itertools.product(range(-1, vocab), repeat=len(others)):
+            assigned = {p: v for p, v in zip(others, values) if v >= 0}
+            cls = context_class_index(i, assigned, positions, vocab)
+            assert cls == sum(strides[i][p] * (t + 1) for p, t in assigned.items())
+            row = model.log_dist(i, assigned)
+            assert np.abs(row - _brute_force_row(model, i, assigned)).max() <= 1e-12
+            assert np.array_equal(model.log_rows(i, np.array([cls, cls]))[1], row)
+            if all(v >= 0 for v in values):
+                assert np.array_equal(rows[tuple(values)], row)
+    if positions < 2:
+        return
+    ctx = random_context(seed, random_joint(seed, positions, vocab))
+    order = tuple(reversed(ctx.block))
+    table = pseudo_joint_table(model, ctx, order)
+    for values in itertools.product(range(vocab), repeat=len(ctx.block)):
+        assignment = dict(zip(ctx.block, values))
+        assert table[values] == pseudo_joint_log_prob(model, PseudoJointSpec(ctx, order), assignment)
+    if kind == "joint":
+        mass = np.exp(model.log_mass_nd)
+        idx = tuple(ctx.observed.get(p, slice(None)) for p in range(positions))
+        free = [p for p in range(positions) if p not in ctx.observed]
+        sub = mass[idx].sum(axis=tuple(k for k, p in enumerate(free) if p not in ctx.block))
+        kept = [p for p in free if p in ctx.block]
+        expected = np.log(np.transpose(sub, [kept.index(p) for p in ctx.block]) / sub.sum())
+        assert np.abs(model.log_block_conditional(ctx) - expected).max() <= 1e-12
+
+
+def _trained_model(seed: int):
+    joint = random_joint(seed, positions=3, vocab=3)
+    config = TrainConfig(coverage=PREFIX_ONLY, steps=3, seed=seed, ecirc_weight=1.0, ecirc_samples=4)
+    return train_tabular(joint, config)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["joint", "perturbed", "trained"]), seed=st.integers(0, 100_000))
+def test_model_files_reload_to_the_same_bits(tmp_path_factory, kind, seed):
+    if kind == "trained":
+        model = _trained_model(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        joint = TabularJointModel.from_probabilities(rng.dirichlet(np.ones(27)).reshape(3, 3, 3))
+        model = joint if kind == "joint" else PerturbedConditionalModel(joint, 0.4, seed)
+    path = tmp_path_factory.mktemp("models") / "model.json"
+    save_model(model, path)
+    bundle = load_model(path)
+    reference = model.source_joint if kind == "trained" else getattr(model, "base", model)
+    assert np.array_equal(bundle.joint.log_mass, reference.log_mass)
+    for i in range(3):
+        for assigned in ({}, {(i + 1) % 3: 2}, {(i + 1) % 3: 0, (i + 2) % 3: 1}):
+            assert np.array_equal(bundle.oracle.log_dist(i, assigned), model.log_dist(i, assigned))
+            assert np.array_equal(bundle.joint.log_dist(i, assigned), reference.log_dist(i, assigned))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from conftest import random_joint
@@ -278,6 +279,22 @@ class TestStress:
     def test_spearman_undefined_cases(self):
         assert spearman_rank([1.0], [2.0]) is None
         assert spearman_rank([1.0, 1.0], [1.0, 2.0]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), min_size=2, max_size=25),
+        scale=st.sampled_from([1.0, 0.1, 1e6]),
+    )
+    def test_spearman_matches_scipy_with_ties(self, pairs, scale):
+        from scipy.stats import spearmanr
+
+        x = np.array([a for a, _ in pairs], dtype=float) * scale
+        y = np.array([b for _, b in pairs], dtype=float)
+        rho = spearman_rank(x, y)
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            assert rho is None
+        else:
+            assert rho == pytest.approx(float(spearmanr(x, y).statistic), abs=1e-12)
 
     def test_correlations_reported_per_cell(self):
         joint = random_joint(15, positions=3, vocab=3)

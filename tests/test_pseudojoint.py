@@ -13,7 +13,7 @@ from curlgauge.core import (
     LogitTableOracle,
     PartialContext,
     PerturbedConditionalModel,
-    Vocabulary,
+    context_class_index,
 )
 from curlgauge.errors import ContractViolationError, SizeCapError
 from curlgauge.pseudojoint import (
@@ -39,16 +39,19 @@ from curlgauge.pseudojoint import (
 
 
 class StubOracle(ConditionalOracle):
-    """Fixed per-(position, assigned items) distributions, for formula checks."""
+    """Fixed distributions given per (position, assigned items), stored per
+    (position, context class index), for formula checks."""
 
     def __init__(self, vocab_size, positions, dists):
-        super().__init__()
-        self.vocab = Vocabulary(vocab_size)
-        self.positions = positions
-        self._dists = {key: np.log(np.asarray(p)) for key, p in dists.items()}
+        super().__init__(vocab_size, positions)
+        self._rows = {
+            (pos, context_class_index(pos, dict(items), positions, vocab_size)): np.log(np.asarray(p))
+            for (pos, items), p in dists.items()
+        }
 
-    def _dist_uncached(self, position, assigned):
-        return self._dists[(position, tuple(sorted(assigned.items())))]
+    def log_rows(self, position, cls):
+        rows = [self._rows[(position, int(c))] for c in np.ravel(cls)]
+        return np.reshape(rows, np.shape(cls) + (self.vocab.size,))
 
 
 class TestPseudoJointLogProb:

@@ -140,6 +140,21 @@ class TestCliExitCodes:
                     }
                 },
             ),
+            ("stress", {"stress": {"widths": ["x"], "schedulers": [{"kind": "left-to-right"}], "runs": 2}}),
+            ("stress", {"stress": {"widths": [1, 2], "schedulers": [{"kind": "left-to-right"}], "runs": "x"}}),
+            ("stress", {"stress": {"widths": [1, 2], "schedulers": [{"kind": "random", "seed": "x"}], "runs": 2}}),
+            ("tc", {"seed": "x"}),
+            ("order-gap", {"monte_carlo": {"n": "abc"}}),
+            ("curl-scan", {"plan": {"mode": "monte-carlo", "n": "x"}}),
+            ("tc", {"contexts": {"sample": {"count": "x"}}}),
+            ("tc", {"model": {"synthetic": {**CHAIN_MODEL["synthetic"], "perturbation": {"delta": "x", "seed": 2}}}}),
+            # well-formed values that a library call rejects as out of contract
+            ("stress", {"stress": {"widths": [9], "schedulers": [{"kind": "left-to-right"}], "runs": 2}}),
+            ("tc", {"model": {"synthetic": {**CHAIN_MODEL["synthetic"], "family": "foo"}}}),
+            ("tc", {"model": {"synthetic": {**CHAIN_MODEL["synthetic"], "perturbation": {"delta": -1, "seed": 2}}}}),
+            ("order-gap", {"monte_carlo": {"n": 0}}),
+            ("curl-scan", {"contexts": {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}]}}),
+            ("order-error", {"orders": [[0, 0, 1]]}),
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
@@ -290,8 +305,22 @@ class TestReproducibility:
         assert b["seed"] == 2
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
     src = str(Path(curlgauge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, curlgauge.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    # nor does a stress job, which reports Spearman correlations
+    stress = {"widths": [1, 2], "schedulers": [{"kind": "left-to-right"}], "runs": 2}
+    contexts = {"sample": {"count": 3, "seed": 4}}
+    write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1, "contexts": contexts, "stress": stress})
+    code = (
+        "import sys, curlgauge.cli\n"
+        "try:\n"
+        f"    curlgauge.cli.main(['stress', '--config', {str(tmp_path / 'cfg.json')!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "sys.exit(any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert (tmp_path / "out" / "stress.json").exists()
