@@ -31,6 +31,7 @@ from .errors import (
     ContractViolationError,
     DegenerateComparisonError,
     DimensionError,
+    IdentityCheckError,
     SizeCapError,
     TrainingFailureError,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "ContractViolationError",
     "DegenerateComparisonError",
     "DimensionError",
+    "IdentityCheckError",
     "SizeCapError",
     "TrainingFailureError",
 ]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error (malformed JSON, unknown fields,
 or values a library call rejects as out of contract), 3 enumeration-cap
-refusal, 4 training failure.  Reports are written only after the whole
-computation succeeds, atomically, so failed runs leave no partial artifacts.
+refusal, 4 training failure, 5 failed identity check.  Reports are written
+only after the whole computation succeeds, atomically, so failed runs leave
+no partial artifacts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     DegenerateComparisonError,
+    IdentityCheckError,
     SizeCapError,
     TrainingFailureError,
 )
@@ -57,6 +59,9 @@ from .reports import (
 from .synth import TrainConfig, train_tabular
 
 _COMMON_KEYS = {"model", "contexts", "seed"}
+# numeric train fields: JSON integers, then JSON numbers
+_TRAIN_INTEGERS = {"steps", "ecirc_samples", "seed"}
+_TRAIN_NUMBERS = {"learning_rate", "ecirc_weight", "init_scale", "grad_tol", "coverage_fraction"}
 
 
 def _operator_from_config(raw, where: str) -> UpdateOperator:
@@ -143,6 +148,9 @@ def _run(command: str, config_path, seed_override, out_dir, fmt, allowed_keys: s
     except TrainingFailureError as exc:
         click.echo(f"training failure: {exc}", err=True)
         sys.exit(4)
+    except IdentityCheckError as exc:
+        click.echo(f"identity check failed: {exc}", err=True)
+        sys.exit(5)
     report = build_report(command, config, seed, bundle.model_id, sections, started)
     base = command.replace("-", "_")
     paths = [write_report_json(report, os.path.join(out_dir, f"{base}.json"))]
@@ -325,23 +333,10 @@ def cmd_train(config_path, seed, out_dir, fmt):
     def body(config, seed, bundle, contexts, out_dir):
         joint = _require_joint(bundle, "train")
         raw = config.get("train", {})
-        check_keys(
-            raw,
-            {
-                "coverage",
-                "coverage_fraction",
-                "steps",
-                "learning_rate",
-                "ecirc_weight",
-                "ecirc_samples",
-                "seed",
-                "init_scale",
-                "grad_tol",
-            },
-            set(),
-            "train",
+        check_keys(raw, {"coverage"} | _TRAIN_INTEGERS | _TRAIN_NUMBERS, set(), "train")
+        train_config = TrainConfig(
+            **{k: v if k == "coverage" else number_field(v, f"train.{k}", k in _TRAIN_INTEGERS) for k, v in raw.items()}
         )
-        train_config = TrainConfig(**{str(k): v for k, v in raw.items()})
         oracle = train_tabular(joint, train_config)
         out_name = config.get("model_out", "trained_model.json")
         path = os.path.join(out_dir, out_name)

@@ -304,7 +304,7 @@ class SchedulerSpec:
 def _oracle_pair_dependence(oracle: ConditionalOracle, state: DecodeState, i: int, j: int) -> float:
     """Dependence proxy from the oracle alone: mean over both resolution orders
     of the mutual information of the order-induced pair product."""
-    t0, t1, t2, t3 = _pair_terms(oracle, state.context.observed, i, j)
+    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, state.context.observed, (), i, j))
     q_ij = np.exp(t0) * np.exp(t1)
     q_ji = np.exp(t2) * np.exp(t3)
     return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
+from .errors import IdentityCheckError
 
 _FORM_AGREEMENT_TOL = 1e-10
 
@@ -51,7 +52,7 @@ def total_correlation(joint: TabularJointModel, context: PartialContext) -> floa
     kl_form = kl_vs_marginal_product(probs)
     entropy_form = _sum_marginal_entropies(probs) - float(entropy(log_probs))
     if abs(kl_form - entropy_form) > _FORM_AGREEMENT_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"total-correlation forms disagree: KL {kl_form!r} vs entropy {entropy_form!r}"
         )
     return kl_form

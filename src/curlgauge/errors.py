@@ -25,5 +25,10 @@ class TrainingFailureError(RuntimeError):
         self.history = history
 
 
+class IdentityCheckError(RuntimeError):
+    """Two independent computations of one exact identity disagree past its
+    tolerance: a fault in the program or the model, not in the config."""
+
+
 class ConfigError(ValueError):
     """An experiment configuration is malformed or has unknown fields."""

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
-from .errors import ContractViolationError, SizeCapError
+from .errors import ContractViolationError, IdentityCheckError, SizeCapError
 from .pseudojoint import pseudo_joint_table
 
 _IDENTITY_TOL = 1e-10
@@ -116,12 +116,12 @@ def order_cross_entropy(
         )
 
     if abs(cross_entropy - conditional_entropy - kl_total) > _IDENTITY_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"cross-entropy identity failed: H {conditional_entropy!r} + KL {kl_total!r} "
             f"vs CE {cross_entropy!r}"
         )
     if abs(kl_total - sum(per_step)) > _IDENTITY_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"per-step KL decomposition failed: total {kl_total!r} vs sum {sum(per_step)!r}"
         )
 

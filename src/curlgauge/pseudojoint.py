@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import ConditionalOracle, PartialContext, kl, seeded_rng
-from .errors import ContractViolationError, SizeCapError
+from .errors import ContractViolationError, IdentityCheckError, SizeCapError
 
 DEFAULT_NORMALIZER_EPSILON = 1e-6
 DEFAULT_CONSISTENCY_TOL = 1e-8
@@ -133,21 +133,23 @@ def pseudo_joint_log_prob(oracle: ConditionalOracle, spec: PseudoJointSpec, assi
     return total
 
 
-def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order: Sequence[int]) -> np.ndarray:
+def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order: Sequence[int], visible=()) -> np.ndarray:
     """Log sequential product for every block assignment.
 
     Axes follow the block tuple's order (not the resolution order), so tables
-    for different orders of the same block are directly comparable.
+    for different orders of the same block are directly comparable.  Each
+    ``visible`` position (neither observed nor in the block) adds a leading
+    axis that every conditional sees at each of its tokens.
     """
     spec = PseudoJointSpec(context, tuple(order))
-    block = context.block
+    axes = tuple(visible) + context.block
     oracle._validate_query(spec.order[0], context)
-    table = np.zeros((oracle.vocab.size,) * len(block))
+    table = np.zeros((oracle.vocab.size,) * len(axes))
     for m, pos in enumerate(spec.order):
-        prefix = spec.order[:m]
-        grid = oracle.class_grid(pos, context.observed, [p if p in prefix else None for p in block])
+        given = set(visible) | set(spec.order[:m])
+        grid = oracle.class_grid(pos, context.observed, [p if p in given else None for p in axes])
         # the token axis of the rows replaces the length-1 grid axis of pos
-        table += np.swapaxes(oracle.log_rows(pos, grid), block.index(pos), -1)[..., 0]
+        table += np.swapaxes(oracle.log_rows(pos, grid), axes.index(pos), -1)[..., 0]
     return table
 
 
@@ -184,7 +186,7 @@ def curl_local(
     lp_ij = pseudo_joint_log_prob(oracle, PseudoJointSpec(pair_context, (i, j)), {i: a, j: b})
     lp_ji = pseudo_joint_log_prob(oracle, PseudoJointSpec(pair_context, (j, i)), {i: a, j: b})
     if abs(value - (lp_ij - lp_ji)) > _CROSSCHECK_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"circulation cross-check failed: four-term {value!r} vs product log-ratio {lp_ij - lp_ji!r}"
         )
 
@@ -195,50 +197,56 @@ def curl_local(
     )
 
 
-def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], i: int, j: int):
-    """The four log-conditional terms of every square on positions (i, j) as
-    ``[a, b]``-indexed arrays: ``t0 = log q_i(a|S)`` as a column,
-    ``t1[a, b] = log q_j(b|S, i=a)``, ``t2 = log q_j(b|S)`` as a row and
-    ``t3[a, b] = log q_i(a|S, j=b)``.  Costs two rows and two V-row gathers."""
-    t0 = oracle.log_dist(i, observed)[:, None]
-    t1 = oracle.log_rows(j, oracle.class_grid(j, observed, [i]))
-    t2 = oracle.log_dist(j, observed)[None, :]
+def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], visible: Sequence[int], i: int, j: int):
+    """The four log-conditional terms of every square on positions (i, j) with a
+    leading axis over the row-major values v of the ``visible`` positions, S_v being
+    ``observed`` plus those values: ``t0[v, a, 0] = log q_i(a|S_v)``,
+    ``t1[v, a, b] = log q_j(b|S_v, i=a)``, ``t2[v, 0, b] = log q_j(b|S_v)`` and
+    ``t3[v, a, b] = log q_i(a|S_v, j=b)``.  Costs four gathers."""
+    vocab, free = oracle.vocab.size, list(visible)
+    t0 = oracle.log_rows(i, oracle.class_grid(i, observed, free)).reshape(-1, vocab, 1)
+    t1 = oracle.log_rows(j, oracle.class_grid(j, observed, free + [i])).reshape(-1, vocab, vocab)
+    t2 = oracle.log_rows(j, oracle.class_grid(j, observed, free)).reshape(-1, 1, vocab)
+    t3 = oracle.log_rows(i, oracle.class_grid(i, observed, free + [j])).reshape(-1, vocab, vocab)
     # copied into C order: tables built from t3 stay C-contiguous, which fixes
     # the summation order of reductions over them
-    t3 = np.ascontiguousarray(oracle.log_rows(i, oracle.class_grid(i, observed, [j])).T)
-    return t0, t1, t2, t3
+    return t0, t1, t2, np.ascontiguousarray(t3.swapaxes(1, 2))
 
 
-def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], i: int, j: int, epsilon: float):
-    """Four-term circulation of every square on (i, j) as a V×V grid, with its
-    terms and its normalised grid; cross-checked once per grid against the
-    log-ratio of the two independently computed pair-order tables."""
+def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], visible, i: int, j: int, epsilon: float):
+    """Four-term circulation of the group (visible, i, j) as a ``[values, a, b]`` array, with its
+    terms and normalised array; checked once per group against the two pair-order tables."""
     pair_context = PartialContext(observed=observed, block=(i, j))
-    log_ratio = pseudo_joint_table(oracle, pair_context, (i, j)) - pseudo_joint_table(oracle, pair_context, (j, i))
-    terms = _pair_terms(oracle, observed, i, j)
+    ij, ji = (pseudo_joint_table(oracle, pair_context, order, visible) for order in ((i, j), (j, i)))
+    terms = _pair_terms(oracle, observed, visible, i, j)
     t0, t1, t2, t3 = terms
     value = (t0 + t1) - (t2 + t3)
-    residual = float(np.abs(value - log_ratio).max())
+    residual = float(np.abs(value - (ij - ji).reshape(value.shape)).max())
     if residual > _CROSSCHECK_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"circulation cross-check failed: four-term values differ from the product log-ratio by {residual!r}"
         )
     normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)
     return terms, value, normalized
 
 
-def _square_groups(context: PartialContext, vocab: int) -> Iterator[tuple[dict[int, int], int, int]]:
-    """Every reachable square group (visible assignment, i, j) of the block, in
-    the order visible-subset size, subset, its values, position pair; each
-    group holds the V×V token squares of one pair."""
+def _square_groups(context: PartialContext) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every reachable square group (visible subset, i, j) of the block, by subset size, subset
+    and pair.  A subset's squares run over its values, then its pairs, then (a, b)."""
     block = sorted(context.block)
     for size in range(len(block) - 1):
         for visible in itertools.combinations(block, size):
-            pairs = list(itertools.combinations([p for p in block if p not in visible], 2))
-            for values in itertools.product(range(vocab), repeat=size):
-                observed = {**context.observed, **dict(zip(visible, values))}
-                for i, j in pairs:
-                    yield observed, i, j
+            for i, j in itertools.combinations([p for p in block if p not in visible], 2):
+                yield visible, i, j
+
+
+def _subset_scans(oracle: ConditionalOracle, context: PartialContext, epsilon: float):
+    """Per visible subset, its pairs and the ``[values, pair, a, b]`` arrays of circulation and
+    normalised circulation; flattened and joined, they list the squares in enumeration order."""
+    for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
+        pairs = [(i, j) for _, i, j in groups]
+        grids = [_pair_circulation(oracle, context.observed, visible, i, j, epsilon)[1:] for i, j in pairs]
+        yield visible, pairs, np.stack([g[0] for g in grids], axis=1), np.stack([g[1] for g in grids], axis=1)
 
 
 def curl_normalized(sample: CurlSample, epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> float:
@@ -259,37 +267,35 @@ def iter_plan_samples(
     plan,
     epsilon: float = DEFAULT_NORMALIZER_EPSILON,
 ) -> Iterator[CurlSample]:
-    """Evaluate circulation at every tuple the plan selects, in plan order."""
-    vocab = oracle.vocab.size
-    if isinstance(plan, ExhaustivePlan):
-        pairs = _block_pairs(context)
-        if not pairs:
-            raise ContractViolationError("exhaustive scan needs a block with at least two positions")
-        for i, j in pairs:
-            terms, value, normalized = _pair_circulation(oracle, context.observed, i, j, epsilon)
-            grids = np.broadcast_arrays(*terms)
-            for a, b in itertools.product(range(vocab), repeat=2):
-                yield CurlSample(
-                    i=i, j=j, a=a, b=b, context=context, value=float(value[a, b]),
-                    terms=tuple(float(t[a, b]) for t in grids), normalized_value=float(normalized[a, b]),
-                )
-    elif isinstance(plan, MonteCarloPlan):
-        pairs = _block_pairs(context)
-        if not pairs:
-            raise ContractViolationError("sampling plan needs a block with at least two positions")
-        rng = seeded_rng(plan.seed)
-        for _ in range(plan.n):
-            i, j = pairs[rng.integers(len(pairs))]
-            a = int(rng.integers(vocab))
-            b = int(rng.integers(vocab))
-            yield curl_local(oracle, context, i, j, a, b, epsilon)
-    elif isinstance(plan, ExplicitPlan):
-        if not plan.tuples:
-            raise ContractViolationError("explicit plan must list at least one tuple")
-        for i, j, a, b in plan.tuples:
-            yield curl_local(oracle, context, i, j, a, b, epsilon)
-    else:
+    """Evaluate circulation at every tuple the plan selects, in plan order, read
+    from the circulation grid of each position pair of the context."""
+    vocab, pairs = oracle.vocab.size, _block_pairs(context)
+    if isinstance(plan, ExplicitPlan):
+        squares = list(plan.tuples)
+    elif not isinstance(plan, (ExhaustivePlan, MonteCarloPlan)):
         raise ContractViolationError(f"unknown sampling plan {plan!r}")
+    elif not pairs:
+        raise ContractViolationError("exhaustive and sampling plans need a block with at least two positions")
+    elif isinstance(plan, ExhaustivePlan):
+        squares = [(i, j, a, b) for i, j in pairs for a, b in itertools.product(range(vocab), repeat=2)]
+    else:
+        rng = seeded_rng(plan.seed)
+        draws = ((pairs[rng.integers(len(pairs))], rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n))
+        squares = [(i, j, int(a), int(b)) for (i, j), a, b in draws]
+    if not squares:
+        raise ContractViolationError("explicit plan must list at least one tuple")
+    grids: dict = {}
+    for i, j, a, b in squares:
+        if not (i != j and {i, j} <= set(context.block) and 0 <= a < vocab and 0 <= b < vocab):
+            raise ContractViolationError(f"square {(i, j, a, b)} needs distinct block positions and tokens below {vocab}")
+        if (i, j) not in grids:
+            terms, value, normalized = _pair_circulation(oracle, context.observed, (), i, j, epsilon)
+            grids[i, j] = np.broadcast_arrays(*terms), value, normalized
+        terms, value, normalized = grids[i, j]
+        yield CurlSample(
+            i=i, j=j, a=a, b=b, context=context, value=float(value[0, a, b]),
+            terms=tuple(float(t[0, a, b]) for t in terms), normalized_value=float(normalized[0, a, b]),
+        )
 
 
 def ecirc_abs(oracle: ConditionalOracle, context: PartialContext, plan=ExhaustivePlan()) -> Estimate:
@@ -323,26 +329,23 @@ def order_swap_kl(
     pair_context = PartialContext(observed=context.observed, block=(i, j), time=context.time)
     log_q_ij = pseudo_joint_table(oracle, pair_context, (i, j))
     log_q_ji = pseudo_joint_table(oracle, pair_context, (j, i))
-    t0, t1, t2, t3 = _pair_terms(oracle, context.observed, i, j)
+    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, context.observed, (), i, j))
     curl = (t0 + t1) - (t2 + t3)
     weight = np.exp(log_q_ij)
     swap_kl = float(kl(log_q_ij, log_q_ji))
     curl_expectation = float((weight * curl).sum())
     if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
-        raise RuntimeError(
+        raise IdentityCheckError(
             f"order-swap KL cross-check failed: {swap_kl!r} vs circulation expectation {curl_expectation!r}"
         )
     if mode == "exact":
         return Estimate(value=swap_kl, mode="exact")
 
-    rng = seeded_rng(mode.seed)
-    cdf_a = np.cumsum(np.exp(t0[:, 0]))
-    cdf_b = np.cumsum(np.exp(t1), axis=1)
-    values = np.empty(mode.n)
-    for k in range(mode.n):
-        a = int(np.searchsorted(cdf_a, rng.random(), side="right").clip(0, vocab - 1))
-        b = int(np.searchsorted(cdf_b[a], rng.random(), side="right").clip(0, vocab - 1))
-        values[k] = curl[a, b]
+    # a then b from one uniform pair each; a count of cdf entries <= u is a right-sided search
+    u = seeded_rng(mode.seed).random((mode.n, 2))
+    a = np.searchsorted(np.cumsum(np.exp(t0[:, 0])), u[:, 0], side="right").clip(0, vocab - 1)
+    b = (np.cumsum(np.exp(t1), axis=1)[a] <= u[:, 1:]).sum(axis=1).clip(0, vocab - 1)
+    values = curl[a, b]
     stderr = float(values.std(ddof=1) / math.sqrt(mode.n)) if mode.n > 1 else 0.0
     return Estimate(value=float(values.mean()), stderr=stderr, n=mode.n, mode="monte-carlo")
 
@@ -499,8 +502,8 @@ def order_consistency_check(
 ) -> ConsistencyReport:
     """Brute-force order consistency on a block, two independent ways.
 
-    (a) enumerate every permutation's sequential product on every assignment
-    and take the largest cross-permutation log gap; (b) enumerate every
+    (a) take the largest gap, over every assignment, between the largest and
+    smallest sequential product of all permutations; (b) enumerate every
     reachable square (visible subset of the block, position pair, token pair)
     and take the largest absolute circulation.  The block is consistent iff
     both maxima fall below tol; the two verdicts must agree, and the first
@@ -516,24 +519,35 @@ def order_consistency_check(
     if vocab**n > 32768:
         raise SizeCapError(f"consistency check caps assignments at 32768, got {vocab}**{n}")
 
-    perms = list(itertools.permutations(block))
-    tables = np.stack([pseudo_joint_table(oracle, context, perm).reshape(-1) for perm in perms])
-    gaps = tables.max(axis=0) - tables.min(axis=0)
-    max_order_gap = float(gaps.max())
+    # largest and smallest log product over the orders of each resolved set (axes
+    # in block order), each order extended by its last position; rounding is
+    # monotone, so these equal the extremes over all n! order tables to the bit
+    high, low = {(): np.zeros(())}, {(): np.zeros(())}
+    for size in range(1, n + 1):
+        for resolved in itertools.combinations(block, size):
+            for pos in resolved:
+                rest = tuple(p for p in resolved if p != pos)
+                # log q(pos | rest), with the axes of rest and then pos
+                step = pseudo_joint_table(oracle, PartialContext(context.observed, (pos,)), (pos,), rest)
+                axis = resolved.index(pos)
+                high[resolved] = np.maximum(high.get(resolved, -np.inf), np.moveaxis(high[rest][..., None] + step, -1, axis))
+                low[resolved] = np.minimum(low.get(resolved, np.inf), np.moveaxis(low[rest][..., None] + step, -1, axis))
+    max_order_gap = float((high[block] - low[block]).max())
 
     max_curl = 0.0
     witness: CurlSample | None = None
     squares = 0
-    for observed, i, j in _square_groups(context, vocab):
-        _, value, _ = _pair_circulation(oracle, observed, i, j, DEFAULT_NORMALIZER_EPSILON)
+    for visible, pairs, value, _ in _subset_scans(oracle, context, DEFAULT_NORMALIZER_EPSILON):
         magnitude = np.abs(value)
         squares += magnitude.size
-        group_max = float(magnitude.max())
-        max_curl = max(max_curl, group_max)
-        if witness is None and group_max >= tol:
-            a, b = np.unravel_index(int(np.argmax(magnitude >= tol)), magnitude.shape)
+        subset_max = float(magnitude.max())
+        max_curl = max(max_curl, subset_max)
+        if witness is None and subset_max >= tol:
+            first = int(np.argmax(magnitude >= tol))
+            *values, k, a, b = np.unravel_index(first, (vocab,) * len(visible) + magnitude.shape[1:])
+            observed = {**context.observed, **{p: int(t) for p, t in zip(visible, values)}}
             square_context = PartialContext(observed, tuple(p for p in block if p not in observed), context.time)
-            witness = curl_local(oracle, square_context, i, j, int(a), int(b))
+            witness = curl_local(oracle, square_context, *pairs[k], int(a), int(b))
 
     gap_ok = max_order_gap < tol
     curl_ok = max_curl < tol
@@ -543,7 +557,7 @@ def order_consistency_check(
         max_curl=max_curl,
         witness=witness,
         tol=tol,
-        permutations_checked=len(perms),
+        permutations_checked=math.factorial(n),
         squares_checked=squares,
         order_gap_consistent=gap_ok,
         curl_consistent=curl_ok,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +42,8 @@ from .pseudojoint import (
     ExhaustivePlan,
     MonteCarloPlan,
     Estimate,
-    _pair_circulation,
     _square_groups,
-    curl_local,
+    _subset_scans,
 )
 
 CHAIN = "chain"
@@ -164,58 +162,48 @@ def tc_ladder(positions: int, vocab_size: int, levels_total: int = 3) -> list[Ta
 # circulation-square sampling shared by the penalty estimator and the trainer
 
 
-def _square_patterns(positions: int) -> list[tuple[int, ...]]:
-    """Visible subsets leaving at least two positions unresolved."""
-    out = []
-    for size in range(0, positions - 1):
-        out.extend(itertools.combinations(range(positions), size))
-    return out
+def square_sampler(positions: int, vocab: int):
+    """``draw(rng, n)``: n squares drawn uniformly from the groups of the all-free
+    context, as ``(pos, cls, tok)`` index arrays of shape ``(n, 4)`` for the four
+    terms ``(q_i(a|S), q_j(b|S,a), q_j(b|S), q_i(a|S,b))``.  A group (visible
+    subset, i, j) has weight ``V**len(visible)``, its share of the squares; one
+    token row per square gives the visible values, a (at i) and b (at j)."""
+    groups = list(_square_groups(PartialContext({}, tuple(range(positions)))))
+    bounds = np.cumsum([vocab ** len(visible) for visible, _, _ in groups])
+    term_pos = np.array([(i, j, j, i) for _, i, j in groups])
+    # 1 where the context of a group's term holds the position
+    seen = np.zeros((len(groups), 4, positions), dtype=np.intp)
+    for g, (visible, i, j) in enumerate(groups):
+        seen[g, :, list(visible)] = 1
+        seen[g, 1, i] = seen[g, 3, j] = 1
+    weights = seen * np.array(class_strides(positions, vocab))[term_pos]
+
+    def draw(rng: np.random.Generator, n: int):
+        pick = np.searchsorted(bounds, rng.integers(bounds[-1], size=n), side="right")
+        tokens = rng.integers(vocab, size=(n, positions))
+        pos = term_pos[pick]
+        return pos, (weights[pick] @ (tokens + 1)[:, :, None])[:, :, 0], np.take_along_axis(tokens, pos, axis=1)
+
+    return draw
 
 
-def _sample_square(rng: np.random.Generator, patterns: list, positions: int, vocab: int):
-    pattern = patterns[rng.integers(len(patterns))]
-    assigned = {p: int(rng.integers(vocab)) for p in pattern}
-    rest = [p for p in range(positions) if p not in assigned]
-    pick = rng.choice(len(rest), size=2, replace=False)
-    i, j = sorted(rest[k] for k in pick)
-    return assigned, i, j, int(rng.integers(vocab)), int(rng.integers(vocab))
-
-
-def penalty_batch(logits: np.ndarray, squares: Sequence, positions: int, vocab: int) -> tuple[float, np.ndarray]:
-    """Mean squared normalized circulation over the given squares, with its
-    analytic gradient through the four participating softmax cells.
-
-    Each square is (assigned dict, i, j, a, b); the four cells are the logit
-    rows queried by the circulation's four log-conditional terms.
-    """
-    n = len(squares)
-    strides = class_strides(positions, vocab)
-    pos_idx = np.empty((n, 4), dtype=np.intp)
-    cls_idx = np.empty((n, 4), dtype=np.intp)
-    tok_idx = np.empty((n, 4), dtype=np.intp)
-    for s, (assigned, i, j, a, b) in enumerate(squares):
-        pos_idx[s] = (i, j, j, i)
-        tok_idx[s] = (a, b, b, a)
-        cls_i = sum(strides[i][p] * (t + 1) for p, t in assigned.items())
-        cls_j = sum(strides[j][p] * (t + 1) for p, t in assigned.items())
-        cls_idx[s] = (cls_i, cls_j + strides[j][i] * (a + 1), cls_j, cls_i + strides[i][j] * (b + 1))
+def penalty_batch(logits: np.ndarray, pos_idx, cls_idx, tok_idx) -> tuple[float, np.ndarray]:
+    """Mean squared normalized circulation over the squares given as the
+    ``(pos, cls, tok)`` arrays of :func:`square_sampler`, with its analytic
+    gradient through the four participating softmax cells."""
+    n = len(pos_idx)
     rows = log_normalize(logits[pos_idx, cls_idx])  # (n, 4, V) log conditionals
-    lq = np.take_along_axis(rows, tok_idx[:, :, None], axis=2)[:, :, 0]
+    chosen = tok_idx[:, :, None] == np.arange(rows.shape[2])
+    lq = rows[chosen].reshape(n, 4)
     signs = np.array([1.0, 1.0, -1.0, -1.0])
-    circ = lq @ signs
     denom = np.abs(lq).sum(axis=1) + DEFAULT_NORMALIZER_EPSILON
-    value = float(((circ / denom) ** 2).mean())
-    # d(circ^2 / denom^2)/dlq_r; log conditionals are <= 0 so d|lq|/dlq = -1
-    dlq = (
-        2.0 * circ[:, None] * signs[None, :] / denom[:, None] ** 2
-        + 2.0 * circ[:, None] ** 2 * np.where(lq < 0, 1.0, 0.0) / denom[:, None] ** 3
-    )
-    residual = -np.exp(rows)  # becomes one_hot - probs on the selected tokens
-    sel = tok_idx[:, :, None]
-    np.put_along_axis(residual, sel, np.take_along_axis(residual, sel, axis=2) + 1.0, axis=2)
+    ratio = (lq @ signs) / denom
+    # d(ratio^2)/dlq_r / n; log conditionals are <= 0 so d|lq|/dlq = -1
+    dlq = (2.0 / n) * (ratio / denom)[:, None] * (signs + ratio[:, None] * (lq < 0))
     grad = np.zeros_like(logits)
-    np.add.at(grad, (pos_idx, cls_idx), dlq[:, :, None] / n * residual)
-    return value, grad
+    # d log q(tok)/d logits = one_hot(tok) - probs
+    np.add.at(grad, (pos_idx, cls_idx), dlq[:, :, None] * (chosen - np.exp(rows)))
+    return float(ratio @ ratio) / n, grad
 
 
 def ecirc_penalty(
@@ -229,23 +217,18 @@ def ecirc_penalty(
     square; the Monte Carlo mode samples them uniformly.
     """
     positions, vocab = oracle.positions, oracle.vocab.size
-
-    def value(assigned, i, j, a, b) -> float:
-        context = PartialContext(
-            observed=assigned, block=tuple(p for p in range(positions) if p not in assigned)
-        )
-        return curl_local(oracle, context, i, j, a, b, epsilon).normalized_value ** 2
-
     if isinstance(plan, ExhaustivePlan):
-        values = np.concatenate([
-            _pair_circulation(oracle, observed, i, j, epsilon)[2].reshape(-1) ** 2
-            for observed, i, j in _square_groups(PartialContext({}, tuple(range(positions))), vocab)
-        ])
+        scans = _subset_scans(oracle, PartialContext({}, tuple(range(positions))), epsilon)
+        values = np.concatenate([normalized.reshape(-1) ** 2 for *_, normalized in scans])
         return Estimate(value=float(values.mean()), n=len(values), mode="exact")
     if isinstance(plan, MonteCarloPlan):
-        rng = seeded_rng(plan.seed)
-        patterns = _square_patterns(positions)
-        values = np.array([value(*_sample_square(rng, patterns, positions, vocab)) for _ in range(plan.n)])
+        pos, cls, tok = square_sampler(positions, vocab)(seeded_rng(plan.seed), plan.n)
+        lq = np.empty(pos.shape)
+        for p in range(positions):
+            at = pos == p
+            lq[at] = np.take_along_axis(oracle.log_rows(p, cls[at]), tok[at][:, None], axis=1)[:, 0]
+        t0, t1, t2, t3 = lq.T
+        values = (np.abs((t0 + t1) - (t2 + t3)) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)) ** 2
         stderr = float(values.std(ddof=1) / math.sqrt(plan.n)) if plan.n > 1 else 0.0
         return Estimate(value=float(values.mean()), stderr=stderr, n=plan.n, mode="monte-carlo")
     raise ContractViolationError(f"unknown sampling plan {plan!r}")
@@ -369,7 +352,7 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
     cell_cls_arr = np.concatenate([cls for _, cls in cells])
     target_arr = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells])
 
-    patterns = _square_patterns(positions)
+    draw_squares = square_sampler(positions, vocab)
     penalty_rng = seeded_rng(config.seed, 9)
     history: dict = {"loss": [], "penalty": [], "grad_norm": []}
 
@@ -382,11 +365,8 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
         penalty_value = 0.0
         penalty_grad = np.zeros_like(logits)
         if config.ecirc_weight > 0:
-            squares = [
-                _sample_square(penalty_rng, patterns, positions, vocab)
-                for _ in range(config.ecirc_samples)
-            ]
-            penalty_value, penalty_grad = penalty_batch(logits, squares, positions, vocab)
+            squares = draw_squares(penalty_rng, config.ecirc_samples)
+            penalty_value, penalty_grad = penalty_batch(logits, *squares)
 
         if not (math.isfinite(loss) and math.isfinite(penalty_value)):
             raise TrainingFailureError(

@@ -247,7 +247,7 @@ def _random_mask_ecirc(oracle) -> float:
 
 
 def test_criterion_9_mechanism_directions():
-    with criterion("9 mechanism direction tests (3 x 20 seeds)", limit_s=600):
+    with criterion("9 mechanism direction tests (3 x 20 seeds)", limit_s=60):
         trials = 20
         need = math.ceil(0.8 * trials)
 

@@ -36,6 +36,7 @@ from curlgauge.pseudojoint import (
     random_walk_path,
     swap_decomposition,
 )
+from curlgauge.synth import ecirc_penalty
 
 
 class StubOracle(ConditionalOracle):
@@ -340,10 +341,11 @@ def test_curl_scan_report_shape():
 
 
 def _scalar_consistency_scan(oracle, context, tol):
-    """Reference square loop: one curl_local call per reachable square."""
+    """Reference square loop: one curl_local call per reachable square; also
+    returns every square's squared normalized circulation, in scan order."""
     block = sorted(context.block)
     vocab = oracle.vocab.size
-    max_curl, witness, squares = 0.0, None, 0
+    max_curl, witness, squares, penalties = 0.0, None, 0, []
     for size in range(len(block) - 1):
         for visible in itertools.combinations(block, size):
             rest = [p for p in block if p not in visible]
@@ -357,9 +359,10 @@ def _scalar_consistency_scan(oracle, context, tol):
                             squares += 1
                             sample = curl_local(oracle, ctx, i, j, a, b)
                             max_curl = max(max_curl, abs(sample.value))
+                            penalties.append(sample.normalized_value**2)
                             if witness is None and abs(sample.value) >= tol:
                                 witness = sample
-    return max_curl, squares, witness
+    return max_curl, squares, witness, np.array(penalties)
 
 
 class TestSquareEngineMatchesScalarReference:
@@ -379,16 +382,24 @@ class TestSquareEngineMatchesScalarReference:
             oracle = LogitTableOracle(LogitTable.random(vocab, positions, seed))
         ctx = random_context(seed, joint)
 
-        for sample in iter_plan_samples(oracle, ctx, ExhaustivePlan()):
-            reference = curl_local(oracle, ctx, sample.i, sample.j, sample.a, sample.b)
-            assert sample.value == reference.value
-            assert sample.normalized_value == reference.normalized_value
+        for plan in (ExhaustivePlan(), MonteCarloPlan(seed=seed, n=20)):
+            for sample in iter_plan_samples(oracle, ctx, plan):
+                reference = curl_local(oracle, ctx, sample.i, sample.j, sample.a, sample.b)
+                assert sample.value == reference.value
+                assert sample.normalized_value == reference.normalized_value
 
         report = order_consistency_check(oracle, ctx, tol)
-        max_curl, squares, witness = _scalar_consistency_scan(oracle, ctx, tol)
+        tables = np.stack([pseudo_joint_table(oracle, ctx, perm) for perm in itertools.permutations(ctx.block)])
+        assert report.max_order_gap == float((tables.max(axis=0) - tables.min(axis=0)).max())
+        assert report.permutations_checked == len(tables)
+        max_curl, squares, witness, _ = _scalar_consistency_scan(oracle, ctx, tol)
         assert report.max_curl == max_curl
         assert report.squares_checked == squares
         assert report.witness == witness
+
+        all_free = PartialContext({}, tuple(range(positions)))
+        penalties = _scalar_consistency_scan(oracle, all_free, tol)[3]
+        assert ecirc_penalty(oracle, ExhaustivePlan()).value == penalties.mean()
 
     def test_fault_in_one_term_trips_both_identities(self, monkeypatch):
         exact_terms = pseudojoint._pair_terms

@@ -155,6 +155,10 @@ class TestCliExitCodes:
             ("order-gap", {"monte_carlo": {"n": 0}}),
             ("curl-scan", {"contexts": {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}]}}),
             ("order-error", {"orders": [[0, 0, 1]]}),
+            # malformed train fields (appended so the earlier case ids stay put)
+            ("train", {"train": {"steps": "x"}}),
+            ("train", {"train": {"ecirc_samples": "x"}}),
+            ("train", {"train": {"learning_rate": "x"}}),
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
@@ -163,6 +167,25 @@ class TestCliExitCodes:
             main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_identity_check_exits_five(self, tmp_path, monkeypatch):
+        from curlgauge import pseudojoint
+
+        exact_terms = pseudojoint._pair_terms
+
+        def faulty_terms(*args):
+            t0, t1, t2, t3 = exact_terms(*args)
+            return t0, t1 + 1e-9, t2, t3
+
+        monkeypatch.setattr(pseudojoint, "_pair_terms", faulty_terms)
+        write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1})
+        result = CliRunner().invoke(
+            main, ["consistency", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 5
+        assert result.stderr.startswith("identity check failed: circulation cross-check")
         assert len(result.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
