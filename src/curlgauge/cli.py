@@ -1,17 +1,18 @@
 """Command-line front end: config-driven diagnostic runs with JSON/CSV reports.
 
-Exit codes: 0 success, 2 configuration error (malformed JSON, unknown fields,
-or values a library call rejects as out of contract), 3 enumeration-cap
-refusal, 4 training failure, 5 failed identity check.  Reports are written
-only after the whole computation succeeds, atomically, so failed runs leave
-no partial artifacts.
+Exit codes: 0 success, 2 configuration error (malformed JSON, non-finite
+number literals, unknown or missing fields, values of the wrong kind, values
+a library call rejects as out of contract, a custom table of the wrong size),
+3 enumeration-cap refusal, 4 training failure, 5 failed identity check.  The
+whole config is checked against its schema before any computation; reports
+are written only after the whole computation succeeds, atomically, so failed
+runs leave no partial artifacts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
 import sys
 import time
@@ -34,6 +35,7 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     DegenerateComparisonError,
+    DimensionError,
     IdentityCheckError,
     SizeCapError,
     TrainingFailureError,
@@ -46,66 +48,28 @@ from .pseudojoint import (
     order_consistency_check,
     order_swap_kl,
 )
-from .reports import (
-    build_report,
-    check_keys,
-    emit_plot_data,
-    load_config,
-    number_field,
-    resolve_contexts,
-    resolve_model,
-    write_report_json,
-)
+from .reports import build_report, emit_plot_data, load_config, parse_config, resolve_contexts, resolve_model, write_report_json
 from .synth import TrainConfig, train_tabular
 
-_COMMON_KEYS = {"model", "contexts", "seed"}
-# numeric train fields: JSON integers, then JSON numbers
-_TRAIN_INTEGERS = {"steps", "ecirc_samples", "seed"}
-_TRAIN_NUMBERS = {"learning_rate", "ecirc_weight", "init_scale", "grad_tol", "coverage_fraction"}
+
+def _operator_from_config(raw) -> UpdateOperator:
+    return sample_commit() if raw is None else UpdateOperator(kind=raw["kind"], tau=raw.get("tau"))
 
 
-def _operator_from_config(raw, where: str) -> UpdateOperator:
-    if raw is None:
-        return sample_commit()
-    check_keys(raw, {"kind", "tau"}, {"kind"}, where)
-    return UpdateOperator(kind=raw["kind"], tau=raw.get("tau"))
-
-
-def _scheduler_from_config(raw, where: str) -> SchedulerSpec:
-    check_keys(
-        raw,
-        {"kind", "seed", "lam_confidence", "lam_conflict", "lam_dependence", "block_search"},
-        {"kind"},
-        where,
-    )
-    return SchedulerSpec(**{str(k): v for k, v in raw.items()})
-
-
-def _positive_number(config, key: str, default: float) -> float:
-    value = number_field(config.get(key, default), key)
+def _positive_number(value: float, key: str) -> float:
     if not (0 < value < float("inf")):
         raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
     return value
 
 
-def _plan_from_config(raw, default_seed: int, where: str):
-    if raw is None:
+def _plan_from_config(raw, default_seed: int):
+    if raw is None or raw["mode"] == "exhaustive":
         return ExhaustivePlan()
-    check_keys(raw, {"mode", "n", "seed"}, {"mode"}, where)
-    if raw["mode"] == "exhaustive":
-        return ExhaustivePlan()
-    if raw["mode"] == "monte-carlo":
-        if "n" not in raw:
-            raise ConfigError(f"{where} monte-carlo plan needs 'n'")
-        return _monte_carlo_plan(raw, default_seed, where)
-    raise ConfigError(f"{where}.mode must be 'exhaustive' or 'monte-carlo'")
-
-
-def _monte_carlo_plan(raw, default_seed: int, where: str) -> MonteCarloPlan:
-    return MonteCarloPlan(
-        seed=number_field(raw.get("seed", default_seed), f"{where}.seed", integer=True),
-        n=number_field(raw["n"], f"{where}.n", integer=True),
-    )
+    if raw["mode"] != "monte-carlo":
+        raise ConfigError("plan.mode must be 'exhaustive' or 'monte-carlo'")
+    if "n" not in raw:
+        raise ConfigError("plan: a monte-carlo plan needs 'n'")
+    return MonteCarloPlan(seed=raw.get("seed", default_seed), n=raw["n"])
 
 
 def config_options(fn):
@@ -127,19 +91,19 @@ def config_options(fn):
     return wrapper
 
 
-def _run(command: str, config_path, seed_override, out_dir, fmt, allowed_keys: set[str], body) -> None:
-    """Load and validate the config, run the body, write artifacts, exit 0."""
+def _run(command: str, config_path, seed_override, out_dir, fmt, body) -> None:
+    """Load and check the whole config, run the body, write artifacts, exit 0."""
     started = time.time()
     try:
-        config = load_config(config_path)
-        check_keys(config, _COMMON_KEYS | allowed_keys, {"model"}, "config")
+        raw = load_config(config_path)
         if seed_override is not None:
-            config["seed"] = int(seed_override)
-        seed = number_field(config.get("seed", 0), "seed", integer=True)
+            raw["seed"] = seed_override
+        config = parse_config(command, raw)
+        seed = config.get("seed", 0)
         bundle = resolve_model(config["model"])
         contexts = resolve_contexts(config.get("contexts"), bundle, seed)
         sections = body(config, seed, bundle, contexts, out_dir)
-    except (ConfigError, ContractViolationError) as exc:
+    except (ConfigError, ContractViolationError, DimensionError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except SizeCapError as exc:
@@ -151,7 +115,7 @@ def _run(command: str, config_path, seed_override, out_dir, fmt, allowed_keys: s
     except IdentityCheckError as exc:
         click.echo(f"identity check failed: {exc}", err=True)
         sys.exit(5)
-    report = build_report(command, config, seed, bundle.model_id, sections, started)
+    report = build_report(command, raw, seed, bundle.model_id, sections, started)
     base = command.replace("-", "_")
     paths = [write_report_json(report, os.path.join(out_dir, f"{base}.json"))]
     if fmt == "json+csv":
@@ -178,17 +142,15 @@ def cmd_curl_scan(config_path, seed, out_dir, fmt):
     """Scan circulation over contexts; summary stats plus per-square samples."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        plan_cfg = config.get("plan")
-        epsilon = _positive_number(config, "epsilon", 1e-6)
-        entries = []
-        for cid, context in enumerate(contexts):
-            plan = _plan_from_config(plan_cfg, seed, "plan")
-            entries.append(
-                {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, bundle.model_id)}
-            )
+        plan = _plan_from_config(config.get("plan"), seed)
+        epsilon = _positive_number(config.get("epsilon", 1e-6), "epsilon")
+        entries = [
+            {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, bundle.model_id)}
+            for cid, context in enumerate(contexts)
+        ]
         return {"curl_scan": entries}
 
-    _run("curl-scan", config_path, seed, out_dir, fmt, {"plan", "epsilon"}, body)
+    _run("curl-scan", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("order-gap")
@@ -198,6 +160,7 @@ def cmd_order_gap(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         mc_cfg = config.get("monte_carlo")
+        mc_plan = None if mc_cfg is None else MonteCarloPlan(seed=mc_cfg.get("seed", seed), n=mc_cfg["n"])
         entries = []
         for cid, context in enumerate(contexts):
             for i, j in itertools.combinations(sorted(context.block), 2):
@@ -208,14 +171,13 @@ def cmd_order_gap(config_path, seed, out_dir, fmt):
                     "kl_ij": order_swap_kl(bundle.oracle, context, i, j).value,
                     "kl_ji": order_swap_kl(bundle.oracle, context, j, i).value,
                 }
-                if mc_cfg is not None:
-                    check_keys(mc_cfg, {"n", "seed"}, {"n"}, "monte_carlo")
-                    est = order_swap_kl(bundle.oracle, context, i, j, mode=_monte_carlo_plan(mc_cfg, seed, "monte_carlo"))
+                if mc_plan is not None:
+                    est = order_swap_kl(bundle.oracle, context, i, j, mode=mc_plan)
                     entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
                 entries.append(entry)
         return {"order_gap": entries}
 
-    _run("order-gap", config_path, seed, out_dir, fmt, {"monte_carlo"}, body)
+    _run("order-gap", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("tc")
@@ -231,7 +193,7 @@ def cmd_tc(config_path, seed, out_dir, fmt):
         ]
         return {"dependence": entries}
 
-    _run("tc", config_path, seed, out_dir, fmt, set(), body)
+    _run("tc", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("order-error")
@@ -254,7 +216,7 @@ def cmd_order_error(config_path, seed, out_dir, fmt):
             )
         return {"order_error": entries}
 
-    _run("order-error", config_path, seed, out_dir, fmt, {"orders"}, body)
+    _run("order-error", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("commutator")
@@ -263,7 +225,7 @@ def cmd_commutator(config_path, seed, out_dir, fmt):
     """Pairwise operator commutators and the block conflict score."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        operator = _operator_from_config(config.get("operator"), "operator")
+        operator = _operator_from_config(config.get("operator"))
         pairs_out = []
         conflicts = []
         for cid, context in enumerate(contexts):
@@ -279,7 +241,7 @@ def cmd_commutator(config_path, seed, out_dir, fmt):
                 conflicts.append({"context_id": cid, **conflict_score(bundle.oracle, state, operator, block).to_dict()})
         return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
 
-    _run("commutator", config_path, seed, out_dir, fmt, {"operator"}, body)
+    _run("commutator", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("stress")
@@ -289,25 +251,20 @@ def cmd_stress(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         joint = _require_joint(bundle, "stress")
-        check_keys(config.get("stress", {}), {"widths", "schedulers", "operator", "runs"}, {"widths", "schedulers"}, "stress")
         stress_cfg = config["stress"]
-        operator = _operator_from_config(stress_cfg.get("operator"), "stress.operator")
-        schedulers = [
-            _scheduler_from_config(raw, f"stress.schedulers[{k}]") for k, raw in enumerate(stress_cfg["schedulers"])
-        ]
         report = stress_test(
             bundle.oracle,
             joint,
             contexts,
-            [number_field(w, f"stress.widths[{k}]", integer=True) for k, w in enumerate(stress_cfg["widths"])],
-            schedulers,
-            operator=operator,
-            runs=number_field(stress_cfg.get("runs", 200), "stress.runs", integer=True),
+            stress_cfg["widths"],
+            [SchedulerSpec(**raw) for raw in stress_cfg["schedulers"]],
+            operator=_operator_from_config(stress_cfg.get("operator")),
+            runs=stress_cfg.get("runs", 200),
             seed=seed,
         )
         return {"stress": report.to_dict()}
 
-    _run("stress", config_path, seed, out_dir, fmt, {"stress"}, body)
+    _run("stress", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("synth-gen")
@@ -322,7 +279,7 @@ def cmd_synth_gen(config_path, seed, out_dir, fmt):
         save_model(bundle.oracle, path)
         return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
 
-    _run("synth-gen", config_path, seed, out_dir, fmt, {"model_out"}, body)
+    _run("synth-gen", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("train")
@@ -332,11 +289,7 @@ def cmd_train(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         joint = _require_joint(bundle, "train")
-        raw = config.get("train", {})
-        check_keys(raw, {"coverage"} | _TRAIN_INTEGERS | _TRAIN_NUMBERS, set(), "train")
-        train_config = TrainConfig(
-            **{k: v if k == "coverage" else number_field(v, f"train.{k}", k in _TRAIN_INTEGERS) for k, v in raw.items()}
-        )
+        train_config = TrainConfig(**config.get("train", {}))
         oracle = train_tabular(joint, train_config)
         out_name = config.get("model_out", "trained_model.json")
         path = os.path.join(out_dir, out_name)
@@ -352,7 +305,7 @@ def cmd_train(config_path, seed, out_dir, fmt):
             }
         }
 
-    _run("train", config_path, seed, out_dir, fmt, {"train", "model_out"}, body)
+    _run("train", config_path, seed, out_dir, fmt, body)
 
 
 @main.command("consistency")
@@ -361,14 +314,14 @@ def cmd_consistency(config_path, seed, out_dir, fmt):
     """Brute-force order-consistency verdicts per context."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        tol = _positive_number(config, "tol", 1e-8)
+        tol = _positive_number(config.get("tol", 1e-8), "tol")
         entries = [
             {"context_id": cid, "report": order_consistency_check(bundle.oracle, context, tol).to_dict()}
             for cid, context in enumerate(contexts)
         ]
         return {"consistency": entries}
 
-    _run("consistency", config_path, seed, out_dir, fmt, {"tol"}, body)
+    _run("consistency", config_path, seed, out_dir, fmt, body)
 
 
 if __name__ == "__main__":

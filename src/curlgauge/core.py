@@ -32,6 +32,15 @@ MAX_VOCAB = 8
 LOG_MASS_FLOOR = -50.0
 # a log-mass table within this of normalized and floored is kept bit for bit
 _NORMALIZED_TOL = 1e-12
+# rankings, strata, scheduler picks and witnesses are decided on this grid: exact
+# enumerations of equal values agree to ~1e-15, so rounding noise cannot split them
+TIE_GRID = 1e-12
+
+
+def tie_key(value: float):
+    """The cell of ``value`` on the tie grid, as an int (a value too large to scale stays as it is)."""
+    cell = value / TIE_GRID
+    return round(cell) if math.isfinite(cell) else cell
 
 
 def logsumexp(values) -> np.ndarray:
@@ -160,11 +169,7 @@ class PartialContext:
 
     @staticmethod
     def from_dict(data: Mapping) -> "PartialContext":
-        return PartialContext(
-            observed={int(p): int(t) for p, t in dict(data.get("observed", {})).items()},
-            block=tuple(data.get("block", ())),
-            time=float(data.get("time", 0.0)),
-        )
+        return PartialContext(data.get("observed", {}), data.get("block", ()), data.get("time", 0.0))
 
 
 def context_class_index(position: int, assigned: Mapping[int, int], positions: int, vocab_size: int) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .core import (
     kl,
     seeded_rng,
     stable_uniform,
+    tie_key,
 )
 from .dependence import kl_vs_marginal_product, total_correlation
 from .errors import ContractViolationError, DegenerateComparisonError
@@ -278,14 +278,11 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in ("left-to-right", "random", "confidence", "conflict-aware"):
             raise ContractViolationError(f"unknown scheduler kind {self.kind!r}")
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)):
-            raise ContractViolationError(f"scheduler seed must be an integer, got {self.seed!r}")
         if self.block_search not in ("contiguous", "subsets"):
             raise ContractViolationError(f"block_search must be 'contiguous' or 'subsets', got {self.block_search!r}")
         for name in ("lam_confidence", "lam_conflict", "lam_dependence"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (-math.inf < value < math.inf):
-                raise ContractViolationError(f"{name} must be a finite real number, got {value!r}")
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def label(self) -> str:
         return self.kind
@@ -333,7 +330,7 @@ def _choose_round(
         return [p for p in random_order if p in set(unresolved)][:w]
     if scheduler.kind == "confidence":
         conf = _confidences(oracle, state, unresolved)
-        return [p for p in sorted(unresolved, key=lambda q: (-conf[q], q))[:w]]
+        return sorted(unresolved, key=lambda q: (-tie_key(conf[q]), q))[:w]
     # conflict-aware block search
     if scheduler.block_search == "subsets" and len(unresolved) <= 8:
         candidates = [tuple(c) for c in itertools.combinations(unresolved, w)]
@@ -348,7 +345,7 @@ def _choose_round(
             score += scheduler.lam_dependence * sum(
                 _oracle_pair_dependence(oracle, state, i, j) for i, j in itertools.combinations(cand, 2)
             )
-        key = (score, cand)
+        key = (tie_key(score), cand)
         if best is None or key < best:
             best = key
     return list(best[1])
@@ -404,7 +401,7 @@ def run_scheduler(
             # stall breaker: a threshold round that commits nothing would loop
             # forever, so write the most confident selection as a plain argmax
             conf = _confidences(oracle, state, chosen)
-            p = min(chosen, key=lambda q: (-conf[q], q))
+            p = min(chosen, key=lambda q: (-tie_key(conf[q]), q))
             commits = [(p, _decide(oracle, state, argmax_commit(), p), "forced-argmax")]
             forced = True
         commits.sort()
@@ -515,6 +512,8 @@ def stress_test(
     """
     if not contexts:
         raise ContractViolationError("stress test needs at least one context")
+    if runs < 1:
+        raise ContractViolationError(f"stress test needs at least one run per cell, got {runs}")
     widths = [int(w) for w in widths]
     for w in widths:
         if not (1 <= w <= max(len(c.block) for c in contexts)):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
+from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl, tie_key
 from .errors import ContractViolationError, IdentityCheckError, SizeCapError
 from .pseudojoint import pseudo_joint_table
 
@@ -148,11 +148,6 @@ def local_estimation_error(
     return float(kl(joint.log_dist(position, context.observed), oracle.log_dist(position, context.observed)))
 
 
-# kl_total values within one grid cell count as tied for ranking purposes;
-# exact enumerations agree to ~1e-15, so fp noise never reorders true ties
-_RANK_TIE_GRID = 1e-12
-
-
 def rank_orders(
     oracle: ConditionalOracle,
     joint: TabularJointModel,
@@ -173,15 +168,16 @@ def rank_orders(
     if len(orders) > MAX_CANDIDATE_ORDERS:
         raise SizeCapError(f"at most {MAX_CANDIDATE_ORDERS} candidate orders, got {len(orders)}")
     profiles = [order_cross_entropy(oracle, joint, context, order) for order in orders]
-    return sorted(profiles, key=lambda prof: (round(prof.kl_total / _RANK_TIE_GRID), prof.order))
+    return sorted(profiles, key=lambda prof: (tie_key(prof.kl_total), prof.order))
 
 
 def stratify_steps(steps: Sequence[StepRecord]) -> dict:
     """Mean per-step KL by stratum over a collection of step records.
 
     prefix-like and random-mask partition the steps; high-entropy overlays
-    them with the steps whose oracle conditional entropy exceeds the median.
-    Empty strata are reported with a count of zero and no mean.
+    them with the steps whose oracle conditional entropy exceeds the median
+    on the 1e-12 tie grid.  Empty strata are reported with a count of zero
+    and no mean.
     """
     steps = list(steps)
     entropies = np.array([s.entropy for s in steps]) if steps else np.array([])
@@ -189,7 +185,7 @@ def stratify_steps(steps: Sequence[StepRecord]) -> dict:
     groups = {
         STRATUM_PREFIX: [s.kl for s in steps if s.prefix_like],
         STRATUM_RANDOM: [s.kl for s in steps if not s.prefix_like],
-        STRATUM_HIGH_ENTROPY: [s.kl for s in steps if s.entropy > median],
+        STRATUM_HIGH_ENTROPY: [s.kl for s in steps if tie_key(s.entropy) > tie_key(median)],
     }
     out = {}
     for name, values in groups.items():

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, kl, seeded_rng
+from .core import TIE_GRID, ConditionalOracle, PartialContext, kl, seeded_rng
 from .errors import ContractViolationError, IdentityCheckError, SizeCapError
 
 DEFAULT_NORMALIZER_EPSILON = 1e-6
@@ -572,7 +572,8 @@ def curl_scan_report(
     model_id: str | None = None,
 ) -> dict:
     """One context's scan summary: mean |circulation|, normalized mean, the
-    maximum sample as witness, and the exact order-swap KL per block pair."""
+    maximum sample as witness (none when every |circulation| is below the
+    1e-12 tie grid), and the exact order-swap KL per block pair."""
     samples = list(iter_plan_samples(oracle, context, plan, epsilon))
     values = np.array([abs(s.value) for s in samples])
     normalized = np.array([s.normalized_value for s in samples])
@@ -595,7 +596,7 @@ def curl_scan_report(
             "max_curl": float(values.max()),
             "order_swap_kl": pair_kl,
         },
-        "witnesses": [worst.to_dict()],
+        "witnesses": [worst.to_dict()] if values.max() >= TIE_GRID else [],
         "seed": seed,
         "n": len(samples),
         "samples": [

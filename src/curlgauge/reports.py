@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 import os
+import sys
 import tempfile
 import time
 from typing import Mapping, Sequence
@@ -44,20 +47,11 @@ def check_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing required fields {sorted(missing)} in {where}")
 
 
-def number_field(raw, where: str, integer: bool = False):
-    """A config value that must be a JSON number (as a float), or a JSON integer
-    when ``integer``; range checks stay with each field's consumer."""
-    kinds = int if integer else (int, float)
-    if isinstance(raw, bool) or not isinstance(raw, kinds):
-        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {raw!r}")
-    return raw if integer else float(raw)
-
-
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
+            config = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -66,16 +60,81 @@ def load_config(path) -> dict:
     return config
 
 
+def _finite_number(text: str) -> float:
+    if not math.isfinite(value := float(text)):  # NaN, Infinity and literals past the float range
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# config schema: a kind is int (JSON integer), float (JSON number, read as a float), str, [kind] (array),
+# obj(...) (object of named fields) or free(kind) (object with any keys).  A null optional field counts
+# as absent.  Value ranges are checked by each field's consumer.
+
+
+def obj(required: str = "", **fields) -> tuple:
+    """An object kind: the kind of each field, and the names of the required ones."""
+    return fields, frozenset(required.split())
+
+
+def free(kind) -> tuple:
+    return kind, frozenset()
+
+
+OPERATOR = obj("kind", kind=str, tau=float)
+SCHEDULER = obj("kind", kind=str, seed=int, lam_confidence=float, lam_conflict=float, lam_dependence=float, block_search=str)
+STRESS = obj("widths schedulers", widths=[int], schedulers=[SCHEDULER], operator=OPERATOR, runs=int)
+PLAN = obj("mode", mode=str, n=int, seed=int)
+TRAIN = obj(coverage=str, coverage_fraction=float, steps=int, learning_rate=float, ecirc_weight=float, ecirc_samples=int,
+            seed=int, init_scale=float, grad_tol=float)
+SYNTHETIC = obj("family positions vocab_size", family=str, positions=int, vocab_size=int, seed=int, beta=float, level=int,
+                levels_total=int, table=[float], perturbation=obj("delta seed", delta=float, seed=int))
+CONTEXTS = obj(explicit=[obj("block", observed=free(int), block=[int], time=float)],
+               sample=obj("count", count=int, seed=int, min_block=int))
+COMMON = {"model": obj(file=str, synthetic=SYNTHETIC), "contexts": CONTEXTS, "seed": int}
+SCHEMA = {
+    "curl-scan": obj("model", **COMMON, plan=PLAN, epsilon=float),
+    "order-gap": obj("model", **COMMON, monte_carlo=obj("n", n=int, seed=int)),
+    "tc": obj("model", **COMMON),
+    "order-error": obj("model", **COMMON, orders=[[int]]),
+    "commutator": obj("model", **COMMON, operator=OPERATOR),
+    "stress": obj("model stress", **COMMON, stress=STRESS),
+    "synth-gen": obj("model", **COMMON, model_out=str),
+    "train": obj("model", **COMMON, train=TRAIN, model_out=str),
+    "consistency": obj("model", **COMMON, tol=float),
+}
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"), str: ((str,), "a string")}
+
+
+def parse_config(command: str, config: Mapping) -> dict:
+    """Check a command's whole config against its schema before any computation."""
+    return _walk(config, SCHEMA[command], "config")
+
+
+def _walk(value, kind, where: str):
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be an array, got {value!r}")
+        return [_walk(item, kind[0], f"{where}[{k}]") for k, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        fields, required = kind
+        if not isinstance(fields, dict):
+            fields = dict.fromkeys(value if isinstance(value, Mapping) else (), fields)
+        check_keys(value, set(fields), required, where)
+        return {k: _walk(v, fields[k], f"{where}.{k}") for k, v in value.items() if v is not None or k in required}
+    types, name = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or (kind is float and abs(value) > sys.float_info.max):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return kind(value)
+
+
 # ---------------------------------------------------------------------------
 # model and context resolution
 
-_SYNTH_KEYS = {"family", "positions", "vocab_size", "seed", "beta", "level", "levels_total", "table", "perturbation"}
 
-
-def resolve_model(model_config: Mapping, where: str = "model") -> ModelBundle:
-    check_keys(model_config, {"file", "synthetic"}, set(), where)
+def resolve_model(model_config: Mapping) -> ModelBundle:
     if ("file" in model_config) == ("synthetic" in model_config):
-        raise ConfigError(f"{where} needs exactly one of 'file' or 'synthetic'")
+        raise ConfigError("model needs exactly one of 'file' or 'synthetic'")
     if "file" in model_config:
         try:
             with open(model_config["file"], "r", encoding="utf-8") as fh:
@@ -87,20 +146,13 @@ def resolve_model(model_config: Mapping, where: str = "model") -> ModelBundle:
         except Exception as exc:
             raise ConfigError(f"bad model file {model_config['file']}: {exc}") from exc
     synth = dict(model_config["synthetic"])
-    check_keys(synth, _SYNTH_KEYS, {"family", "positions", "vocab_size"}, f"{where}.synthetic")
     perturbation = synth.pop("perturbation", None)
     if "table" in synth:
-        synth["table"] = tuple(number_field(v, f"{where}.synthetic.table") for v in synth["table"])
+        synth["table"] = tuple(synth["table"])
     spec = SyntheticTaskSpec(**synth)
-    joint = generate_joint(spec)
-    oracle = joint
+    oracle = joint = generate_joint(spec)
     if perturbation is not None:
-        check_keys(perturbation, {"delta", "seed"}, {"delta", "seed"}, f"{where}.synthetic.perturbation")
-        oracle = PerturbedConditionalModel(
-            joint,
-            number_field(perturbation["delta"], f"{where}.synthetic.perturbation.delta"),
-            number_field(perturbation["seed"], f"{where}.synthetic.perturbation.seed", integer=True),
-        )
+        oracle = PerturbedConditionalModel(joint, perturbation["delta"], perturbation["seed"])
     payload = {"synthetic": spec.to_dict(), "perturbation": perturbation}
     model_id = hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
     return ModelBundle(oracle=oracle, joint=joint, model_id=model_id)
@@ -112,13 +164,11 @@ def resolve_contexts(contexts_config, bundle: ModelBundle, default_seed: int) ->
     vocab = bundle.oracle.vocab.size
     if contexts_config is None:
         return [PartialContext(observed={}, block=tuple(range(positions)))]
-    check_keys(contexts_config, {"explicit", "sample"}, set(), "contexts")
     if ("explicit" in contexts_config) == ("sample" in contexts_config):
         raise ConfigError("contexts needs exactly one of 'explicit' or 'sample'")
     if "explicit" in contexts_config:
         out = []
         for k, raw in enumerate(contexts_config["explicit"]):
-            check_keys(raw, {"observed", "block", "time"}, {"block"}, f"contexts.explicit[{k}]")
             try:
                 context = PartialContext.from_dict(raw)
             except (ValueError, TypeError) as exc:
@@ -136,14 +186,13 @@ def resolve_contexts(contexts_config, bundle: ModelBundle, default_seed: int) ->
             raise ConfigError("contexts.explicit must list at least one context")
         return out
     sample = contexts_config["sample"]
-    check_keys(sample, {"count", "seed", "min_block"}, {"count"}, "contexts.sample")
-    count = number_field(sample["count"], "contexts.sample.count", integer=True)
-    min_block = number_field(sample.get("min_block", 2), "contexts.sample.min_block", integer=True)
+    count = sample["count"]
+    min_block = sample.get("min_block", 2)
     if count < 1:
         raise ConfigError("contexts.sample.count must be >= 1")
     if not (1 <= min_block <= positions):
         raise ConfigError(f"contexts.sample.min_block must be in 1..{positions}")
-    rng = seeded_rng(number_field(sample.get("seed", default_seed), "contexts.sample.seed", integer=True), 13)
+    rng = seeded_rng(sample.get("seed", default_seed), 13)
     out = []
     for _ in range(count):
         block_size = int(rng.integers(min_block, positions + 1))
@@ -201,17 +250,12 @@ def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> str:
             return repr(value)
         return str(value)
 
-    buf: list[str] = []
-
-    class _Sink:
-        def write(self, chunk):
-            buf.append(chunk)
-
-    writer = csv.writer(_Sink(), lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([fmt(v) for v in row])
-    atomic_write_text(path, "".join(buf))
+    atomic_write_text(path, buf.getvalue())
     return str(path)
 
 

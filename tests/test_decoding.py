@@ -207,6 +207,25 @@ class TestRunScheduler:
         assert not result.final_state.context.block
         assert all(r.forced and len(r.commits) == 1 for r in result.rounds)
 
+    @pytest.fixture
+    def near_tied_confidences(self, monkeypatch):
+        # confidences 1e-15 apart, highest at the last position: equal on the tie grid
+        from curlgauge import decoding
+
+        monkeypatch.setattr(decoding, "_confidences", lambda oracle, state, ps: {p: 0.5 + 1e-15 * p for p in ps})
+
+    @pytest.mark.parametrize("kind", ["confidence", "conflict-aware"])
+    def test_near_tied_confidences_go_in_index_order(self, near_tied_confidences, kind):
+        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
+        result = run_scheduler(TabularJointModel.uniform(2, 3), state, SchedulerSpec(kind), argmax_commit(), 1)
+        assert [p for p, _, _ in result.trajectory] == [0, 1, 2]
+
+    def test_stall_breaker_forces_lowest_of_near_tied(self, near_tied_confidences):
+        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
+        joint = TabularJointModel.uniform(2, 3)
+        result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), threshold_commit(0.99), 3)
+        assert [r.commits[0][0] for r in result.rounds] == [0, 1, 2]
+
     def test_conflict_aware_avoids_dependent_pair(self):
         # positions 0,1 perfectly coupled; 2,3 independent coins
         p = np.zeros((2, 2, 2, 2))

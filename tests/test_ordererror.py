@@ -16,10 +16,12 @@ from curlgauge.core import (
 )
 from curlgauge.errors import ContractViolationError, SizeCapError
 from curlgauge.ordererror import (
+    StepRecord,
     local_estimation_error,
     order_cross_entropy,
     rank_orders,
     stratify_contexts,
+    stratify_steps,
 )
 from curlgauge.synth import SyntheticTaskSpec, TrainConfig, generate_joint, train_tabular
 
@@ -236,3 +238,9 @@ class TestStrata:
         strata = profile.context_strata
         assert strata["prefix-like"]["count"] == 0
         assert strata["prefix-like"]["mean_kl"] is None
+
+    def test_high_entropy_decided_on_tie_grid(self):
+        # entropies 2e-15 apart are equal: only the clearly larger one is above the median
+        entropies = [1.0 - 2e-15, 1.0, 1.0 + 2e-15, 1.0, 2.0]
+        steps = [StepRecord(p, (), 0.1, h, False) for p, h in enumerate(entropies)]
+        assert stratify_steps(steps)["high-entropy"]["count"] == 1

@@ -329,6 +329,15 @@ class TestOrderConsistency:
             order_consistency_check(big, PartialContext({}, tuple(range(6))))
 
 
+def test_curl_scan_witness_needs_circulation_on_the_tie_grid():
+    joint = random_joint(3, positions=3, vocab=3)
+    ctx = PartialContext({}, (0, 1, 2))
+    for delta, witnesses in ((1e-15, 0), (1e-9, 1)):
+        report = curl_scan_report(PerturbedConditionalModel(joint, delta, 5), ctx)
+        assert report["stats"]["max_curl"] > 0.0
+        assert len(report["witnesses"]) == witnesses
+
+
 def test_curl_scan_report_shape():
     joint = random_joint(26, positions=3, vocab=3)
     oracle = PerturbedConditionalModel(joint, 0.4, 8)

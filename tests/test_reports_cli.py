@@ -1,17 +1,20 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import curlgauge
 from curlgauge.cli import main
 from curlgauge.errors import ConfigError
-from curlgauge.reports import canonical_json, check_keys, config_hash, emit_plot_data, resolve_model
+from curlgauge.reports import SCHEMA, canonical_json, check_keys, config_hash, emit_plot_data, resolve_model
 
 
 def run_cli(args, cwd):
@@ -159,6 +162,24 @@ class TestCliExitCodes:
             ("train", {"train": {"steps": "x"}}),
             ("train", {"train": {"ecirc_samples": "x"}}),
             ("train", {"train": {"learning_rate": "x"}}),
+            # fields the config schema checks before any computation
+            *[
+                ("tc", {"model": {"synthetic": {**CHAIN_MODEL["synthetic"], field: "x"}}})
+                for field in ("positions", "vocab_size", "level", "levels_total", "seed", "beta")
+            ],
+            ("commutator", {"operator": {"kind": "threshold-commit", "tau": "x"}}),
+            ("order-error", {"orders": "x"}),
+            ("order-error", {"orders": 5}),
+            ("synth-gen", {"model_out": 5}),
+            ("stress", {"stress": {"widths": [1, 2], "schedulers": [{"kind": "left-to-right"}], "runs": 0}}),
+            ("tc", {"model": {"synthetic": {"family": "custom-table", "positions": 3, "vocab_size": 3, "table": [0.0] * 5}}}),
+            ("train", {"train": {"grad_tol": float("nan")}}),
+            ("order-error", {"orders": [["0", "1", "2"]]}),
+            ("stress", {"stress": {"widths": [1, 2], "schedulers": [{"kind": "left-to-right"}], "runs": -1}}),
+            (
+                "order-gap",
+                {"contexts": {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}]}, "monte_carlo": {"n": "x"}},
+            ),
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
@@ -167,6 +188,18 @@ class TestCliExitCodes:
             main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literal_exits_two_without_artifacts(self, tmp_path, literal):
+        config = json.dumps({"model": CHAIN_MODEL, "seed": 1, "train": {"steps": 3, "grad_tol": 0.5}})
+        (tmp_path / "cfg.json").write_text(config.replace("0.5", literal), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: ")
         assert len(result.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
@@ -198,6 +231,143 @@ class TestCliExitCodes:
         result = run_cli(["tc", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert result.exit_code == 2
         assert not (tmp_path / "out").exists()
+
+
+# tiny valid configs (m=3, V=2) that together use every field of the config schema
+FUZZ_MODEL = {"synthetic": {**CHAIN_MODEL["synthetic"], "vocab_size": 2}}
+FUZZ_CONTEXTS = {"explicit": [{"observed": {"0": 1}, "block": [1, 2], "time": 0.0}]}
+FUZZ_CONFIGS = {
+    "curl-scan": {"plan": {"mode": "monte-carlo", "n": 20, "seed": 3}, "epsilon": 1e-6},
+    "order-gap": {"monte_carlo": {"n": 20, "seed": 3}},
+    "tc": {
+        "model": {"synthetic": {"family": "tc-ladder", "positions": 3, "vocab_size": 2, "level": 2, "levels_total": 3}},
+        "contexts": {"sample": {"count": 2, "seed": 9, "min_block": 2}},
+    },
+    "order-error": {"orders": [[1, 2], [2, 1]]},
+    "commutator": {"operator": {"kind": "threshold-commit", "tau": 0.5}},
+    "stress": {
+        "stress": {
+            "widths": [1, 2],
+            "schedulers": [
+                {"kind": "random", "seed": 4},
+                {
+                    "kind": "conflict-aware",
+                    "lam_confidence": 1.0,
+                    "lam_conflict": 2.0,
+                    "lam_dependence": 0.5,
+                    "block_search": "subsets",
+                },
+            ],
+            "operator": {"kind": "sample-commit"},
+            "runs": 2,
+        }
+    },
+    "synth-gen": {"model_out": "gen.json"},
+    "train": {
+        "train": {
+            "coverage": "fraction",
+            "coverage_fraction": 0.5,
+            "steps": 3,
+            "learning_rate": 1.0,
+            "ecirc_weight": 0.5,
+            "ecirc_samples": 4,
+            "seed": 1,
+            "init_scale": 1.0,
+            "grad_tol": 1e-8,
+        },
+        "model_out": "trained.json",
+    },
+    "consistency": {
+        "model": {"synthetic": {"family": "custom-table", "positions": 3, "vocab_size": 2, "table": [0.5] * 8}},
+        "tol": 1e-8,
+    },
+}
+
+
+def fuzz_config(command):
+    return {"model": FUZZ_MODEL, "contexts": FUZZ_CONTEXTS, "seed": 1, **FUZZ_CONFIGS[command]}
+
+
+def schema_fields(kind):
+    """Every field name the config schema declares under ``kind``."""
+    if isinstance(kind, list):
+        return schema_fields(kind[0])
+    if not isinstance(kind, tuple):
+        return set()
+    fields = kind[0] if isinstance(kind[0], dict) else {}
+    return set(fields).union(*(schema_fields(sub) for sub in [*fields.values(), kind[0]]))
+
+
+def value_paths(value, kind, path=()):
+    """(path, value, required) for every value of a config, found with the schema's kinds."""
+    if isinstance(kind, list):
+        for k, item in enumerate(value):
+            yield from value_paths(item, kind[0], path + (k,))
+    elif isinstance(kind, tuple):
+        fields, required = kind
+        for name, item in value.items():
+            sub = fields[name] if isinstance(fields, dict) else fields
+            yield path + (name,), item, name in required
+            yield from value_paths(item, sub, path + (name,))
+
+
+def wrong_kinds(value):
+    for candidate in ("x", 5, 1.5, True, ["x"], {"k": 1}):
+        same = type(candidate) is type(value) or {type(candidate), type(value)} == {int, float}
+        if not same:
+            yield candidate
+
+
+@st.composite
+def mutated_configs(draw):
+    """A tiny valid config with one mutation: a required field dropped, an unknown field added to an
+    object, a value of another kind, or a non-finite number; a mutation that does not fit the drawn
+    value falls back to a value of another kind."""
+    command = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    holder = {"config": json.loads(json.dumps(fuzz_config(command)))}  # so the whole config is a value too
+    values = [(("config",), holder["config"], False), *value_paths(holder["config"], SCHEMA[command], ("config",))]
+    (*parents, key), value, required = draw(st.sampled_from(values))
+    parent = holder
+    for step in parents:
+        parent = parent[step]
+    mutation = draw(st.sampled_from(["drop", "unknown-field", "wrong-kind", "non-finite"]))
+    if mutation == "drop" and required:
+        del parent[key]
+    elif mutation == "unknown-field" and isinstance(value, dict):
+        value["zz_unknown"] = 1
+    elif mutation == "non-finite":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        parent[key] = draw(st.sampled_from(list(wrong_kinds(value))))
+    return command, holder["config"]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+    def test_fuzz_base_config_runs(self, tmp_path, command):
+        write_config(tmp_path / "cfg.json", fuzz_config(command))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 0, result.stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_configs())
+    def test_mutated_config_exits_with_one_line_and_no_artifacts(self, case):
+        command, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "cfg.json"), "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            out = os.path.join(tmp, "out")
+            result = CliRunner().invoke(main, [command, "--config", os.path.join(tmp, "cfg.json"), "--out", out])
+            assert result.exit_code in (2, 3), (result.exit_code, result.stderr, result.exception)
+            assert len(result.stderr.strip().splitlines()) == 1
+            assert not os.path.exists(out)
+
+    def test_every_schema_field_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        fields = set().union(*(schema_fields(kind) for kind in SCHEMA.values()))
+        assert {name for name in fields if f"`{name}`" not in readme} == set()
 
 
 class TestArtifacts:
