@@ -62,6 +62,14 @@ def _positive_number(value: float, key: str) -> float:
     return value
 
 
+def _model_path(config, out_dir, default: str) -> str:
+    """Where a command saves its model: ``model_out`` must be a plain file name inside ``--out``."""
+    name = config.get("model_out", default)
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"model_out must be a plain file name inside --out, got {name!r}")
+    return os.path.join(out_dir, name)
+
+
 def _plan_from_config(raw, default_seed: int):
     if raw is None or raw["mode"] == "exhaustive":
         return ExhaustivePlan()
@@ -145,7 +153,7 @@ def cmd_curl_scan(config_path, seed, out_dir, fmt):
         plan = _plan_from_config(config.get("plan"), seed)
         epsilon = _positive_number(config.get("epsilon", 1e-6), "epsilon")
         entries = [
-            {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, bundle.model_id)}
+            {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, model_id=bundle.model_id)}
             for cid, context in enumerate(contexts)
         ]
         return {"curl_scan": entries}
@@ -273,8 +281,7 @@ def cmd_synth_gen(config_path, seed, out_dir, fmt):
     """Generate a synthetic joint and write it as a model file."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        out_name = config.get("model_out", "model.json")
-        path = os.path.join(out_dir, out_name)
+        path = _model_path(config, out_dir, "model.json")
         os.makedirs(out_dir, exist_ok=True)
         save_model(bundle.oracle, path)
         return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
@@ -289,10 +296,9 @@ def cmd_train(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         joint = _require_joint(bundle, "train")
+        path = _model_path(config, out_dir, "trained_model.json")
         train_config = TrainConfig(**config.get("train", {}))
         oracle = train_tabular(joint, train_config)
-        out_name = config.get("model_out", "trained_model.json")
-        path = os.path.join(out_dir, out_name)
         os.makedirs(out_dir, exist_ok=True)
         save_model(oracle, path)
         return {

@@ -270,15 +270,6 @@ class ConditionalOracle:
             raise DimensionError(f"token {token} outside vocabulary of size {self.vocab.size}")
         return float(dist[token])
 
-    @property
-    def model_id(self) -> str:
-        cached = getattr(self, "_model_id", None)
-        if cached is None:
-            payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode()).hexdigest()[:12]
-            self._model_id = cached
-        return cached
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -533,9 +524,26 @@ def model_from_dict(data: Mapping) -> ModelBundle:
         if joint is None:
             raise DimensionError("model file needs log_mass and/or logit_table")
         oracle = joint
-    payload = json.dumps(plain_json(data), sort_keys=True, separators=(",", ":"))
-    model_id = hashlib.sha256(payload.encode()).hexdigest()[:12]
-    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id)
+    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id(oracle, joint))
+
+
+def model_id(oracle: ConditionalOracle, joint: TabularJointModel | None) -> str:
+    """Hash of a model's content, the same for a recipe and the file it saves to:
+    canonical JSON of the sizes and the perturbation, then the raw float64
+    bytes of the log-mass table and of the logit table where present."""
+    perturbation = None
+    if isinstance(oracle, PerturbedConditionalModel):
+        perturbation = {"delta": oracle.delta, "seed": oracle.perturbation_seed}
+    header = {"vocab_size": oracle.vocab.size, "positions": oracle.positions, "perturbation": perturbation}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    # the tables are C-contiguous, so the digest reads their buffers without a copy
+    if joint is not None:
+        digest.update(b"log_mass")
+        digest.update(joint.log_mass)
+    if isinstance(oracle, LogitTableOracle):
+        digest.update(b"logit_table")
+        digest.update(oracle.table.logits)
+    return digest.hexdigest()[:12]
 
 
 def plain_json(obj):

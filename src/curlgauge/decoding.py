@@ -5,8 +5,9 @@ or threshold-gated argmax).  The commutator of two positions under an
 operator compares the downstream predictive objects after committing them in
 the two orders; the conflict score sums those over a candidate block.
 Schedulers drive full decodes at a chosen parallelism width, committing each
-round from the pre-round conditionals, and the stress harness relates the
-resulting likelihood degradation to the dependence/circulation predictors.
+round from the pre-round conditionals; a batch of runs decodes together as a
+``(runs, positions)`` token array.  The stress harness relates the resulting
+likelihood degradation to the dependence/circulation predictors.
 
 Sampling draws are keyed by (run seed, position), not by step index, so the
 same position consumes the same randomness on every path through a decode.
@@ -22,9 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    TIE_GRID,
     ConditionalOracle,
     PartialContext,
     TabularJointModel,
+    class_strides,
     derived_seed,
     kl,
     seeded_rng,
@@ -73,34 +76,24 @@ def threshold_commit(tau: float) -> UpdateOperator:
 
 @dataclass(frozen=True)
 class DecodeState:
-    """Immutable decode snapshot: context, run seed, and the commit log."""
+    """One run's decode snapshot: the context and the run seed that keys its sample draws."""
 
     context: PartialContext
     rng_seed: int
-    trajectory: tuple[tuple[int, int, str], ...] = ()
-
-    def commit(self, position: int, token: int, operator_kind: str) -> "DecodeState":
-        return DecodeState(
-            context=self.context.assign(position, token),
-            rng_seed=self.rng_seed,
-            trajectory=self.trajectory + ((position, token, operator_kind),),
-        )
 
 
-def _decide(oracle: ConditionalOracle, state: DecodeState, operator: UpdateOperator, position: int):
-    """Token the operator would commit at `position` from the current
-    conditionals, or None for a threshold no-op.  Argmax ties go to the
-    lowest token id."""
-    dist = np.exp(oracle.log_dist(position, state.context.observed))
-    if operator.kind == ARGMAX:
-        return int(dist.argmax())
+def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray:
+    """Token the operator commits from each conditional row of ``probs`` (``(..., V)``),
+    or -1 for a threshold no-op.  Argmax ties go to the lowest token id; a sample
+    inverts the row's cumulative sum at its entry of ``uniforms`` (``(...)``,
+    None for the other operators)."""
     if operator.kind == SAMPLE:
-        u = stable_uniform(state.rng_seed, _SAMPLE_SALT, position)
-        idx = int(np.searchsorted(np.cumsum(dist), u, side="right"))
-        return min(idx, oracle.vocab.size - 1)
-    if float(dist.max()) >= operator.tau:
-        return int(dist.argmax())
-    return None
+        below = np.cumsum(probs, axis=-1) <= np.asarray(uniforms)[..., None]
+        return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)
+    top = probs.argmax(axis=-1)
+    if operator.kind == THRESHOLD:
+        return np.where(probs.max(axis=-1) >= operator.tau, top, -1)
+    return top
 
 
 def apply_update(
@@ -109,10 +102,12 @@ def apply_update(
     """Apply one operator at one unresolved position; threshold may no-op."""
     if position not in state.context.block:
         raise ContractViolationError(f"position {position} is not unresolved in this state")
-    token = _decide(oracle, state, operator, position)
-    if token is None:
+    probs = np.exp(oracle.log_dist(position, state.context.observed))
+    uniform = stable_uniform(state.rng_seed, _SAMPLE_SALT, position) if operator.kind == SAMPLE else None
+    token = int(_decide(probs, operator, uniform))
+    if token < 0:
         return state
-    return state.commit(position, token, operator.kind)
+    return DecodeState(state.context.assign(position, token), state.rng_seed)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -149,26 +144,7 @@ def _predictive_product(oracle: ConditionalOracle, state: DecodeState, coords: S
 class CommutatorReport:
     i: int
     j: int
-    divergence_kind: str
     value: float
-    coords: tuple[int, ...]
-    predictive_ij: np.ndarray
-    predictive_ji: np.ndarray
-    commits_ij: tuple[tuple[int, int, str], ...]
-    commits_ji: tuple[tuple[int, int, str], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "divergence_kind": self.divergence_kind,
-            "value": self.value,
-            "coords": list(self.coords),
-            "predictive_ij": [float(v) for v in self.predictive_ij.reshape(-1)],
-            "predictive_ji": [float(v) for v in self.predictive_ji.reshape(-1)],
-            "commits_ij": [list(c) for c in self.commits_ij],
-            "commits_ji": [list(c) for c in self.commits_ji],
-        }
 
 
 def commutator(
@@ -177,14 +153,10 @@ def commutator(
     operator: UpdateOperator,
     i: int,
     j: int,
-    divergence: str = "sqrt-js",
 ) -> CommutatorReport:
-    """Divergence between the predictive products after committing i then j
-    versus j then i under the operator.  Only the root-JS divergence is
-    implemented; per-position randomness makes both paths consume identical
-    draws for the same position."""
-    if divergence != "sqrt-js":
-        raise ContractViolationError(f"unsupported divergence {divergence!r}; only 'sqrt-js' is implemented")
+    """Root Jensen-Shannon divergence between the predictive products after
+    committing i then j versus j then i under the operator; per-position
+    randomness makes both paths consume identical draws for the same position."""
     block = state.context.block
     if i == j or i not in block or j not in block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct unresolved positions")
@@ -198,18 +170,7 @@ def commutator(
     coords = tuple(sorted(set(state_ij.context.block) | set(state_ji.context.block)))
     pred_ij = _predictive_product(oracle, state_ij, coords)
     pred_ji = _predictive_product(oracle, state_ji, coords)
-    value = math.sqrt(js_divergence(pred_ij, pred_ji))
-    return CommutatorReport(
-        i=i,
-        j=j,
-        divergence_kind=divergence,
-        value=value,
-        coords=coords,
-        predictive_ij=pred_ij,
-        predictive_ji=pred_ji,
-        commits_ij=state_ij.trajectory[len(state.trajectory):],
-        commits_ji=state_ji.trajectory[len(state.trajectory):],
-    )
+    return CommutatorReport(i=i, j=j, value=math.sqrt(js_divergence(pred_ij, pred_ji)))
 
 
 @dataclass(frozen=True)
@@ -231,7 +192,6 @@ def conflict_score(
     state: DecodeState,
     operator: UpdateOperator,
     block: Sequence[int],
-    divergence: str = "sqrt-js",
 ) -> ConflictScore:
     """Sum of pairwise commutator values over a candidate block.
 
@@ -251,7 +211,7 @@ def conflict_score(
         if not (unresolved - {i, j}):
             skipped.append((i, j))
             continue
-        report = commutator(oracle, state, operator, i, j, divergence)
+        report = commutator(oracle, state, operator, i, j)
         pair_values[(i, j)] = report.value
         total += report.value
     return ConflictScore(value=total, pair_values=pair_values, skipped_pairs=tuple(skipped))
@@ -307,36 +267,22 @@ def _oracle_pair_dependence(oracle: ConditionalOracle, state: DecodeState, i: in
     return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))
 
 
-def _confidences(oracle: ConditionalOracle, state: DecodeState, positions: Sequence[int]) -> dict[int, float]:
-    return {
-        p: float(np.exp(oracle.log_dist(p, state.context.observed)).max())
-        for p in positions
-    }
-
-
-def _choose_round(
+def _conflict_aware_block(
     oracle: ConditionalOracle,
     state: DecodeState,
     scheduler: SchedulerSpec,
     operator: UpdateOperator,
     width: int,
-    random_order: tuple[int, ...] | None,
-) -> list[int]:
+    conf: dict[int, float],
+) -> tuple[int, ...]:
+    """The candidate block of one run with the lowest conflict-aware score;
+    ``conf`` holds the max-probability of every unresolved position."""
     unresolved = sorted(state.context.block)
     w = min(width, len(unresolved))
-    if scheduler.kind == "left-to-right":
-        return unresolved[:w]
-    if scheduler.kind == "random":
-        return [p for p in random_order if p in set(unresolved)][:w]
-    if scheduler.kind == "confidence":
-        conf = _confidences(oracle, state, unresolved)
-        return sorted(unresolved, key=lambda q: (-tie_key(conf[q]), q))[:w]
-    # conflict-aware block search
     if scheduler.block_search == "subsets" and len(unresolved) <= 8:
         candidates = [tuple(c) for c in itertools.combinations(unresolved, w)]
     else:
         candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
-    conf = _confidences(oracle, state, unresolved)
     best: tuple[float, tuple[int, ...]] | None = None
     for cand in candidates:
         score = scheduler.lam_confidence * (-float(np.mean([conf[p] for p in cand])))
@@ -348,67 +294,101 @@ def _choose_round(
         key = (tie_key(score), cand)
         if best is None or key < best:
             best = key
-    return list(best[1])
+    return best[1]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    chosen: tuple[int, ...]
-    commits: tuple[tuple[int, int, str], ...]
-    forced: bool
+def _shuffled_ranks(seed: int, block: list[int]) -> list[int]:
+    """Rank of each block position in the random scheduler's seeded order."""
+    order = list(block)
+    seeded_rng(seed, 23).shuffle(order)
+    return [order.index(p) for p in block]
 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    final_state: DecodeState
-    rounds: tuple[RoundRecord, ...]
+    """A batch of decodes, one row per run seed.
 
-    @property
-    def trajectory(self) -> tuple[tuple[int, int, str], ...]:
-        return self.final_state.trajectory
+    ``tokens`` is ``(runs, positions)``: the observed tokens, the decoded block,
+    and -1 at positions in neither.  ``chosen`` and ``committed`` are
+    ``(rounds, runs, positions)`` masks of the positions each round selected
+    and wrote; ``forced`` is ``(rounds, runs)``, true where the stall breaker
+    wrote the round's commit.  A run that finished early has all-false masks
+    in the later rounds.
+    """
+
+    tokens: np.ndarray
+    chosen: np.ndarray
+    committed: np.ndarray
+    forced: np.ndarray
 
 
 def run_scheduler(
     oracle: ConditionalOracle,
-    initial_state: DecodeState,
+    context: PartialContext,
+    seeds: Sequence[int],
     scheduler: SchedulerSpec,
     operator: UpdateOperator,
     width: int,
 ) -> DecodeResult:
-    """Decode the whole block, committing up to `width` positions per round.
+    """Decode the block of ``context`` once per run seed, all runs in lockstep
+    rounds, committing up to ``width`` positions per run and round.
 
     All commits within a round are decided from the pre-round conditionals
-    (one-shot independent parallel within the round).  A threshold round
-    that commits nothing force-commits its single most confident selected
-    position so decoding always terminates; such rounds are flagged.
+    (one-shot independent parallel within the round).  A sample draw is
+    ``stable_uniform(seed, 11, position)``, so it depends on the run and the
+    position alone.  A threshold round that commits nothing force-commits its
+    single most confident selected position as an argmax, so decoding always
+    terminates; such rounds are flagged.
     """
     if width < 1:
         raise ContractViolationError(f"width must be >= 1, got {width}")
-    state = initial_state
-    rounds: list[RoundRecord] = []
-    random_order: tuple[int, ...] | None = None
+    runs, positions, block = len(seeds), oracle.positions, sorted(context.block)
+    tokens = np.full((runs, positions), -1)
+    for p, t in context.observed.items():
+        tokens[:, p] = t
+    strides = np.array(class_strides(positions, oracle.vocab.size))
+    uniforms = None
+    if operator.kind == SAMPLE:
+        uniforms = np.array([[stable_uniform(s, _SAMPLE_SALT, p) for p in block] for s in seeds]).reshape(runs, -1)
+    # left-to-right sorts by position alone, random by each run's shuffled rank
+    key = np.zeros((runs, len(block)))
     if scheduler.kind == "random":
-        seed = scheduler.seed if scheduler.seed is not None else initial_state.rng_seed
-        order = list(sorted(initial_state.context.block))
-        seeded_rng(seed, 23).shuffle(order)
-        random_order = tuple(order)
-    while state.context.block:
-        chosen = _choose_round(oracle, state, scheduler, operator, width, random_order)
-        decisions = [(p, _decide(oracle, state, operator, p)) for p in chosen]
-        commits = [(p, t, operator.kind) for p, t in decisions if t is not None]
-        forced = False
-        if not commits:
-            # stall breaker: a threshold round that commits nothing would loop
-            # forever, so write the most confident selection as a plain argmax
-            conf = _confidences(oracle, state, chosen)
-            p = min(chosen, key=lambda q: (-tie_key(conf[q]), q))
-            commits = [(p, _decide(oracle, state, argmax_commit(), p), "forced-argmax")]
-            forced = True
-        commits.sort()
-        for p, t, kind in commits:
-            state = state.commit(p, t, kind)
-        rounds.append(RoundRecord(chosen=tuple(chosen), commits=tuple(commits), forced=forced))
-    return DecodeResult(final_state=state, rounds=tuple(rounds))
+        shared = scheduler.seed is not None
+        key = np.array([_shuffled_ranks(scheduler.seed if shared else s, block) for s in seeds]).reshape(runs, -1)
+    masks, forced = [], []
+    while True:
+        open_ = tokens[:, block] < 0
+        live = open_.any(axis=1)
+        if not live.any():
+            break
+        probs = np.stack([np.exp(oracle.log_rows(p, (tokens + 1) @ strides[p])) for p in block], axis=1)
+        conf = probs.max(axis=-1)
+        # tie_key of each confidence, negated so the most confident sorts first
+        conf_key = -np.rint(conf / TIE_GRID)
+        if scheduler.kind == "conflict-aware":
+            chosen = np.zeros_like(open_)
+            for r in np.flatnonzero(live):
+                row = tokens[r].tolist()
+                observed = {p: t for p, t in enumerate(row) if t >= 0}
+                state = DecodeState(PartialContext(observed, [p for p in context.block if row[p] < 0]), seeds[r])
+                conf_row = {p: conf[r, k] for k, p in enumerate(block) if open_[r, k]}
+                chosen[r] = np.isin(block, _conflict_aware_block(oracle, state, scheduler, operator, width, conf_row))
+        else:
+            round_key = conf_key if scheduler.kind == "confidence" else key
+            order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
+            chosen = open_ & (np.argsort(order, axis=1) < width)
+        decided = np.where(chosen, _decide(probs, operator, uniforms), -1)
+        # stall breaker: a threshold round that commits nothing would loop
+        # forever, so write the most confident selection as a plain argmax
+        stalled = live & (decided < 0).all(axis=1)
+        pick = np.where(chosen, conf_key, np.inf)[stalled].argmin(axis=1)
+        decided[stalled, pick] = _decide(probs[stalled, pick], argmax_commit(), None)
+        tokens[:, block] = np.where(decided >= 0, decided, tokens[:, block])
+        masks.append((chosen, decided >= 0))
+        forced.append(stalled)
+    full = np.zeros((len(masks), 2, runs, positions), dtype=bool)
+    full[..., block] = np.reshape(masks, (len(masks), 2, runs, len(block)))
+    return DecodeResult(tokens, full[:, 0], full[:, 1], np.reshape(forced, (len(masks), runs)))
 
 
 @dataclass(frozen=True)
@@ -527,16 +507,12 @@ def stress_test(
         predictors = _context_predictors(oracle, joint, context, operator, seed, ci)
         nll: dict[tuple[int, int], float] = {}
         for si, sched in enumerate(schedulers):
+            seeds = [derived_seed(seed, ci, si, k) for k in range(runs)]
             for w in widths:
+                tokens = run_scheduler(oracle, context, seeds, sched, operator, w).tokens
                 total = 0.0
-                for k in range(runs):
-                    rng_seed = derived_seed(seed, ci, si, k)
-                    result = run_scheduler(
-                        oracle, DecodeState(context=context, rng_seed=rng_seed), sched, operator, w
-                    )
-                    decoded = result.final_state.context.observed
-                    idx = tuple(decoded[p] for p in context.block)
-                    total += -float(log_p[idx])
+                for value in log_p[tuple(tokens[:, p] for p in context.block)].tolist():
+                    total -= value
                 nll[(si, w)] = total / runs
         per_context.append((predictors, nll))
 

@@ -569,11 +569,13 @@ def curl_scan_report(
     context: PartialContext,
     plan=ExhaustivePlan(),
     epsilon: float = DEFAULT_NORMALIZER_EPSILON,
-    model_id: str | None = None,
+    *,
+    model_id: str,
 ) -> dict:
     """One context's scan summary: mean |circulation|, normalized mean, the
     maximum sample as witness (none when every |circulation| is below the
-    1e-12 tie grid), and the exact order-swap KL per block pair."""
+    1e-12 tie grid), and the exact order-swap KL per block pair, labelled
+    with the caller's ``model_id``."""
     samples = list(iter_plan_samples(oracle, context, plan, epsilon))
     values = np.array([abs(s.value) for s in samples])
     normalized = np.array([s.normalized_value for s in samples])
@@ -586,7 +588,7 @@ def curl_scan_report(
     }
     plan_label = {ExhaustivePlan: "exhaustive", MonteCarloPlan: "monte-carlo", ExplicitPlan: "explicit"}[type(plan)]
     return {
-        "model_id": model_id if model_id is not None else oracle.model_id,
+        "model_id": model_id,
         "context": context.to_dict(),
         "plan": plan_label,
         "stats": {

@@ -23,7 +23,7 @@ import time
 from typing import Mapping, Sequence
 
 from . import __version__
-from .core import ModelBundle, PartialContext, PerturbedConditionalModel, model_from_dict, plain_json, seeded_rng
+from .core import ModelBundle, PartialContext, PerturbedConditionalModel, model_from_dict, model_id, plain_json, seeded_rng
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -153,9 +153,7 @@ def resolve_model(model_config: Mapping) -> ModelBundle:
     oracle = joint = generate_joint(spec)
     if perturbation is not None:
         oracle = PerturbedConditionalModel(joint, perturbation["delta"], perturbation["seed"])
-    payload = {"synthetic": spec.to_dict(), "perturbation": perturbation}
-    model_id = hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
-    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id)
+    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id(oracle, joint))
 
 
 def resolve_contexts(contexts_config, bundle: ModelBundle, default_seed: int) -> list[PartialContext]:

@@ -77,22 +77,6 @@ class SyntheticTaskSpec:
         if self.family == CUSTOM and self.table is None:
             raise ContractViolationError("custom-table family needs an explicit log-mass table")
 
-    def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "positions": self.positions,
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-        }
-        if self.family == CHAIN:
-            out["beta"] = self.beta
-        if self.family == TC_LADDER:
-            out["level"] = self.level
-            out["levels_total"] = self.levels_total
-        if self.family == CUSTOM:
-            out["table"] = list(self.table)
-        return out
-
 
 def generate_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
     m, vocab = spec.positions, spec.vocab_size

@@ -243,7 +243,7 @@ class TestModelFiles:
             "log_mass": [-1.2, -1.4, -1.6, -1.4],
             "perturbation": {"delta": 0.5, "seed": 3},
         }
-        assert model_from_dict(data).model_id == "3ade00368574"
+        assert model_from_dict(data).model_id == "bb720a1dd4c0"
 
     def test_unknown_model_field_rejected(self):
         with pytest.raises(DimensionError):

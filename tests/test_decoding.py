@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from conftest import random_joint
+from conftest import random_context, random_joint
 from curlgauge.core import (
+    ConditionalOracle,
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
@@ -45,7 +46,6 @@ class TestApplyUpdate:
         state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
         out = apply_update(skewed_pair, state, argmax_commit(), 0)
         assert out.context.observed == {0: 0}
-        assert out.trajectory == ((0, 0, "argmax-commit"),)
 
     def test_threshold_below_tau_is_noop(self, skewed_pair):
         state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
@@ -134,12 +134,6 @@ class TestCommutator:
         with pytest.raises(DegenerateComparisonError):
             commutator(joint, state, argmax_commit(), 0, 1)
 
-    def test_unknown_divergence_rejected(self):
-        joint = random_joint(5, positions=3, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
-        with pytest.raises(ContractViolationError):
-            commutator(joint, state, argmax_commit(), 0, 1, divergence="tv")
-
 
 class TestConflictScore:
     def test_independent_joint_is_zero(self):
@@ -172,59 +166,71 @@ class TestConflictScore:
         assert first.value == second.value
 
 
+class NearTiedOracle(ConditionalOracle):
+    """Two tokens at three positions, every row the same per position: the
+    max-probability is 0.5 + 1e-15 * position, highest at the last position
+    but equal on the tie grid."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def log_rows(self, position, cls):
+        top = 0.5 + 1e-15 * position
+        return np.broadcast_to(np.log([top, 1.0 - top]), np.shape(cls) + (2,))
+
+
+def commit_order(result):
+    """Positions committed by the first run, round by round."""
+    return [np.flatnonzero(mask[0]).tolist() for mask in result.committed if mask[0].any()]
+
+
 class TestRunScheduler:
     def test_left_to_right_width_one_commits_in_index_order(self):
         joint = random_joint(10, positions=4, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=11)
-        result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), sample_commit(), 1)
-        positions = [p for p, _, _ in result.trajectory]
-        assert positions == [0, 1, 2, 3]
+        ctx = PartialContext({}, (0, 1, 2, 3))
+        result = run_scheduler(joint, ctx, [11], SchedulerSpec("left-to-right"), sample_commit(), 1)
+        assert commit_order(result) == [[0], [1], [2], [3]]
 
     def test_deterministic_replay(self):
         joint = random_joint(11, positions=3, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=21)
-        a = run_scheduler(joint, state, SchedulerSpec("random", seed=5), sample_commit(), 2)
-        b = run_scheduler(joint, state, SchedulerSpec("random", seed=5), sample_commit(), 2)
-        assert a.trajectory == b.trajectory
+        ctx = PartialContext({}, (0, 1, 2))
+        a = run_scheduler(joint, ctx, [21], SchedulerSpec("random", seed=5), sample_commit(), 2)
+        b = run_scheduler(joint, ctx, [21], SchedulerSpec("random", seed=5), sample_commit(), 2)
+        assert np.array_equal(a.tokens, b.tokens)
+        assert np.array_equal(a.committed, b.committed)
 
     def test_confidence_picks_most_confident_first(self):
         p = np.einsum("a,b->ab", [0.55, 0.45], [0.95, 0.05])
         joint = TabularJointModel.from_probabilities(p)
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        result = run_scheduler(joint, state, SchedulerSpec("confidence"), argmax_commit(), 1)
-        assert [p for p, _, _ in result.trajectory] == [1, 0]
+        result = run_scheduler(joint, PartialContext({}, (0, 1)), [0], SchedulerSpec("confidence"), argmax_commit(), 1)
+        assert commit_order(result) == [[1], [0]]
 
     def test_invalid_width_rejected(self):
         joint = random_joint(12)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
         with pytest.raises(ContractViolationError):
-            run_scheduler(joint, state, SchedulerSpec("left-to-right"), argmax_commit(), 0)
+            run_scheduler(joint, PartialContext({}, (0, 1, 2)), [0], SchedulerSpec("left-to-right"), argmax_commit(), 0)
 
     def test_threshold_stall_forces_single_commit(self):
         joint = TabularJointModel.uniform(4, 3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
-        result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), threshold_commit(0.99), 3)
-        assert not result.final_state.context.block
-        assert all(r.forced and len(r.commits) == 1 for r in result.rounds)
+        ctx = PartialContext({}, (0, 1, 2))
+        result = run_scheduler(joint, ctx, [0], SchedulerSpec("left-to-right"), threshold_commit(0.99), 3)
+        assert (result.tokens[0] >= 0).all()
+        assert result.forced.all() and (result.committed.sum(axis=2) == 1).all()
 
     @pytest.fixture
-    def near_tied_confidences(self, monkeypatch):
-        # confidences 1e-15 apart, highest at the last position: equal on the tie grid
-        from curlgauge import decoding
-
-        monkeypatch.setattr(decoding, "_confidences", lambda oracle, state, ps: {p: 0.5 + 1e-15 * p for p in ps})
+    def near_tied_confidences(self):
+        return NearTiedOracle()
 
     @pytest.mark.parametrize("kind", ["confidence", "conflict-aware"])
     def test_near_tied_confidences_go_in_index_order(self, near_tied_confidences, kind):
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
-        result = run_scheduler(TabularJointModel.uniform(2, 3), state, SchedulerSpec(kind), argmax_commit(), 1)
-        assert [p for p, _, _ in result.trajectory] == [0, 1, 2]
+        ctx = PartialContext({}, (0, 1, 2))
+        result = run_scheduler(near_tied_confidences, ctx, [0], SchedulerSpec(kind), argmax_commit(), 1)
+        assert commit_order(result) == [[0], [1], [2]]
 
     def test_stall_breaker_forces_lowest_of_near_tied(self, near_tied_confidences):
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=0)
-        joint = TabularJointModel.uniform(2, 3)
-        result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), threshold_commit(0.99), 3)
-        assert [r.commits[0][0] for r in result.rounds] == [0, 1, 2]
+        ctx = PartialContext({}, (0, 1, 2))
+        result = run_scheduler(near_tied_confidences, ctx, [0], SchedulerSpec("left-to-right"), threshold_commit(0.99), 3)
+        assert commit_order(result) == [[0], [1], [2]]
 
     def test_conflict_aware_avoids_dependent_pair(self):
         # positions 0,1 perfectly coupled; 2,3 independent coins
@@ -232,11 +238,11 @@ class TestRunScheduler:
         for a in range(2):
             p[a, a, :, :] = 0.5 * 0.25
         joint = TabularJointModel.from_probabilities(p)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=0)
+        ctx = PartialContext({}, (0, 1, 2, 3))
         sched = SchedulerSpec("conflict-aware", lam_confidence=0.0, lam_conflict=1.0,
                               lam_dependence=1.0, block_search="subsets")
-        result = run_scheduler(joint, state, sched, argmax_commit(), 2)
-        first_round = result.rounds[0].chosen
+        result = run_scheduler(joint, ctx, [0], sched, argmax_commit(), 2)
+        first_round = np.flatnonzero(result.chosen[0, 0]).tolist()
         assert set(first_round) != {0, 1}
 
     def test_sample_width_one_left_to_right_reproduces_joint(self):
@@ -244,13 +250,11 @@ class TestRunScheduler:
         rng = np.random.default_rng(8)
         joint = TabularJointModel(4, 2, rng.standard_normal(16))
         ctx = PartialContext({}, (0, 1))
-        counts = np.zeros((4, 4))
         n_runs = 50_000
-        for k in range(n_runs):
-            state = DecodeState(context=ctx, rng_seed=derived_seed(777, k))
-            result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), sample_commit(), 1)
-            obs = result.final_state.context.observed
-            counts[obs[0], obs[1]] += 1
+        seeds = [derived_seed(777, k) for k in range(n_runs)]
+        tokens = run_scheduler(joint, ctx, seeds, SchedulerSpec("left-to-right"), sample_commit(), 1).tokens
+        counts = np.zeros((4, 4))
+        np.add.at(counts, (tokens[:, 0], tokens[:, 1]), 1)
         expected = np.exp(joint.log_block_conditional(ctx)) * n_runs
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, 15)
@@ -258,16 +262,39 @@ class TestRunScheduler:
     def test_full_width_on_independent_joint_reproduces_joint(self):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=2, vocab_size=4, seed=6, beta=0.0))
         ctx = PartialContext({}, (0, 1))
-        counts = np.zeros((4, 4))
         n_runs = 50_000
-        for k in range(n_runs):
-            state = DecodeState(context=ctx, rng_seed=derived_seed(888, k))
-            result = run_scheduler(joint, state, SchedulerSpec("left-to-right"), sample_commit(), 2)
-            obs = result.final_state.context.observed
-            counts[obs[0], obs[1]] += 1
+        seeds = [derived_seed(888, k) for k in range(n_runs)]
+        tokens = run_scheduler(joint, ctx, seeds, SchedulerSpec("left-to-right"), sample_commit(), 2).tokens
+        counts = np.zeros((4, 4))
+        np.add.at(counts, (tokens[:, 0], tokens[:, 1]), 1)
         expected = np.exp(joint.log_block_conditional(ctx)) * n_runs
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, 15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.integers(0, 10_000),
+        kind=st.sampled_from(["left-to-right", "random", "confidence", "conflict-aware"]),
+        operator=st.sampled_from([argmax_commit(), sample_commit(), threshold_commit(0.5), threshold_commit(0.9)]),
+        runs=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_batch_decodes_each_run_as_alone(self, case, kind, operator, runs, data):
+        joint = random_joint(case, positions=data.draw(st.integers(3, 4)), vocab=data.draw(st.integers(2, 3)))
+        oracle = joint if case % 2 else PerturbedConditionalModel(joint, 0.5, case)
+        ctx = random_context(case, joint, min_block=1)
+        width = data.draw(st.integers(1, len(ctx.block)))
+        sched = SchedulerSpec(kind)  # an unseeded random scheduler shuffles each run its own way
+        seeds = [derived_seed(case, r) for r in range(runs)]
+        batch = run_scheduler(oracle, ctx, seeds, sched, operator, width)
+        for r, seed in enumerate(seeds):
+            alone = run_scheduler(oracle, ctx, [seed], sched, operator, width)
+            assert np.array_equal(batch.tokens[r], alone.tokens[0])
+            rounds = len(alone.forced)
+            for name in ("chosen", "committed", "forced"):
+                mask = getattr(batch, name)[:, r]
+                assert np.array_equal(mask[:rounds], getattr(alone, name)[:, 0])
+                assert not mask[rounds:].any()
 
 
 class TestStress:

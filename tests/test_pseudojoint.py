@@ -333,7 +333,7 @@ def test_curl_scan_witness_needs_circulation_on_the_tie_grid():
     joint = random_joint(3, positions=3, vocab=3)
     ctx = PartialContext({}, (0, 1, 2))
     for delta, witnesses in ((1e-15, 0), (1e-9, 1)):
-        report = curl_scan_report(PerturbedConditionalModel(joint, delta, 5), ctx)
+        report = curl_scan_report(PerturbedConditionalModel(joint, delta, 5), ctx, model_id="test")
         assert report["stats"]["max_curl"] > 0.0
         assert len(report["witnesses"]) == witnesses
 
@@ -342,7 +342,8 @@ def test_curl_scan_report_shape():
     joint = random_joint(26, positions=3, vocab=3)
     oracle = PerturbedConditionalModel(joint, 0.4, 8)
     ctx = PartialContext({}, (0, 1, 2))
-    report = curl_scan_report(oracle, ctx, ExhaustivePlan())
+    report = curl_scan_report(oracle, ctx, ExhaustivePlan(), model_id="test")
+    assert report["model_id"] == "test"
     assert set(report["stats"]) == {"ecirc_abs", "ecirc_abs_stderr", "ecirc_norm", "max_curl", "order_swap_kl"}
     assert len(report["samples"]) == 3 * 9
     assert report["stats"]["max_curl"] == max(abs(s["value"]) for s in report["samples"])

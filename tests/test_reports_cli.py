@@ -180,6 +180,12 @@ class TestCliExitCodes:
                 "order-gap",
                 {"contexts": {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}]}, "monte_carlo": {"n": "x"}},
             ),
+            # a model_out that is not a plain file name inside --out
+            *[
+                (command, {"model_out": name})
+                for name in ("", ".", "sub/", "sub/m.json", os.path.join(tempfile.gettempdir(), "curlgauge-model.json"))
+                for command in ("synth-gen", "train")
+            ],
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
@@ -430,6 +436,15 @@ class TestArtifacts:
         assert result.exit_code == 0
         report = read_report(tmp_path / "out2" / "tc.json")
         assert report["sections"]["dependence"][0]["report"]["tc"] >= 0.0
+
+    @pytest.mark.parametrize("model", [CHAIN_MODEL, PERTURBED_MODEL], ids=["plain", "perturbed"])
+    def test_recipe_and_its_file_share_the_model_id(self, tmp_path, model):
+        write_config(tmp_path / "gen.json", {"model": model, "seed": 3})
+        assert run_cli(["synth-gen", "--config", "gen.json", "--out", "out"], tmp_path).exit_code == 0
+        recipe_id = read_report(tmp_path / "out" / "synth_gen.json")["model_id"]
+        write_config(tmp_path / "use.json", {"model": {"file": str(tmp_path / "out" / "model.json")}, "seed": 3})
+        assert run_cli(["tc", "--config", "use.json", "--out", "out2"], tmp_path).exit_code == 0
+        assert read_report(tmp_path / "out2" / "tc.json")["model_id"] == recipe_id
 
     def test_train_then_diagnose_trained_model(self, tmp_path):
         config = {
