@@ -22,11 +22,12 @@ import click
 from . import __version__
 from .core import save_model
 from .decoding import (
-    DecodeState,
     SchedulerSpec,
     UpdateOperator,
     commutator,
     conflict_score,
+    context_row,
+    draw_row,
     sample_commit,
     stress_test,
 )
@@ -62,11 +63,14 @@ def _positive_number(value: float, key: str) -> float:
     return value
 
 
-def _model_path(config, out_dir, default: str) -> str:
-    """Where a command saves its model: ``model_out`` must be a plain file name inside ``--out``."""
-    name = config.get("model_out", default)
+def _model_path(config, out_dir, default: str, command: str) -> str:
+    """Where a command saves its model: ``model_out`` must be a plain file name inside
+    ``--out`` that none of the command's reports (``<command>.json``, ``<command>_*.csv``) takes."""
+    name, base = config.get("model_out", default), command.replace("-", "_")
     if name in ("", ".", "..") or os.path.basename(name) != name:
         raise ConfigError(f"model_out must be a plain file name inside --out, got {name!r}")
+    if name == f"{base}.json" or (name.startswith(f"{base}_") and name.endswith(".csv")):
+        raise ConfigError(f"model_out {name!r} is a {command} report file, which would overwrite the model")
     return os.path.join(out_dir, name)
 
 
@@ -237,16 +241,18 @@ def cmd_commutator(config_path, seed, out_dir, fmt):
         pairs_out = []
         conflicts = []
         for cid, context in enumerate(contexts):
-            state = DecodeState(context=context, rng_seed=seed)
+            row = context_row(context, bundle.oracle.positions)
+            draws = draw_row(operator, seed, bundle.oracle.positions, context.block)
             block = sorted(context.block)
             for i, j in itertools.combinations(block, 2):
                 try:
-                    report = commutator(bundle.oracle, state, operator, i, j)
+                    value = commutator(bundle.oracle, row, block, operator, i, j, draws)
                 except DegenerateComparisonError:
                     continue
-                pairs_out.append({"context_id": cid, "i": i, "j": j, "value": report.value})
+                pairs_out.append({"context_id": cid, "i": i, "j": j, "value": value})
             if len(block) >= 2:
-                conflicts.append({"context_id": cid, **conflict_score(bundle.oracle, state, operator, block).to_dict()})
+                score = conflict_score(bundle.oracle, row, block, operator, block, draws)
+                conflicts.append({"context_id": cid, **score.to_dict()})
         return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
 
     _run("commutator", config_path, seed, out_dir, fmt, body)
@@ -281,7 +287,7 @@ def cmd_synth_gen(config_path, seed, out_dir, fmt):
     """Generate a synthetic joint and write it as a model file."""
 
     def body(config, seed, bundle, contexts, out_dir):
-        path = _model_path(config, out_dir, "model.json")
+        path = _model_path(config, out_dir, "model.json", "synth-gen")
         os.makedirs(out_dir, exist_ok=True)
         save_model(bundle.oracle, path)
         return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
@@ -296,7 +302,7 @@ def cmd_train(config_path, seed, out_dir, fmt):
 
     def body(config, seed, bundle, contexts, out_dir):
         joint = _require_joint(bundle, "train")
-        path = _model_path(config, out_dir, "trained_model.json")
+        path = _model_path(config, out_dir, "trained_model.json", "train")
         train_config = TrainConfig(**config.get("train", {}))
         oracle = train_tabular(joint, train_config)
         os.makedirs(out_dir, exist_ok=True)

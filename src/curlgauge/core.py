@@ -213,7 +213,7 @@ class ConditionalOracle:
     def __init__(self, vocab_size: int, positions: int):
         self.vocab = Vocabulary(int(vocab_size))
         self.positions = int(positions)
-        self._strides = class_strides(self.positions, self.vocab.size)
+        self.strides = class_strides(self.positions, self.vocab.size)
 
     def log_rows(self, position: int, cls) -> np.ndarray:
         """Normalized log conditionals of ``position`` for an int array of
@@ -227,7 +227,7 @@ class ConditionalOracle:
         """
         if position in assigned:
             raise ContractViolationError(f"position {position} is already observed")
-        strides = self._strides[position]
+        strides = self.strides[position]
         cls = 0
         for p, t in assigned.items():
             cls += strides[p] * (t + 1)
@@ -237,7 +237,7 @@ class ConditionalOracle:
         """Class indices of ``position`` over a grid of contexts: ``observed``
         plus, for the k-th entry of ``free``, an axis k along which that
         position takes every token.  A ``None`` entry gives a length-1 axis."""
-        strides, digits = self._strides[position], np.arange(1, self.vocab.size + 1)
+        strides, digits = self.strides[position], np.arange(1, self.vocab.size + 1)
         grid = np.full((1,) * len(free), sum(strides[p] * (t + 1) for p, t in observed.items()))
         for k, p in enumerate(free):
             if p is not None:

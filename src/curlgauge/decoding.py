@@ -5,12 +5,13 @@ or threshold-gated argmax).  The commutator of two positions under an
 operator compares the downstream predictive objects after committing them in
 the two orders; the conflict score sums those over a candidate block.
 Schedulers drive full decodes at a chosen parallelism width, committing each
-round from the pre-round conditionals; a batch of runs decodes together as a
-``(runs, positions)`` token array.  The stress harness relates the resulting
-likelihood degradation to the dependence/circulation predictors.
+round from the pre-round conditionals.  The stress harness relates the
+resulting likelihood degradation to the dependence/circulation predictors.
 
-Sampling draws are keyed by (run seed, position), not by step index, so the
-same position consumes the same randomness on every path through a decode.
+A run's decode state is its token row (-1 where unresolved), its open block
+positions and its draw row; a batch of runs decodes as a ``(runs, positions)``
+token array.  Draws are keyed by (run seed, position), not by step index, so
+the same position reads the same draw on every path through a decode.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     ConditionalOracle,
     PartialContext,
     TabularJointModel,
-    class_strides,
     derived_seed,
     kl,
     seeded_rng,
@@ -74,12 +74,22 @@ def threshold_commit(tau: float) -> UpdateOperator:
     return UpdateOperator(THRESHOLD, tau=float(tau))
 
 
-@dataclass(frozen=True)
-class DecodeState:
-    """One run's decode snapshot: the context and the run seed that keys its sample draws."""
+def context_row(context: PartialContext, positions: int) -> np.ndarray:
+    """The token row of a context: its observed tokens, -1 at every other position."""
+    return np.array([context.observed.get(p, -1) for p in range(positions)])
 
-    context: PartialContext
-    rng_seed: int
+
+def draw_row(operator: UpdateOperator, seed: int, positions: int, block: Sequence[int]) -> np.ndarray | None:
+    """One run's sample draws: ``stable_uniform(seed, 11, p)`` at each block
+    position p, NaN elsewhere; None unless the operator samples."""
+    if operator.kind != SAMPLE:
+        return None
+    return np.array([stable_uniform(seed, _SAMPLE_SALT, p) if p in block else np.nan for p in range(positions)])
+
+
+def _conditionals(oracle: ConditionalOracle, tokens: np.ndarray, position: int) -> np.ndarray:
+    """Conditional rows of ``position`` given each token row of ``tokens`` (``(..., positions)``)."""
+    return np.exp(oracle.log_rows(position, (tokens + 1) @ oracle.strides[position]))
 
 
 def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray:
@@ -97,17 +107,20 @@ def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray
 
 
 def apply_update(
-    oracle: ConditionalOracle, state: DecodeState, operator: UpdateOperator, position: int
-) -> DecodeState:
-    """Apply one operator at one unresolved position; threshold may no-op."""
-    if position not in state.context.block:
+    oracle: ConditionalOracle, row: np.ndarray, operator: UpdateOperator, position: int, draws=None
+) -> np.ndarray:
+    """The token row after one operator update at one unresolved position (the
+    row itself when a threshold no-ops); a sample reads ``draws[position]``."""
+    if row[position] >= 0:
         raise ContractViolationError(f"position {position} is not unresolved in this state")
-    probs = np.exp(oracle.log_dist(position, state.context.observed))
-    uniform = stable_uniform(state.rng_seed, _SAMPLE_SALT, position) if operator.kind == SAMPLE else None
-    token = int(_decide(probs, operator, uniform))
+    if operator.kind == SAMPLE and draws is None:
+        raise ContractViolationError("a sample-commit update needs the run's draw row")
+    token = int(_decide(_conditionals(oracle, row, position), operator, None if draws is None else draws[position]))
     if token < 0:
-        return state
-    return DecodeState(state.context.assign(position, token), state.rng_seed)
+        return row
+    out = row.copy()
+    out[position] = token
+    return out
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -119,58 +132,45 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, float(0.5 * (kl(log_p, log_m) + kl(log_q, log_m))))
 
 
-def _predictive_product(oracle: ConditionalOracle, state: DecodeState, coords: Sequence[int]) -> np.ndarray:
+def _predictive_product(oracle: ConditionalOracle, row: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     """Product of per-coordinate conditionals over `coords`, exact.
 
-    Coordinates already committed in this state enter as point masses at
+    Coordinates already committed in this row enter as point masses at
     their committed token, so predictive objects from paths with different
     commit sets stay comparable on a common coordinate space.
     """
     vocab = oracle.vocab.size
     probs = np.ones((vocab,) * len(coords))
     for axis, pos in enumerate(coords):
-        if pos in state.context.observed:
+        if row[pos] >= 0:
             vec = np.zeros(vocab)
-            vec[state.context.observed[pos]] = 1.0
+            vec[row[pos]] = 1.0
         else:
-            vec = np.exp(oracle.log_dist(pos, state.context.observed))
+            vec = _conditionals(oracle, row, pos)
         shape = [1] * len(coords)
         shape[axis] = vocab
         probs = probs * vec.reshape(shape)
     return probs
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    i: int
-    j: int
-    value: float
-
-
 def commutator(
-    oracle: ConditionalOracle,
-    state: DecodeState,
-    operator: UpdateOperator,
-    i: int,
-    j: int,
-) -> CommutatorReport:
-    """Root Jensen-Shannon divergence between the predictive products after
-    committing i then j versus j then i under the operator; per-position
-    randomness makes both paths consume identical draws for the same position."""
-    block = state.context.block
+    oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, i: int, j: int, draws=None
+) -> float:
+    """Root Jensen-Shannon divergence between the predictive products over the
+    open ``block`` after committing i then j versus j then i under the operator;
+    both paths read the same per-position ``draws``."""
     if i == j or i not in block or j not in block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct unresolved positions")
-    remaining = [p for p in block if p not in (i, j)]
-    if not remaining:
+    if len(block) == 2:
         raise DegenerateComparisonError(
             "committing both positions would leave no unresolved coordinate to compare; enlarge the block"
         )
-    state_ij = apply_update(oracle, apply_update(oracle, state, operator, i), operator, j)
-    state_ji = apply_update(oracle, apply_update(oracle, state, operator, j), operator, i)
-    coords = tuple(sorted(set(state_ij.context.block) | set(state_ji.context.block)))
-    pred_ij = _predictive_product(oracle, state_ij, coords)
-    pred_ji = _predictive_product(oracle, state_ji, coords)
-    return CommutatorReport(i=i, j=j, value=math.sqrt(js_divergence(pred_ij, pred_ji)))
+    row_ij = apply_update(oracle, apply_update(oracle, row, operator, i, draws), operator, j, draws)
+    row_ji = apply_update(oracle, apply_update(oracle, row, operator, j, draws), operator, i, draws)
+    coords = [p for p in sorted(block) if row_ij[p] < 0 or row_ji[p] < 0]
+    pred_ij = _predictive_product(oracle, row_ij, coords)
+    pred_ji = _predictive_product(oracle, row_ji, coords)
+    return math.sqrt(js_divergence(pred_ij, pred_ji))
 
 
 @dataclass(frozen=True)
@@ -188,33 +188,24 @@ class ConflictScore:
 
 
 def conflict_score(
-    oracle: ConditionalOracle,
-    state: DecodeState,
-    operator: UpdateOperator,
-    block: Sequence[int],
+    oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, candidate, draws=None
 ) -> ConflictScore:
-    """Sum of pairwise commutator values over a candidate block.
+    """Sum of pairwise commutator values over a candidate subset of the open ``block``.
 
-    Pairs that would exhaust the unresolved set are skipped and flagged
-    rather than failing the whole score.
+    When the block holds just the two positions of a pair, committing both
+    would leave nothing to compare; that pair is skipped and flagged rather
+    than failing the whole score.
     """
-    block = sorted(int(p) for p in block)
-    if len(block) < 2:
+    candidate = sorted(int(p) for p in candidate)
+    if len(candidate) < 2:
         raise ContractViolationError("conflict score needs a candidate block of at least two positions")
-    unresolved = set(state.context.block)
-    if not set(block) <= unresolved:
+    if not set(candidate) <= set(block):
         raise ContractViolationError("candidate block must be a subset of the unresolved positions")
-    total = 0.0
-    pair_values: dict[tuple[int, int], float] = {}
-    skipped: list[tuple[int, int]] = []
-    for i, j in itertools.combinations(block, 2):
-        if not (unresolved - {i, j}):
-            skipped.append((i, j))
-            continue
-        report = commutator(oracle, state, operator, i, j)
-        pair_values[(i, j)] = report.value
-        total += report.value
-    return ConflictScore(value=total, pair_values=pair_values, skipped_pairs=tuple(skipped))
+    pairs = list(itertools.combinations(candidate, 2))
+    if len(block) == 2:
+        return ConflictScore(0.0, {}, tuple(pairs))
+    values = {(i, j): commutator(oracle, row, block, operator, i, j, draws) for i, j in pairs}
+    return ConflictScore(sum(values.values(), 0.0), values, ())
 
 
 @dataclass(frozen=True)
@@ -258,43 +249,43 @@ class SchedulerSpec:
         }
 
 
-def _oracle_pair_dependence(oracle: ConditionalOracle, state: DecodeState, i: int, j: int) -> float:
+def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, j: int) -> float:
     """Dependence proxy from the oracle alone: mean over both resolution orders
     of the mutual information of the order-induced pair product."""
-    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, state.context.observed, (), i, j))
+    observed = {p: t for p, t in enumerate(row.tolist()) if t >= 0}
+    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, observed, (), i, j))
     q_ij = np.exp(t0) * np.exp(t1)
     q_ji = np.exp(t2) * np.exp(t3)
     return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))
 
 
 def _conflict_aware_block(
-    oracle: ConditionalOracle,
-    state: DecodeState,
-    scheduler: SchedulerSpec,
-    operator: UpdateOperator,
-    width: int,
-    conf: dict[int, float],
+    oracle: ConditionalOracle, row: np.ndarray, draws, scheduler: SchedulerSpec, operator: UpdateOperator, width, conf
 ) -> tuple[int, ...]:
-    """The candidate block of one run with the lowest conflict-aware score;
-    ``conf`` holds the max-probability of every unresolved position."""
-    unresolved = sorted(state.context.block)
+    """The lowest-scoring conflict-aware candidate among one run's open positions,
+    the keys of ``conf`` (each position's max-probability).  Each pair's
+    commutator and dependence is computed once, for every candidate holding it."""
+    unresolved = sorted(conf)
     w = min(width, len(unresolved))
     if scheduler.block_search == "subsets" and len(unresolved) <= 8:
-        candidates = [tuple(c) for c in itertools.combinations(unresolved, w)]
+        candidates = list(itertools.combinations(unresolved, w))
     else:
         candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
-    best: tuple[float, tuple[int, ...]] | None = None
-    for cand in candidates:
-        score = scheduler.lam_confidence * (-float(np.mean([conf[p] for p in cand])))
+    if len(candidates) == 1:  # also the case of two open positions, whose pair leaves nothing to compare
+        return candidates[0]
+    pairs = dict.fromkeys(pair for cand in candidates for pair in itertools.combinations(cand, 2))
+    conflict = {(i, j): commutator(oracle, row, unresolved, operator, i, j, draws) for i, j in pairs}
+    dependence = {(i, j): _oracle_pair_dependence(oracle, row, i, j) for i, j in pairs}
+
+    def score(cand) -> float:
+        value = scheduler.lam_confidence * (-float(np.mean([conf[p] for p in cand])))
         if len(cand) >= 2:
-            score += scheduler.lam_conflict * conflict_score(oracle, state, operator, cand).value
-            score += scheduler.lam_dependence * sum(
-                _oracle_pair_dependence(oracle, state, i, j) for i, j in itertools.combinations(cand, 2)
-            )
-        key = (tie_key(score), cand)
-        if best is None or key < best:
-            best = key
-    return best[1]
+            cand_pairs = list(itertools.combinations(cand, 2))
+            value += scheduler.lam_conflict * sum((conflict[pair] for pair in cand_pairs), 0.0)
+            value += scheduler.lam_dependence * sum(dependence[pair] for pair in cand_pairs)
+        return value
+
+    return min(candidates, key=lambda cand: (tie_key(score(cand)), cand))
 
 
 def _shuffled_ranks(seed: int, block: list[int]) -> list[int]:
@@ -328,28 +319,28 @@ def run_scheduler(
     seeds: Sequence[int],
     scheduler: SchedulerSpec,
     operator: UpdateOperator,
-    width: int,
+    width,
 ) -> DecodeResult:
     """Decode the block of ``context`` once per run seed, all runs in lockstep
-    rounds, committing up to ``width`` positions per run and round.
+    rounds, committing up to ``width`` positions per run and round; ``width``
+    is an int or one int per run.
 
     All commits within a round are decided from the pre-round conditionals
-    (one-shot independent parallel within the round).  A sample draw is
-    ``stable_uniform(seed, 11, position)``, so it depends on the run and the
-    position alone.  A threshold round that commits nothing force-commits its
-    single most confident selected position as an argmax, so decoding always
-    terminates; such rounds are flagged.
+    (one-shot independent parallel within the round).  A run's sample draws
+    are its :func:`draw_row`, so they depend on the run seed and the position
+    alone; each distinct seed is drawn once.  A threshold round that commits
+    nothing force-commits its single most confident selected position as an
+    argmax, so decoding always terminates; such rounds are flagged.
     """
-    if width < 1:
-        raise ContractViolationError(f"width must be >= 1, got {width}")
     runs, positions, block = len(seeds), oracle.positions, sorted(context.block)
-    tokens = np.full((runs, positions), -1)
-    for p, t in context.observed.items():
-        tokens[:, p] = t
-    strides = np.array(class_strides(positions, oracle.vocab.size))
-    uniforms = None
+    widths = np.broadcast_to(width, (runs,))
+    if (widths < 1).any():
+        raise ContractViolationError(f"width must be >= 1, got {width}")
+    tokens = np.tile(context_row(context, positions), (runs, 1))
+    draws = None
     if operator.kind == SAMPLE:
-        uniforms = np.array([[stable_uniform(s, _SAMPLE_SALT, p) for p in block] for s in seeds]).reshape(runs, -1)
+        rows = {s: draw_row(operator, s, positions, block) for s in dict.fromkeys(seeds)}
+        draws = np.array([rows[s] for s in seeds]).reshape(runs, positions)
     # left-to-right sorts by position alone, random by each run's shuffled rank
     key = np.zeros((runs, len(block)))
     if scheduler.kind == "random":
@@ -361,23 +352,22 @@ def run_scheduler(
         live = open_.any(axis=1)
         if not live.any():
             break
-        probs = np.stack([np.exp(oracle.log_rows(p, (tokens + 1) @ strides[p])) for p in block], axis=1)
+        probs = np.stack([_conditionals(oracle, tokens, p) for p in block], axis=1)
         conf = probs.max(axis=-1)
         # tie_key of each confidence, negated so the most confident sorts first
         conf_key = -np.rint(conf / TIE_GRID)
         if scheduler.kind == "conflict-aware":
             chosen = np.zeros_like(open_)
             for r in np.flatnonzero(live):
-                row = tokens[r].tolist()
-                observed = {p: t for p, t in enumerate(row) if t >= 0}
-                state = DecodeState(PartialContext(observed, [p for p in context.block if row[p] < 0]), seeds[r])
                 conf_row = {p: conf[r, k] for k, p in enumerate(block) if open_[r, k]}
-                chosen[r] = np.isin(block, _conflict_aware_block(oracle, state, scheduler, operator, width, conf_row))
+                run_draws = None if draws is None else draws[r]
+                pick = _conflict_aware_block(oracle, tokens[r], run_draws, scheduler, operator, widths[r], conf_row)
+                chosen[r] = [p in pick for p in block]
         else:
             round_key = conf_key if scheduler.kind == "confidence" else key
             order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
-            chosen = open_ & (np.argsort(order, axis=1) < width)
-        decided = np.where(chosen, _decide(probs, operator, uniforms), -1)
+            chosen = open_ & (np.argsort(order, axis=1) < widths[:, None])
+        decided = np.where(chosen, _decide(probs, operator, None if draws is None else draws[:, block]), -1)
         # stall breaker: a threshold round that commits nothing would loop
         # forever, so write the most confident selection as a plain argmax
         stalled = live & (decided < 0).all(axis=1)
@@ -466,8 +456,8 @@ def _context_predictors(
     ecirc = ecirc_abs(oracle, context, ExhaustivePlan()).value
     tc = total_correlation(joint, context)
     mean_eps = float(np.mean([local_estimation_error(oracle, joint, context, p) for p in context.block]))
-    state = DecodeState(context=context, rng_seed=derived_seed(seed, 91, context_id))
-    score = conflict_score(oracle, state, operator, context.block)
+    draws = draw_row(operator, derived_seed(seed, 91, context_id), oracle.positions, context.block)
+    score = conflict_score(oracle, context_row(context, oracle.positions), context.block, operator, context.block, draws)
     return ecirc, tc, mean_eps, score.value, bool(score.skipped_pairs)
 
 
@@ -481,8 +471,9 @@ def stress_test(
     runs: int = 200,
     seed: int = 0,
 ) -> StressReport:
-    """Decode every (context, scheduler, width) cell and relate degradation to
-    the dependence/circulation predictors.
+    """Decode every (context, scheduler, width) cell, all widths of a (context,
+    scheduler) pair in one batch, and relate degradation to the
+    dependence/circulation predictors.
 
     Degradation is the mean decoded-output negative log-likelihood under the
     reference joint, relative to the width-1 cell of the same scheduler and
@@ -508,10 +499,11 @@ def stress_test(
         nll: dict[tuple[int, int], float] = {}
         for si, sched in enumerate(schedulers):
             seeds = [derived_seed(seed, ci, si, k) for k in range(runs)]
-            for w in widths:
-                tokens = run_scheduler(oracle, context, seeds, sched, operator, w).tokens
+            tokens = run_scheduler(oracle, context, seeds * len(widths), sched, operator, np.repeat(widths, runs)).tokens
+            values = log_p[tuple(tokens[:, p] for p in context.block)].tolist()
+            for wi, w in enumerate(widths):
                 total = 0.0
-                for value in log_p[tuple(tokens[:, p] for p in context.block)].tolist():
+                for value in values[wi * runs : (wi + 1) * runs]:
                     total -= value
                 nll[(si, w)] = total / runs
         per_context.append((predictors, nll))

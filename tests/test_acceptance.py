@@ -25,7 +25,15 @@ from curlgauge.core import (
     derived_seed,
     seeded_rng,
 )
-from curlgauge.decoding import DecodeState, SchedulerSpec, commutator, run_scheduler, sample_commit, stress_test
+from curlgauge.decoding import (
+    SchedulerSpec,
+    commutator,
+    context_row,
+    draw_row,
+    run_scheduler,
+    sample_commit,
+    stress_test,
+)
 from curlgauge.dependence import dependence_report, independent_parallel_gap, total_correlation
 from curlgauge.ordererror import order_cross_entropy, rank_orders
 from curlgauge.pseudojoint import (
@@ -208,9 +216,10 @@ def test_criterion_7_logit_shift_invariance():
             assert [p.order for p in rank1] == [p.order for p in rank2]
             assert all(abs(x.kl_total - y.kl_total) < 1e-10 for x, y in zip(rank1, rank2))
 
-            state = DecodeState(context=ctx, rng_seed=derived_seed(7000, k, 1))
-            c1 = commutator(before, state, sample_commit(), 0, 1).value
-            c2 = commutator(after, state, sample_commit(), 0, 1).value
+            row = context_row(ctx, positions)
+            draws = draw_row(sample_commit(), derived_seed(7000, k, 1), positions, ctx.block)
+            c1 = commutator(before, row, ctx.block, sample_commit(), 0, 1, draws)
+            c2 = commutator(after, row, ctx.block, sample_commit(), 0, 1, draws)
             assert abs(c1 - c2) < 1e-10
 
 

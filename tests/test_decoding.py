@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,20 +7,25 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from conftest import random_context, random_joint
+from curlgauge import decoding
 from curlgauge.core import (
     ConditionalOracle,
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
     derived_seed,
+    tie_key,
 )
 from curlgauge.decoding import (
-    DecodeState,
     SchedulerSpec,
+    _conflict_aware_block,
+    _oracle_pair_dependence,
     apply_update,
     argmax_commit,
     commutator,
     conflict_score,
+    context_row,
+    draw_row,
     run_scheduler,
     sample_commit,
     spearman_rank,
@@ -41,68 +47,77 @@ def skewed_pair() -> TabularJointModel:
     return TabularJointModel.from_probabilities(p)
 
 
+def observed(row):
+    """The committed positions of a token row, as a position -> token map."""
+    return {p: t for p, t in enumerate(row.tolist()) if t >= 0}
+
+
+def open_row(positions):
+    return np.full(positions, -1)
+
+
 class TestApplyUpdate:
     def test_argmax_commits_highest(self, skewed_pair):
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        out = apply_update(skewed_pair, state, argmax_commit(), 0)
-        assert out.context.observed == {0: 0}
+        out = apply_update(skewed_pair, open_row(2), argmax_commit(), 0)
+        assert observed(out) == {0: 0}
 
     def test_threshold_below_tau_is_noop(self, skewed_pair):
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        out = apply_update(skewed_pair, state, threshold_commit(0.9), 0)
-        assert out is state
+        row = open_row(2)
+        out = apply_update(skewed_pair, row, threshold_commit(0.9), 0)
+        assert out is row
 
     def test_threshold_above_tau_commits(self, skewed_pair):
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        out = apply_update(skewed_pair, state, threshold_commit(0.6), 0)
-        assert out.context.observed == {0: 0}
+        out = apply_update(skewed_pair, open_row(2), threshold_commit(0.6), 0)
+        assert observed(out) == {0: 0}
 
     def test_threshold_never_commits_below_tau(self):
         for seed in range(20):
             joint = random_joint(900 + seed, positions=3, vocab=4)
             oracle = PerturbedConditionalModel(joint, 0.6, seed)
-            state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=seed)
+            row = open_row(3)
             tau = 0.55
-            out = apply_update(oracle, state, threshold_commit(tau), 1)
-            if out is not state:
-                prob = math.exp(oracle.log_dist(1, {})[out.context.observed[1]])
+            out = apply_update(oracle, row, threshold_commit(tau), 1)
+            if out is not row:
+                prob = math.exp(oracle.log_dist(1, {})[out[1]])
                 assert prob >= tau
 
     def test_sample_deterministic_given_seed(self, skewed_pair):
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=123)
-        a = apply_update(skewed_pair, state, sample_commit(), 0)
-        b = apply_update(skewed_pair, state, sample_commit(), 0)
-        assert a.context.observed == b.context.observed
+        draws = draw_row(sample_commit(), 123, 2, (0, 1))
+        a = apply_update(skewed_pair, open_row(2), sample_commit(), 0, draws)
+        b = apply_update(skewed_pair, open_row(2), sample_commit(), 0, draws)
+        assert observed(a) == observed(b)
+
+    def test_sample_needs_draw_row(self, skewed_pair):
+        with pytest.raises(ContractViolationError):
+            apply_update(skewed_pair, open_row(2), sample_commit(), 0)
 
     def test_committed_position_rejected(self, skewed_pair):
-        state = DecodeState(context=PartialContext({0: 1}, (1,)), rng_seed=0)
+        row = context_row(PartialContext({0: 1}, (1,)), 2)
         with pytest.raises(ContractViolationError):
-            apply_update(skewed_pair, state, argmax_commit(), 0)
+            apply_update(skewed_pair, row, argmax_commit(), 0)
 
     def test_argmax_tie_goes_to_lowest_token(self):
         joint = TabularJointModel.uniform(3, 2)
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        out = apply_update(joint, state, argmax_commit(), 1)
-        assert out.context.observed[1] == 0
+        out = apply_update(joint, open_row(2), argmax_commit(), 1)
+        assert out[1] == 0
 
 
 class TestCommutator:
     def test_independent_joint_commutes(self):
         joint = independent_joint(1, positions=4, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=5)
-        report = commutator(joint, state, argmax_commit(), 0, 2)
-        assert report.value == pytest.approx(0.0, abs=1e-12)
+        value = commutator(joint, open_row(4), (0, 1, 2, 3), argmax_commit(), 0, 2)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         joint = random_joint(2, positions=3, vocab=3, scale=1.5)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=7)
+        row, block = open_row(3), (0, 1, 2)
         operator = argmax_commit()
-        report = commutator(joint, state, operator, 0, 1)
+        value = commutator(joint, row, block, operator, 0, 1)
         # independent reconstruction of both paths
-        s_ij = apply_update(joint, apply_update(joint, state, operator, 0), operator, 1)
-        s_ji = apply_update(joint, apply_update(joint, state, operator, 1), operator, 0)
-        p = np.exp(joint.log_dist(2, s_ij.context.observed))
-        q = np.exp(joint.log_dist(2, s_ji.context.observed))
+        s_ij = apply_update(joint, apply_update(joint, row, operator, 0), operator, 1)
+        s_ji = apply_update(joint, apply_update(joint, row, operator, 1), operator, 0)
+        p = np.exp(joint.log_dist(2, observed(s_ij)))
+        q = np.exp(joint.log_dist(2, observed(s_ji)))
         m = 0.5 * (p + q)
 
         def kl(x, y):
@@ -110,59 +125,56 @@ class TestCommutator:
             return float((x[mask] * (np.log(x[mask]) - np.log(y[mask]))).sum())
 
         expected = math.sqrt(max(0.0, 0.5 * kl(p, m) + 0.5 * kl(q, m)))
-        assert report.value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric_in_pair(self):
         joint = random_joint(3, positions=3, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 4)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=9)
-        fwd = commutator(oracle, state, sample_commit(), 0, 1).value
-        rev = commutator(oracle, state, sample_commit(), 1, 0).value
+        draws = draw_row(sample_commit(), 9, 3, (0, 1, 2))
+        fwd = commutator(oracle, open_row(3), (0, 1, 2), sample_commit(), 0, 1, draws)
+        rev = commutator(oracle, open_row(3), (0, 1, 2), sample_commit(), 1, 0, draws)
         assert abs(fwd - rev) < 1e-15
 
     def test_value_within_js_bounds(self):
         for seed in range(10):
             joint = random_joint(950 + seed, positions=3, vocab=3)
             oracle = PerturbedConditionalModel(joint, 1.0, seed)
-            state = DecodeState(context=PartialContext({}, (0, 1, 2)), rng_seed=seed)
-            value = commutator(oracle, state, argmax_commit(), 0, 1).value
+            value = commutator(oracle, open_row(3), (0, 1, 2), argmax_commit(), 0, 1)
             assert 0.0 <= value <= math.sqrt(math.log(2)) + 1e-12
 
     def test_degenerate_comparison_rejected(self):
         joint = random_joint(4, positions=2, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
         with pytest.raises(DegenerateComparisonError):
-            commutator(joint, state, argmax_commit(), 0, 1)
+            commutator(joint, open_row(2), (0, 1), argmax_commit(), 0, 1)
 
 
 class TestConflictScore:
     def test_independent_joint_is_zero(self):
         joint = independent_joint(6, positions=4, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=1)
-        assert conflict_score(joint, state, argmax_commit(), (0, 1, 2, 3)).value == pytest.approx(0.0, abs=1e-10)
+        block = (0, 1, 2, 3)
+        assert conflict_score(joint, open_row(4), block, argmax_commit(), block).value == pytest.approx(0.0, abs=1e-10)
 
     def test_two_position_candidate_equals_single_commutator(self):
         joint = random_joint(7, positions=4, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 2)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=3)
-        score = conflict_score(oracle, state, argmax_commit(), (1, 2))
-        single = commutator(oracle, state, argmax_commit(), 1, 2).value
+        row, block = open_row(4), (0, 1, 2, 3)
+        score = conflict_score(oracle, row, block, argmax_commit(), (1, 2))
+        single = commutator(oracle, row, block, argmax_commit(), 1, 2)
         assert score.value == single
         assert not score.skipped_pairs
 
     def test_exhausting_pairs_skipped_with_flag(self):
         joint = random_joint(8, positions=2, vocab=3)
-        state = DecodeState(context=PartialContext({}, (0, 1)), rng_seed=0)
-        score = conflict_score(joint, state, argmax_commit(), (0, 1))
+        score = conflict_score(joint, open_row(2), (0, 1), argmax_commit(), (0, 1))
         assert score.value == 0.0
         assert score.skipped_pairs == ((0, 1),)
 
     def test_sum_is_enumeration_order_free(self):
         joint = random_joint(9, positions=4, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.6, 5)
-        state = DecodeState(context=PartialContext({}, (0, 1, 2, 3)), rng_seed=4)
-        first = conflict_score(oracle, state, argmax_commit(), (0, 1, 2, 3))
-        second = conflict_score(oracle, state, argmax_commit(), (3, 2, 1, 0))
+        row, block = open_row(4), (0, 1, 2, 3)
+        first = conflict_score(oracle, row, block, argmax_commit(), (0, 1, 2, 3))
+        second = conflict_score(oracle, row, block, argmax_commit(), (3, 2, 1, 0))
         assert first.value == second.value
 
 
@@ -283,12 +295,12 @@ class TestRunScheduler:
         joint = random_joint(case, positions=data.draw(st.integers(3, 4)), vocab=data.draw(st.integers(2, 3)))
         oracle = joint if case % 2 else PerturbedConditionalModel(joint, 0.5, case)
         ctx = random_context(case, joint, min_block=1)
-        width = data.draw(st.integers(1, len(ctx.block)))
+        widths = data.draw(st.lists(st.integers(1, len(ctx.block)), min_size=runs, max_size=runs))
         sched = SchedulerSpec(kind)  # an unseeded random scheduler shuffles each run its own way
         seeds = [derived_seed(case, r) for r in range(runs)]
-        batch = run_scheduler(oracle, ctx, seeds, sched, operator, width)
+        batch = run_scheduler(oracle, ctx, seeds, sched, operator, np.array(widths))
         for r, seed in enumerate(seeds):
-            alone = run_scheduler(oracle, ctx, [seed], sched, operator, width)
+            alone = run_scheduler(oracle, ctx, [seed], sched, operator, widths[r])
             assert np.array_equal(batch.tokens[r], alone.tokens[0])
             rounds = len(alone.forced)
             for name in ("chosen", "committed", "forced"):
@@ -296,8 +308,58 @@ class TestRunScheduler:
                 assert np.array_equal(mask[:rounds], getattr(alone, name)[:, 0])
                 assert not mask[rounds:].any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.integers(0, 10_000),
+        operator=st.sampled_from([argmax_commit(), sample_commit(), threshold_commit(0.5), threshold_commit(0.9)]),
+        lams=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3),
+        data=st.data(),
+    )
+    def test_conflict_aware_pick_matches_per_candidate_scores(self, case, operator, lams, data):
+        # reference: score every candidate on its own with conflict_score and the summed pair dependence
+        joint = random_joint(case, positions=data.draw(st.integers(3, 5)), vocab=data.draw(st.integers(2, 4)), scale=2.0)
+        oracle = joint if case % 2 else PerturbedConditionalModel(joint, 1.0, case)
+        ctx = random_context(case, joint, min_block=2)
+        row, block = context_row(ctx, joint.positions), sorted(ctx.block)
+        draws = draw_row(operator, derived_seed(case, 1), joint.positions, block)
+        conf = {p: float(np.exp(oracle.log_dist(p, ctx.observed)).max()) for p in block}
+        lam_confidence, lam_conflict, lam_dependence = lams
+
+        def score(cand):
+            value = lam_confidence * (-float(np.mean([conf[p] for p in cand])))
+            if len(cand) >= 2:
+                value += lam_conflict * conflict_score(oracle, row, block, operator, cand, draws).value
+                pairs = itertools.combinations(cand, 2)
+                value += lam_dependence * sum(_oracle_pair_dependence(oracle, row, i, j) for i, j in pairs)
+            return value
+
+        for block_search in ("contiguous", "subsets"):
+            sched = SchedulerSpec("conflict-aware", lam_confidence=lam_confidence, lam_conflict=lam_conflict,
+                                  lam_dependence=lam_dependence, block_search=block_search)
+            for width in range(1, len(block) + 1):
+                pick = _conflict_aware_block(oracle, row, draws, sched, operator, width, conf)
+                if block_search == "subsets":
+                    candidates = list(itertools.combinations(block, width))
+                else:
+                    candidates = [tuple(block[k : k + width]) for k in range(len(block) - width + 1)]
+                assert pick == min(candidates, key=lambda cand: (tie_key(score(cand)), cand))
+
 
 class TestStress:
+    def test_each_run_draws_once_across_widths(self, monkeypatch):
+        drawn = []
+        exact = decoding.stable_uniform
+        monkeypatch.setattr(decoding, "stable_uniform", lambda *parts: drawn.append(parts) or exact(*parts))
+        joint = random_joint(16, positions=4, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.5, 6)
+        contexts = [PartialContext({}, (0, 1, 2, 3)), PartialContext({0: 1}, (1, 3))]
+        scheds = [SchedulerSpec("left-to-right"), SchedulerSpec("conflict-aware")]
+        runs = 5
+        stress_test(oracle, joint, contexts, widths=[1, 2, 3], schedulers=scheds, operator=sample_commit(),
+                    runs=runs, seed=4)
+        # runs x |block| per (context, scheduler), plus |block| per context for the conflict predictor
+        assert len(drawn) == sum((len(scheds) * runs + 1) * len(c.block) for c in contexts)
+
     def test_independent_joint_no_degradation(self):
         joint = independent_joint(13, positions=3, vocab=3)
         ctx = PartialContext({}, (0, 1, 2))

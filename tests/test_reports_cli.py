@@ -186,6 +186,10 @@ class TestCliExitCodes:
                 for name in ("", ".", "sub/", "sub/m.json", os.path.join(tempfile.gettempdir(), "curlgauge-model.json"))
                 for command in ("synth-gen", "train")
             ],
+            # a model_out that names one of the command's own report files
+            ("synth-gen", {"model_out": "synth_gen.json"}),
+            ("train", {"model_out": "train.json"}),
+            ("train", {"model_out": "train_train_history.csv"}),
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
