@@ -233,12 +233,15 @@ class ConditionalOracle:
             cls += strides[p] * (t + 1)
         return self.log_rows(position, cls)
 
-    def class_grid(self, position: int, observed: Mapping[int, int], free) -> np.ndarray:
+    def class_grid(self, position: int, observed: Mapping[int, int] | np.ndarray, free) -> np.ndarray:
         """Class indices of ``position`` over a grid of contexts: ``observed``
         plus, for the k-th entry of ``free``, an axis k along which that
-        position takes every token.  A ``None`` entry gives a length-1 axis."""
+        position takes every token.  A ``None`` entry gives a length-1 axis.
+        ``observed`` is a position -> token map or token rows (-1 unassigned), whose leading axes lead."""
         strides, digits = self.strides[position], np.arange(1, self.vocab.size + 1)
-        grid = np.full((1,) * len(free), sum(strides[p] * (t + 1) for p, t in observed.items()))
+        rows = isinstance(observed, np.ndarray)
+        base = (observed + 1) @ strides if rows else sum(strides[p] * (t + 1) for p, t in observed.items())
+        grid = np.asarray(base)[(...,) + (None,) * len(free)]
         for k, p in enumerate(free):
             if p is not None:
                 grid = grid + (strides[p] * digits).reshape((1,) * k + (-1,) + (1,) * (len(free) - k - 1))

@@ -32,7 +32,6 @@ from .core import (
     kl,
     seeded_rng,
     stable_uniform,
-    tie_key,
 )
 from .dependence import kl_vs_marginal_product, total_correlation
 from .errors import ContractViolationError, DegenerateComparisonError
@@ -92,6 +91,13 @@ def _conditionals(oracle: ConditionalOracle, tokens: np.ndarray, position: int) 
     return np.exp(oracle.log_rows(position, (tokens + 1) @ oracle.strides[position]))
 
 
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D array ``keys``, and each row's index among them."""
+    index: dict[tuple, int] = {}
+    inverse = np.array([index.setdefault(key, len(index)) for key in map(tuple, keys.tolist())])
+    return np.array(list(index), dtype=keys.dtype).reshape(len(index), -1), inverse
+
+
 def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray:
     """Token the operator commits from each conditional row of ``probs`` (``(..., V)``),
     or -1 for a threshold no-op.  Argmax ties go to the lowest token id; a sample
@@ -109,68 +115,75 @@ def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray
 def apply_update(
     oracle: ConditionalOracle, row: np.ndarray, operator: UpdateOperator, position: int, draws=None
 ) -> np.ndarray:
-    """The token row after one operator update at one unresolved position (the
-    row itself when a threshold no-ops); a sample reads ``draws[position]``."""
-    if row[position] >= 0:
+    """The token rows after one operator update at one unresolved position of
+    ``row``, one row or ``(runs, positions)`` rows (the input itself when a
+    threshold no-ops in every row); a sample reads ``draws[..., position]``."""
+    if (row[..., position] >= 0).any():
         raise ContractViolationError(f"position {position} is not unresolved in this state")
     if operator.kind == SAMPLE and draws is None:
         raise ContractViolationError("a sample-commit update needs the run's draw row")
-    token = int(_decide(_conditionals(oracle, row, position), operator, None if draws is None else draws[position]))
-    if token < 0:
+    token = _decide(_conditionals(oracle, row, position), operator, None if draws is None else draws[..., position])
+    if (token < 0).all():
         return row
     out = row.copy()
-    out[position] = token
+    out[..., position] = token
     return out
 
 
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence in nats, in [0, ln 2]."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
+def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence in nats, in [0, ln 2], between ``p[r]`` and
+    ``q[r]`` for each index r of the leading axis."""
+    p = np.asarray(p, dtype=np.float64).reshape(len(p), -1)
+    q = np.asarray(q, dtype=np.float64).reshape(len(q), -1)
     with np.errstate(divide="ignore"):
         log_p, log_q, log_m = np.log(p), np.log(q), np.log(0.5 * (p + q))
-    return max(0.0, float(0.5 * (kl(log_p, log_m) + kl(log_q, log_m))))
+    return np.maximum(0.0, 0.5 * (kl(log_p, log_m, axis=-1) + kl(log_q, log_m, axis=-1)))
 
 
-def _predictive_product(oracle: ConditionalOracle, row: np.ndarray, coords: Sequence[int]) -> np.ndarray:
-    """Product of per-coordinate conditionals over `coords`, exact.
+def _predictive_product(oracle: ConditionalOracle, rows: np.ndarray, coords: Sequence[int]) -> np.ndarray:
+    """Product of per-coordinate conditionals over `coords`, exact, for each
+    token row of ``rows``: shaped ``(runs,) + (V,) * len(coords)``.
 
-    Coordinates already committed in this row enter as point masses at
+    Coordinates already committed in a row enter as point masses at
     their committed token, so predictive objects from paths with different
     commit sets stay comparable on a common coordinate space.
     """
     vocab = oracle.vocab.size
-    probs = np.ones((vocab,) * len(coords))
+    probs = np.ones((len(rows),) + (vocab,) * len(coords))
     for axis, pos in enumerate(coords):
-        if row[pos] >= 0:
-            vec = np.zeros(vocab)
-            vec[row[pos]] = 1.0
-        else:
-            vec = _conditionals(oracle, row, pos)
-        shape = [1] * len(coords)
-        shape[axis] = vocab
+        token = rows[:, pos, None]
+        vec = np.where(token >= 0, token == np.arange(vocab), _conditionals(oracle, rows, pos))
+        shape = [len(rows)] + [1] * len(coords)
+        shape[axis + 1] = vocab
         probs = probs * vec.reshape(shape)
     return probs
 
 
 def commutator(
     oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, i: int, j: int, draws=None
-) -> float:
+) -> float | np.ndarray:
     """Root Jensen-Shannon divergence between the predictive products over the
     open ``block`` after committing i then j versus j then i under the operator;
-    both paths read the same per-position ``draws``."""
+    both paths read the same per-position ``draws``.  ``row`` is one token row
+    (giving a float) or ``(runs, positions)`` rows with that open block (giving
+    one value per run), and ``draws`` one draw row or one per run."""
     if i == j or i not in block or j not in block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct unresolved positions")
     if len(block) == 2:
         raise DegenerateComparisonError(
             "committing both positions would leave no unresolved coordinate to compare; enlarge the block"
         )
-    row_ij = apply_update(oracle, apply_update(oracle, row, operator, i, draws), operator, j, draws)
-    row_ji = apply_update(oracle, apply_update(oracle, row, operator, j, draws), operator, i, draws)
-    coords = [p for p in sorted(block) if row_ij[p] < 0 or row_ji[p] < 0]
-    pred_ij = _predictive_product(oracle, row_ij, coords)
-    pred_ji = _predictive_product(oracle, row_ji, coords)
-    return math.sqrt(js_divergence(pred_ij, pred_ji))
+    rows, block = np.atleast_2d(row), sorted(block)
+    row_ij = apply_update(oracle, apply_update(oracle, rows, operator, i, draws), operator, j, draws)
+    row_ji = apply_update(oracle, apply_update(oracle, rows, operator, j, draws), operator, i, draws)
+    # the coordinates left open on either path; only a threshold no-op makes them differ between rows
+    open_sets, set_of = _distinct_rows((row_ij[:, block] < 0) | (row_ji[:, block] < 0))
+    value = np.empty(len(rows))
+    for k, open_set in enumerate(open_sets):
+        sel, coords = set_of == k, list(itertools.compress(block, open_set))
+        pred = _predictive_product(oracle, np.concatenate([row_ij[sel], row_ji[sel]]), coords)
+        value[sel] = np.sqrt(js_divergence(pred[: len(pred) // 2], pred[len(pred) // 2 :]))
+    return value if np.ndim(row) == 2 else float(value[0])
 
 
 @dataclass(frozen=True)
@@ -190,7 +203,8 @@ class ConflictScore:
 def conflict_score(
     oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, candidate, draws=None
 ) -> ConflictScore:
-    """Sum of pairwise commutator values over a candidate subset of the open ``block``.
+    """Sum of pairwise commutator values over a candidate subset of the open ``block``,
+    added left to right; per run for ``(runs, positions)`` rows (see `commutator`).
 
     When the block holds just the two positions of a pair, committing both
     would leave nothing to compare; that pair is skipped and flagged rather
@@ -205,7 +219,8 @@ def conflict_score(
     if len(block) == 2:
         return ConflictScore(0.0, {}, tuple(pairs))
     values = {(i, j): commutator(oracle, row, block, operator, i, j, draws) for i, j in pairs}
-    return ConflictScore(sum(values.values(), 0.0), values, ())
+    *_, total = itertools.accumulate(values.values(), initial=0.0)
+    return ConflictScore(total, values, ())
 
 
 @dataclass(frozen=True)
@@ -249,43 +264,47 @@ class SchedulerSpec:
         }
 
 
-def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, j: int) -> float:
+def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, j: int) -> float | np.ndarray:
     """Dependence proxy from the oracle alone: mean over both resolution orders
-    of the mutual information of the order-induced pair product."""
-    observed = {p: t for p, t in enumerate(row.tolist()) if t >= 0}
-    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, observed, (), i, j))
+    of the mutual information of the order-induced pair product; a float for
+    one token row, one value per row of ``(runs, positions)`` rows."""
+    t0, t1, t2, t3 = _pair_terms(oracle, row, (), i, j)
     q_ij = np.exp(t0) * np.exp(t1)
     q_ji = np.exp(t2) * np.exp(t3)
-    return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))
+    value = 0.5 * (kl_vs_marginal_product(q_ij, batch=1) + kl_vs_marginal_product(q_ji, batch=1))
+    return value if np.ndim(row) == 2 else float(value[0])
 
 
-def _conflict_aware_block(
-    oracle: ConditionalOracle, row: np.ndarray, draws, scheduler: SchedulerSpec, operator: UpdateOperator, width, conf
-) -> tuple[int, ...]:
-    """The lowest-scoring conflict-aware candidate among one run's open positions,
-    the keys of ``conf`` (each position's max-probability).  Each pair's
-    commutator and dependence is computed once, for every candidate holding it."""
-    unresolved = sorted(conf)
-    w = min(width, len(unresolved))
-    if scheduler.block_search == "subsets" and len(unresolved) <= 8:
-        candidates = list(itertools.combinations(unresolved, w))
-    else:
-        candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
-    if len(candidates) == 1:  # also the case of two open positions, whose pair leaves nothing to compare
-        return candidates[0]
-    pairs = dict.fromkeys(pair for cand in candidates for pair in itertools.combinations(cand, 2))
-    conflict = {(i, j): commutator(oracle, row, unresolved, operator, i, j, draws) for i, j in pairs}
-    dependence = {(i, j): _oracle_pair_dependence(oracle, row, i, j) for i, j in pairs}
-
-    def score(cand) -> float:
-        value = scheduler.lam_confidence * (-float(np.mean([conf[p] for p in cand])))
-        if len(cand) >= 2:
-            cand_pairs = list(itertools.combinations(cand, 2))
-            value += scheduler.lam_conflict * sum((conflict[pair] for pair in cand_pairs), 0.0)
-            value += scheduler.lam_dependence * sum(dependence[pair] for pair in cand_pairs)
-        return value
-
-    return min(candidates, key=lambda cand: (tie_key(score(cand)), cand))
+def _conflict_aware_chosen(oracle, rows, draws, conf, widths, scheduler: SchedulerSpec, operator, block) -> np.ndarray:
+    """Mask over ``block`` of each run's lowest-scoring conflict-aware candidate
+    (``conf``: each position's max-probability).  Runs with the same open positions
+    and width share candidates and are scored as ``(runs, candidates)`` arrays: one
+    commutator call per pair and group, one dependence per pair and distinct row,
+    pair terms added left to right.  A run takes its first lowest candidate on the tie grid."""
+    open_ = rows[:, block] < 0
+    chosen = np.zeros_like(open_)
+    keys, group_of = _distinct_rows(np.column_stack([open_, np.minimum(widths, open_.sum(axis=1))]))
+    for g, (*open_set, w) in enumerate(keys.tolist()):
+        runs, unresolved = np.flatnonzero(group_of == g), list(itertools.compress(block, open_set))
+        if scheduler.block_search == "subsets" and len(unresolved) <= 8:
+            candidates = list(itertools.combinations(unresolved, w))
+        else:
+            candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
+        members = np.searchsorted(block, candidates)
+        score = scheduler.lam_confidence * -conf[runs][:, members].mean(axis=-1)
+        if w >= 2 and len(candidates) > 1:  # (two open positions give one candidate, and nothing to compare)
+            pairs = list(dict.fromkeys(pair for cand in candidates for pair in itertools.combinations(cand, 2)))
+            cand_pairs = [[pairs.index(pair) for pair in itertools.combinations(cand, 2)] for cand in candidates]
+            distinct, row_of = _distinct_rows(rows[runs])
+            # without draws the commutator, like the dependence, reads the row alone
+            states, state_draws, state_of = (distinct, None, row_of) if draws is None else (rows[runs], draws[runs], ...)
+            conflict = np.stack([commutator(oracle, states, unresolved, operator, i, j, state_draws) for i, j in pairs], 1)
+            dependence = np.stack([_oracle_pair_dependence(oracle, distinct, i, j) for i, j in pairs], 1)
+            # cumsum adds each candidate's pair terms left to right, in combinations order
+            score = score + scheduler.lam_conflict * conflict[state_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
+            score = score + scheduler.lam_dependence * dependence[row_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
+        chosen[runs[:, None], members[np.rint(score / TIE_GRID).argmin(axis=1)]] = True
+    return chosen
 
 
 def _shuffled_ranks(seed: int, block: list[int]) -> list[int]:
@@ -346,39 +365,35 @@ def run_scheduler(
     if scheduler.kind == "random":
         shared = scheduler.seed is not None
         key = np.array([_shuffled_ranks(scheduler.seed if shared else s, block) for s in seeds]).reshape(runs, -1)
-    masks, forced = [], []
-    while True:
-        open_ = tokens[:, block] < 0
-        live = open_.any(axis=1)
-        if not live.any():
+    # every live run commits at least one position a round
+    masks, forced = np.zeros((len(block), 2, runs, positions), dtype=bool), np.zeros((len(block), runs), dtype=bool)
+    for k in itertools.count():
+        # only the runs still open are gathered, decided and scored
+        live = np.flatnonzero((tokens[:, block] < 0).any(axis=1))
+        if not len(live):
             break
-        probs = np.stack([_conditionals(oracle, tokens, p) for p in block], axis=1)
+        rows, run_draws = tokens[live], None if draws is None else draws[live]
+        probs = np.stack([_conditionals(oracle, rows, p) for p in block], axis=1)
         conf = probs.max(axis=-1)
         # tie_key of each confidence, negated so the most confident sorts first
         conf_key = -np.rint(conf / TIE_GRID)
         if scheduler.kind == "conflict-aware":
-            chosen = np.zeros_like(open_)
-            for r in np.flatnonzero(live):
-                conf_row = {p: conf[r, k] for k, p in enumerate(block) if open_[r, k]}
-                run_draws = None if draws is None else draws[r]
-                pick = _conflict_aware_block(oracle, tokens[r], run_draws, scheduler, operator, widths[r], conf_row)
-                chosen[r] = [p in pick for p in block]
+            chosen = _conflict_aware_chosen(oracle, rows, run_draws, conf, widths[live], scheduler, operator, block)
         else:
-            round_key = conf_key if scheduler.kind == "confidence" else key
+            open_ = rows[:, block] < 0
+            round_key = conf_key if scheduler.kind == "confidence" else key[live]
             order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
-            chosen = open_ & (np.argsort(order, axis=1) < widths[:, None])
-        decided = np.where(chosen, _decide(probs, operator, None if draws is None else draws[:, block]), -1)
+            chosen = open_ & (np.argsort(order, axis=1) < widths[live, None])
+        decided = np.where(chosen, _decide(probs, operator, None if run_draws is None else run_draws[:, block]), -1)
         # stall breaker: a threshold round that commits nothing would loop
         # forever, so write the most confident selection as a plain argmax
-        stalled = live & (decided < 0).all(axis=1)
+        stalled = (decided < 0).all(axis=1)
         pick = np.where(chosen, conf_key, np.inf)[stalled].argmin(axis=1)
         decided[stalled, pick] = _decide(probs[stalled, pick], argmax_commit(), None)
-        tokens[:, block] = np.where(decided >= 0, decided, tokens[:, block])
-        masks.append((chosen, decided >= 0))
-        forced.append(stalled)
-    full = np.zeros((len(masks), 2, runs, positions), dtype=bool)
-    full[..., block] = np.reshape(masks, (len(masks), 2, runs, len(block)))
-    return DecodeResult(tokens, full[:, 0], full[:, 1], np.reshape(forced, (len(masks), runs)))
+        tokens[np.ix_(live, block)] = np.where(decided >= 0, decided, rows[:, block])
+        masks[k][np.ix_([0, 1], live, block)] = chosen, decided >= 0
+        forced[k, live] = stalled
+    return DecodeResult(tokens, masks[:k, 0], masks[:k, 1], forced[:k])
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,16 @@ def _sum_marginal_entropies(probs: np.ndarray) -> float:
     return float(sum(entropy(np.log(_axis_marginal(probs, k))) for k in range(probs.ndim)))
 
 
-def kl_vs_marginal_product(probs: np.ndarray) -> float:
-    """KL of a multi-axis distribution against the product of its own marginals."""
+def kl_vs_marginal_product(probs: np.ndarray, batch: int = 0) -> float | np.ndarray:
+    """KL of a multi-axis distribution against the product of its own marginals;
+    the first ``batch`` axes index separate distributions, one KL each."""
+    axes = tuple(range(batch, probs.ndim))
     product = np.ones_like(probs)
-    for axis in range(probs.ndim):
-        shape = [1] * probs.ndim
-        shape[axis] = probs.shape[axis]
-        product = product * _axis_marginal(probs, axis).reshape(shape)
+    for axis in axes:
+        product = product * probs.sum(axis=tuple(k for k in axes if k != axis), keepdims=True)
     with np.errstate(divide="ignore"):
-        return float(kl(np.log(probs), np.log(product)))
+        value = kl(np.log(probs), np.log(product), axis=axes)
+    return value if batch else float(value)
 
 
 def total_correlation(joint: TabularJointModel, context: PartialContext) -> float:

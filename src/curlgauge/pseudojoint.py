@@ -202,7 +202,8 @@ def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], visible:
     leading axis over the row-major values v of the ``visible`` positions, S_v being
     ``observed`` plus those values: ``t0[v, a, 0] = log q_i(a|S_v)``,
     ``t1[v, a, b] = log q_j(b|S_v, i=a)``, ``t2[v, 0, b] = log q_j(b|S_v)`` and
-    ``t3[v, a, b] = log q_i(a|S_v, j=b)``.  Costs four gathers."""
+    ``t3[v, a, b] = log q_i(a|S_v, j=b)``.  Costs four gathers.  ``observed`` may
+    also be token rows (see ``class_grid``); v then runs over rows, then values."""
     vocab, free = oracle.vocab.size, list(visible)
     t0 = oracle.log_rows(i, oracle.class_grid(i, observed, free)).reshape(-1, vocab, 1)
     t1 = oracle.log_rows(j, oracle.class_grid(j, observed, free + [i])).reshape(-1, vocab, vocab)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -14,11 +15,11 @@ from curlgauge.core import (
     PerturbedConditionalModel,
     TabularJointModel,
     derived_seed,
+    seeded_rng,
     tie_key,
 )
 from curlgauge.decoding import (
     SchedulerSpec,
-    _conflict_aware_block,
     _oracle_pair_dependence,
     apply_update,
     argmax_commit,
@@ -316,33 +317,83 @@ class TestRunScheduler:
         data=st.data(),
     )
     def test_conflict_aware_pick_matches_per_candidate_scores(self, case, operator, lams, data):
-        # reference: score every candidate on its own with conflict_score and the summed pair dependence
+        # reference: score every candidate on its own with conflict_score and the summed pair
+        # dependence, against the first round of one batch whose runs differ in width and draw row
         joint = random_joint(case, positions=data.draw(st.integers(3, 5)), vocab=data.draw(st.integers(2, 4)), scale=2.0)
         oracle = joint if case % 2 else PerturbedConditionalModel(joint, 1.0, case)
         ctx = random_context(case, joint, min_block=2)
         row, block = context_row(ctx, joint.positions), sorted(ctx.block)
-        draws = draw_row(operator, derived_seed(case, 1), joint.positions, block)
         conf = {p: float(np.exp(oracle.log_dist(p, ctx.observed)).max()) for p in block}
         lam_confidence, lam_conflict, lam_dependence = lams
+        widths = np.arange(1, len(block) + 1)
+        seeds = [derived_seed(case, 1, r) for r in range(len(widths))]
+        sampled = operator == sample_commit()  # otherwise no run has draws, and all share one reference
 
-        def score(cand):
+        @functools.cache
+        def score(cand, seed):
+            draws = draw_row(operator, seed, joint.positions, block)
             value = lam_confidence * (-float(np.mean([conf[p] for p in cand])))
             if len(cand) >= 2:
                 value += lam_conflict * conflict_score(oracle, row, block, operator, cand, draws).value
-                pairs = itertools.combinations(cand, 2)
-                value += lam_dependence * sum(_oracle_pair_dependence(oracle, row, i, j) for i, j in pairs)
+                dependence = 0.0
+                for i, j in itertools.combinations(cand, 2):
+                    dependence += _oracle_pair_dependence(oracle, row, i, j)
+                value += lam_dependence * dependence
             return value
 
         for block_search in ("contiguous", "subsets"):
             sched = SchedulerSpec("conflict-aware", lam_confidence=lam_confidence, lam_conflict=lam_conflict,
                                   lam_dependence=lam_dependence, block_search=block_search)
-            for width in range(1, len(block) + 1):
-                pick = _conflict_aware_block(oracle, row, draws, sched, operator, width, conf)
+            first_round = run_scheduler(oracle, ctx, seeds, sched, operator, widths).chosen[0]
+            for seed, width, chosen in zip(seeds, widths, first_round):
+                pick = tuple(np.flatnonzero(chosen).tolist())
                 if block_search == "subsets":
                     candidates = list(itertools.combinations(block, width))
                 else:
                     candidates = [tuple(block[k : k + width]) for k in range(len(block) - width + 1)]
-                assert pick == min(candidates, key=lambda cand: (tie_key(score(cand)), cand))
+                assert pick == min(candidates, key=lambda cand: (tie_key(score(cand, seed if sampled else None)), cand))
+
+    def test_conflict_aware_gathers_once_per_distinct_state(self, monkeypatch):
+        # argmax runs of one context share every state, so a batch of 32 gathers as much as one run
+        ctx = PartialContext({0: 1}, (1, 2, 3, 5))
+        sched = SchedulerSpec("conflict-aware", block_search="subsets")
+        gathers = []
+        for runs in (1, 32):
+            joint = random_joint(17, positions=6, vocab=3)
+            calls = []
+            exact = joint.log_rows
+            monkeypatch.setattr(joint, "log_rows", lambda position, cls: calls.append(position) or exact(position, cls))
+            run_scheduler(joint, ctx, list(range(runs)), sched, argmax_commit(), 2)
+            gathers.append(len(calls))
+        assert gathers[0] == gathers[1]
+
+
+class TestBatchInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.integers(0, 10_000),
+        operator=st.sampled_from([argmax_commit(), sample_commit(), threshold_commit(0.5), threshold_commit(0.9)]),
+        positions=st.integers(3, 5),
+        vocab=st.integers(2, 4),
+    )
+    def test_token_arrays_equal_single_rows(self, case, operator, positions, vocab):
+        # the rows share an open block; each other position holds a random token or is left neither
+        # observed nor in the block, so the rows' conditionals, and a threshold's no-ops, differ
+        joint = random_joint(case, positions, vocab, scale=2.0)
+        oracle = joint if case % 2 else PerturbedConditionalModel(joint, 1.0, case)
+        rng = seeded_rng(case, 7)
+        block = sorted(rng.choice(positions, size=int(rng.integers(3, positions + 1)), replace=False).tolist())
+        rows = rng.integers(-1, vocab, size=(3, positions))
+        rows[:, block] = -1
+        draws = rng.random((3, positions)) if operator == sample_commit() else [None] * 3
+        batch_draws = None if draws[0] is None else draws
+        i, j = rng.choice(block, size=2, replace=False).tolist()
+        updated = apply_update(oracle, rows, operator, i, batch_draws)
+        assert all(np.array_equal(updated[r], apply_update(oracle, rows[r], operator, i, draws[r])) for r in range(3))
+        values = commutator(oracle, rows, block, operator, i, j, batch_draws)
+        assert values.tolist() == [commutator(oracle, rows[r], block, operator, i, j, draws[r]) for r in range(3)]
+        dependence = _oracle_pair_dependence(oracle, rows, i, j)
+        assert dependence.tolist() == [_oracle_pair_dependence(oracle, rows[r], i, j) for r in range(3)]
 
 
 class TestStress:
