@@ -11,10 +11,16 @@ controlled incompatibility on top of the same surface.
 
 All arithmetic is in the log domain, through the one ``logsumexp``/
 ``log_normalize`` pair and the one ``kl``/``entropy`` pair below.
+
+Keyed randomness (derived seeds, the decoders' sample draws) comes from one
+kernel, :func:`seed_states`: numpy's ``SeedSequence`` hash written as masked
+integer arithmetic, so one call hashes one key or a whole array of keys and
+gives ``SeedSequence``'s bits either way.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -85,9 +91,75 @@ def _seed_key(*parts: int) -> list[int]:
     return key
 
 
+# constants of numpy's SeedSequence pool hash (O'Neill's seed_seq alternative)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _multipliers(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` (xor, multiplier) pairs of a hash chain: a step xors in
+    the running constant, then multiplies by its next value."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
+
+
+@functools.cache
+def _pool_steps(n_words: int) -> tuple[tuple, tuple]:
+    """The pool hash of a key of ``n_words`` words as a fixed program: the (xor,
+    multiplier) pairs that hash the first words into the pool, then one (source,
+    pool word, xor, multiplier) step per mix, where a source indexes the pool
+    followed by the key words past it.  The constants never depend on the key."""
+    pairs = [(src, dst) for src in range(max(_POOL, n_words)) for dst in range(_POOL) if src != dst]
+    consts = _multipliers(_INIT_A, _MULT_A, _POOL + len(pairs))
+    return tuple(consts[:_POOL]), tuple(pair + const for pair, const in zip(pairs, consts[_POOL:]))
+
+
+_OUTPUT_STEPS = _multipliers(_INIT_B, _MULT_B, 2)
+
+
+def _hashed(value, xor: int, mult: int):
+    """One hash step on a 32-bit word, or on an array of them."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def seed_states(words):
+    """``SeedSequence(words).generate_state(1, np.uint64)[0]``, bit for bit, for a
+    key of 32-bit words (see `_seed_key`).
+
+    This is numpy's pool hash: the first key words are hashed into a 4-word
+    pool, then every pool word and every later key word is hashed and mixed
+    into every other pool word, and the first two pool words are hashed out
+    as the low and high half.  Every step masks to 32 bits and no
+    intermediate reaches 2**64, so the same code runs on a list of Python
+    ints (one key, giving an int) and on a list of non-negative integer
+    arrays, or ints, that broadcast together (one key per element, giving a
+    uint64 array).
+    """
+    words = [w if isinstance(w, int) else np.asarray(w, dtype=np.uint64) for w in words]
+    first, steps = _pool_steps(len(words))
+    state = [_hashed(words[k] if k < len(words) else 0, *const) for k, const in enumerate(first)] + words[_POOL:]
+    for src, dst, xor, mult in steps:
+        # mix: (L * pool word - R * hashed source) mod 2**32, with 2**32 added before the subtraction
+        value = (_MIX_L * state[dst] + (_MASK32 + 1) - (_MIX_R * _hashed(state[src], xor, mult) & _MASK32)) & _MASK32
+        state[dst] = value ^ (value >> 16)
+    (low_xor, low_mult), (high_xor, high_mult) = _OUTPUT_STEPS
+    return _hashed(state[0], low_xor, low_mult) | (_hashed(state[1], high_xor, high_mult) << 32)
+
+
+def uniform_of(state):
+    """The uniform in [0, 1) of a 64-bit state (an int or a uint64 array): its top 53 bits."""
+    return (state >> 11) * 2.0**-53
+
+
 def derived_seed(*parts: int) -> int:
     """Deterministically derive a 64-bit sub-seed from integer components."""
-    return int(np.random.SeedSequence(_seed_key(*parts)).generate_state(1, np.uint64)[0])
+    return seed_states(_seed_key(*parts))
 
 
 def stable_uniform(*parts: int) -> float:
@@ -96,8 +168,7 @@ def stable_uniform(*parts: int) -> float:
     Stable across runs and across query order: the draw is a pure function
     of the key, not of any generator state.
     """
-    state = np.random.SeedSequence(_seed_key(*parts)).generate_state(1, np.uint64)[0]
-    return float(state >> np.uint64(11)) * 2.0**-53
+    return uniform_of(seed_states(_seed_key(*parts)))
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
@@ -348,8 +419,8 @@ class TabularJointModel(ConditionalOracle):
         # the digits before and after `position` index the outer and inner axis
         low = (self.vocab.size + 1) ** (self.positions - 1 - position)
         hi, lo = cls // low, cls % low
-        marginal = self._by_position[position]
-        return marginal[hi, 1:, lo] - marginal[hi, 0:1, lo]
+        rows = self._by_position[position][hi, :, lo]
+        return rows[..., 1:] - rows[..., 0:1]
 
     def log_block_conditional(self, context: PartialContext) -> np.ndarray:
         """Exact log p(x_block | observed) as an array with one axis per block position.

@@ -28,10 +28,12 @@ from .core import (
     ConditionalOracle,
     PartialContext,
     TabularJointModel,
+    _seed_key,
     derived_seed,
     kl,
+    seed_states,
     seeded_rng,
-    stable_uniform,
+    uniform_of,
 )
 from .dependence import kl_vs_marginal_product, total_correlation
 from .errors import ContractViolationError, DegenerateComparisonError
@@ -78,12 +80,30 @@ def context_row(context: PartialContext, positions: int) -> np.ndarray:
     return np.array([context.observed.get(p, -1) for p in range(positions)])
 
 
-def draw_row(operator: UpdateOperator, seed: int, positions: int, block: Sequence[int]) -> np.ndarray | None:
-    """One run's sample draws: ``stable_uniform(seed, 11, p)`` at each block
-    position p, NaN elsewhere; None unless the operator samples."""
+def draw_rows(
+    operator: UpdateOperator, seeds: Sequence[int], positions: int, block: Sequence[int]
+) -> np.ndarray | None:
+    """One draw row per run seed, ``(len(seeds), positions)``: ``stable_uniform(seed, 11, p)``
+    at each block position p, NaN elsewhere; None unless the operator samples.
+
+    Each distinct seed is drawn once.  The seeds' keys are grouped by word count
+    (a seed below 2**32 is one word), and each group is one `seed_states` call."""
     if operator.kind != SAMPLE:
         return None
-    return np.array([stable_uniform(seed, _SAMPLE_SALT, p) if p in block else np.nan for p in range(positions)])
+    index = {s: k for k, s in enumerate(dict.fromkeys(seeds))}
+    keys, cols = [_seed_key(s) for s in index], np.array(block, dtype=np.int64)
+    rows = np.full((len(keys), positions), np.nan)
+    for length in sorted({len(key) for key in keys}):
+        group = [k for k, key in enumerate(keys) if len(key) == length]
+        words = np.array([keys[k] for k in group], dtype=np.uint64).T[:, :, None]
+        rows[np.ix_(group, cols)] = uniform_of(seed_states([*words, _SAMPLE_SALT, cols]))
+    return rows[[index[s] for s in seeds]]
+
+
+def draw_row(operator: UpdateOperator, seed: int, positions: int, block: Sequence[int]) -> np.ndarray | None:
+    """One run's draw row (see `draw_rows`); None unless the operator samples."""
+    rows = draw_rows(operator, [seed], positions, block)
+    return None if rows is None else rows[0]
 
 
 def _conditionals(oracle: ConditionalOracle, tokens: np.ndarray, position: int) -> np.ndarray:
@@ -346,25 +366,24 @@ def run_scheduler(
 
     All commits within a round are decided from the pre-round conditionals
     (one-shot independent parallel within the round).  A run's sample draws
-    are its :func:`draw_row`, so they depend on the run seed and the position
-    alone; each distinct seed is drawn once.  A threshold round that commits
-    nothing force-commits its single most confident selected position as an
-    argmax, so decoding always terminates; such rounds are flagged.
+    are its row of :func:`draw_rows`, so they depend on the run seed and the
+    position alone; each distinct seed is drawn once.  A threshold round that
+    commits nothing force-commits its single most confident selected position
+    as an argmax, so decoding always terminates; such rounds are flagged.
     """
     runs, positions, block = len(seeds), oracle.positions, sorted(context.block)
     widths = np.broadcast_to(width, (runs,))
     if (widths < 1).any():
         raise ContractViolationError(f"width must be >= 1, got {width}")
     tokens = np.tile(context_row(context, positions), (runs, 1))
-    draws = None
-    if operator.kind == SAMPLE:
-        rows = {s: draw_row(operator, s, positions, block) for s in dict.fromkeys(seeds)}
-        draws = np.array([rows[s] for s in seeds]).reshape(runs, positions)
-    # left-to-right sorts by position alone, random by each run's shuffled rank
+    draws = draw_rows(operator, seeds, positions, block)
+    # left-to-right sorts by position alone, random by each run's shuffled rank,
+    # shuffled once per distinct shuffle seed
     key = np.zeros((runs, len(block)))
     if scheduler.kind == "random":
-        shared = scheduler.seed is not None
-        key = np.array([_shuffled_ranks(scheduler.seed if shared else s, block) for s in seeds]).reshape(runs, -1)
+        shuffle_seeds = seeds if scheduler.seed is None else [scheduler.seed] * runs
+        ranks = {s: _shuffled_ranks(s, block) for s in dict.fromkeys(shuffle_seeds)}
+        key = np.array([ranks[s] for s in shuffle_seeds]).reshape(runs, -1)
     # every live run commits at least one position a round
     masks, forced = np.zeros((len(block), 2, runs, positions), dtype=bool), np.zeros((len(block), runs), dtype=bool)
     for k in itertools.count():
@@ -513,7 +532,8 @@ def stress_test(
         predictors = _context_predictors(oracle, joint, context, operator, seed, ci)
         nll: dict[tuple[int, int], float] = {}
         for si, sched in enumerate(schedulers):
-            seeds = [derived_seed(seed, ci, si, k) for k in range(runs)]
+            # derived_seed(seed, ci, si, k) for every run k, in one kernel call (a run index is one word)
+            seeds = seed_states(_seed_key(seed, ci, si) + [np.arange(runs)]).tolist()
             tokens = run_scheduler(oracle, context, seeds * len(widths), sched, operator, np.repeat(widths, runs)).tokens
             values = log_p[tuple(tokens[:, p] for p in context.block)].tolist()
             for wi, w in enumerate(widths):

@@ -21,8 +21,10 @@ from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
+    _seed_key,
     apply_logit_shift,
     derived_seed,
+    seed_states,
     seeded_rng,
 )
 from curlgauge.decoding import (
@@ -229,7 +231,7 @@ def test_criterion_8_sampler_reproduces_joint():
         joint = TabularJointModel(4, 2, rng.standard_normal(16))
         ctx = PartialContext({}, (0, 1))
         n_runs = 50_000
-        seeds = [derived_seed(8080, k) for k in range(n_runs)]
+        seeds = seed_states(_seed_key(8080) + [np.arange(n_runs)]).tolist()  # derived_seed(8080, k) for every k
         tokens = run_scheduler(joint, ctx, seeds, SchedulerSpec("left-to-right"), sample_commit(), 1).tokens
         counts = np.zeros((4, 4))
         np.add.at(counts, (tokens[:, 0], tokens[:, 1]), 1)

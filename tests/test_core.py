@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +15,7 @@ from curlgauge.core import (
     PerturbedConditionalModel,
     TabularJointModel,
     Vocabulary,
+    _seed_key,
     apply_logit_shift,
     bayes_conditional,
     class_strides,
@@ -23,7 +25,9 @@ from curlgauge.core import (
     model_from_dict,
     perturbed_conditional,
     save_model,
+    seed_states,
 )
+from curlgauge.decoding import draw_row, draw_rows, sample_commit
 from curlgauge.errors import ContractViolationError, DimensionError, SizeCapError
 from curlgauge.pseudojoint import (
     ExhaustivePlan,
@@ -356,3 +360,44 @@ def test_model_files_reload_to_the_same_bits(tmp_path_factory, kind, seed):
         for assigned in ({}, {(i + 1) % 3: 2}, {(i + 1) % 3: 0, (i + 2) % 3: 1}):
             assert np.array_equal(bundle.oracle.log_dist(i, assigned), model.log_dist(i, assigned))
             assert np.array_equal(bundle.joint.log_dist(i, assigned), reference.log_dist(i, assigned))
+
+
+# key parts at the 32- and 64-bit word boundaries
+EDGE_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _random_keys(seed: int, count: int) -> list[list[int]]:
+    """``count`` keys of 1-6 parts: a boundary part, a one-word or a two-word part, a third each."""
+    rng, top, keys = np.random.default_rng(seed), [None, 2**32 - 1, 2**64 - 1], []
+    for _ in range(count):
+        kinds = rng.integers(0, 3, size=int(rng.integers(1, 7))).tolist()
+        keys.append([int(rng.choice(EDGE_PARTS) if k == 0 else rng.integers(0, top[k], dtype=np.uint64, endpoint=True))
+                     for k in kinds])
+    return keys
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_seed_states_equal_seed_sequence(seed):
+    # 50 examples of 20 random keys: 1,000 keys of 1-6 parts, 1-12 words, and the boundary parts alone and together
+    keys = [[p] for p in EDGE_PARTS] + [EDGE_PARTS + [0]] + _random_keys(seed, 20)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")  # a wrap that warns fails the test
+        words = [_seed_key(*parts) for parts in keys]
+        expected = [np.random.SeedSequence(key).generate_state(1, np.uint64)[0] for key in words]
+        assert [seed_states(key) for key in words] == expected
+        # one call per word count, the key words as columns
+        for length in {len(key) for key in words}:
+            group = [k for k, key in enumerate(words) if len(key) == length]
+            columns = np.array([words[k] for k in group], dtype=np.uint64).T
+            assert seed_states(list(columns)).tolist() == [expected[k] for k in group]
+        # the first parts as run seeds, each given twice, over a block that leaves positions out
+        seeds = [parts[0] for parts in keys]
+        rows = np.stack([draw_row(sample_commit(), s, 5, (3, 0, 1)) for s in seeds])
+        assert np.array_equal(draw_rows(sample_commit(), seeds + seeds[::-1], 5, (3, 0, 1)),
+                              np.concatenate([rows, rows[::-1]]), equal_nan=True)
+        assert np.isnan(rows[:, [2, 4]]).all()
+        for run_seed, row in zip(seeds, rows):
+            for p in (0, 1, 3):
+                state = np.random.SeedSequence(_seed_key(run_seed, 11, p)).generate_state(1, np.uint64)[0]
+                assert row[p] == float(state >> np.uint64(11)) * 2.0**-53

@@ -14,7 +14,9 @@ from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
+    _seed_key,
     derived_seed,
+    seed_states,
     seeded_rng,
     tie_key,
 )
@@ -264,7 +266,7 @@ class TestRunScheduler:
         joint = TabularJointModel(4, 2, rng.standard_normal(16))
         ctx = PartialContext({}, (0, 1))
         n_runs = 50_000
-        seeds = [derived_seed(777, k) for k in range(n_runs)]
+        seeds = seed_states(_seed_key(777) + [np.arange(n_runs)]).tolist()  # derived_seed(777, k) for every k
         tokens = run_scheduler(joint, ctx, seeds, SchedulerSpec("left-to-right"), sample_commit(), 1).tokens
         counts = np.zeros((4, 4))
         np.add.at(counts, (tokens[:, 0], tokens[:, 1]), 1)
@@ -276,7 +278,7 @@ class TestRunScheduler:
         joint = generate_joint(SyntheticTaskSpec("chain", positions=2, vocab_size=4, seed=6, beta=0.0))
         ctx = PartialContext({}, (0, 1))
         n_runs = 50_000
-        seeds = [derived_seed(888, k) for k in range(n_runs)]
+        seeds = seed_states(_seed_key(888) + [np.arange(n_runs)]).tolist()  # derived_seed(888, k) for every k
         tokens = run_scheduler(joint, ctx, seeds, SchedulerSpec("left-to-right"), sample_commit(), 2).tokens
         counts = np.zeros((4, 4))
         np.add.at(counts, (tokens[:, 0], tokens[:, 1]), 1)
@@ -398,9 +400,16 @@ class TestBatchInvariance:
 
 class TestStress:
     def test_each_run_draws_once_across_widths(self, monkeypatch):
-        drawn = []
-        exact = decoding.stable_uniform
-        monkeypatch.setattr(decoding, "stable_uniform", lambda *parts: drawn.append(parts) or exact(*parts))
+        keys = []
+        exact = decoding.seed_states
+
+        def recording(words):
+            # one key per element of the broadcast word columns
+            columns = np.broadcast_arrays(*[np.asarray(w, dtype=np.uint64) for w in words])
+            keys.extend(map(tuple, np.stack(columns, axis=-1).reshape(-1, len(words)).tolist()))
+            return exact(words)
+
+        monkeypatch.setattr(decoding, "seed_states", recording)
         joint = random_joint(16, positions=4, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 6)
         contexts = [PartialContext({}, (0, 1, 2, 3)), PartialContext({0: 1}, (1, 3))]
@@ -408,8 +417,11 @@ class TestStress:
         runs = 5
         stress_test(oracle, joint, contexts, widths=[1, 2, 3], schedulers=scheds, operator=sample_commit(),
                     runs=runs, seed=4)
+        # a sample draw's key is (seed words, salt, position); the run seeds' keys (4, ci, si, k) are not draws
+        drawn = [key for key in keys if key[-2] == decoding._SAMPLE_SALT]
         # runs x |block| per (context, scheduler), plus |block| per context for the conflict predictor
         assert len(drawn) == sum((len(scheds) * runs + 1) * len(c.block) for c in contexts)
+        assert len(set(drawn)) == len(drawn)
 
     def test_independent_joint_no_degradation(self):
         joint = independent_joint(13, positions=3, vocab=3)
