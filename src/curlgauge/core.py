@@ -622,7 +622,9 @@ def model_id(oracle: ConditionalOracle, joint: TabularJointModel | None) -> str:
 
 def plain_json(obj):
     """Copy of obj with numpy scalars and arrays turned into plain JSON types."""
-    if isinstance(obj, Mapping):
+    if (kind := type(obj)) in (float, int, str, bool, type(None)):  # exact types skip the slow ABC and numpy checks
+        return obj
+    if kind is dict or kind not in (list, tuple) and isinstance(obj, Mapping):
         return {str(k): plain_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [plain_json(v) for v in obj]

@@ -301,7 +301,12 @@ def iter_plan_samples(
 
 def ecirc_abs(oracle: ConditionalOracle, context: PartialContext, plan=ExhaustivePlan()) -> Estimate:
     """Mean absolute circulation under the plan (the scalar incompatibility summary)."""
-    values = np.array([abs(s.value) for s in iter_plan_samples(oracle, context, plan)])
+    if isinstance(plan, ExhaustivePlan) and (pairs := _block_pairs(context)):
+        # the plan's squares are the block pairs' circulation grids, row-major in (a, b)
+        grids = [_pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)[1] for i, j in pairs]
+        values = np.abs(np.concatenate([grid.reshape(-1) for grid in grids]))
+    else:
+        values = np.array([abs(s.value) for s in iter_plan_samples(oracle, context, plan)])
     if isinstance(plan, MonteCarloPlan):
         stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
         return Estimate(value=float(values.mean()), stderr=stderr, n=len(values), mode="monte-carlo")

@@ -1,7 +1,11 @@
 import itertools
+import json
 import math
 import warnings
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from curlgauge.core import (
     log_normalize,
     model_from_dict,
     perturbed_conditional,
+    plain_json,
     save_model,
     seed_states,
 )
@@ -33,6 +38,7 @@ from curlgauge.pseudojoint import (
     ExhaustivePlan,
     PseudoJointSpec,
     curl_local,
+    curl_scan_report,
     ecirc_abs,
     pseudo_joint_log_prob,
     pseudo_joint_table,
@@ -401,3 +407,47 @@ def test_seed_states_equal_seed_sequence(seed):
             for p in (0, 1, 3):
                 state = np.random.SeedSequence(_seed_key(run_seed, 11, p)).generate_state(1, np.uint64)[0]
                 assert row[p] == float(state >> np.uint64(11)) * 2.0**-53
+
+
+def _plain_json_reference(obj):
+    """The isinstance walk alone, with no exact-type shortcut."""
+    if isinstance(obj, Mapping):
+        return {str(k): _plain_json_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_json_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain_json_reference(v) for v in obj.tolist()]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+class _Section(dict):
+    pass
+
+
+def test_plain_json_equals_the_isinstance_walk():
+    joint = random_joint(21, positions=4, vocab=3)
+    scan = curl_scan_report(PerturbedConditionalModel(joint, 0.5, 3), PartialContext({0: 1}, (1, 2, 3)), model_id="m")
+    reports = [
+        scan,
+        {"sections": _Section(scan=[scan], order=(2, 0, 1)), "n": np.int64(7), "ok": np.bool_(True)},
+        {
+            3: np.float64(0.1),
+            "a": np.arange(6, dtype=np.int32).reshape(2, 3),
+            "b": np.linspace(0.0, 1.0, 4),
+            "c": (True, False, None, 1, 1.5, "x"),
+            "d": OrderedDict([("z", np.float32(2.5)), ("y", [np.uint8(3), (np.bool_(False),)])]),
+            "e": MappingProxyType({"k": np.array([True, False])}),
+            "f": np.array([[np.nan], [np.inf]]),
+        },
+    ]
+    for report in reports:
+        got, want = plain_json(report), _plain_json_reference(report)
+        assert repr(got) == repr(want)
+        assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(want, sort_keys=True, indent=1)

@@ -210,6 +210,16 @@ class TestEcircAbs:
         with pytest.raises(ContractViolationError):
             ecirc_abs(joint, PartialContext({0: 0, 1: 0}, (2,)), ExhaustivePlan())
 
+    def test_exhaustive_grids_equal_the_per_sample_mean(self):
+        for k in range(120):
+            rng = np.random.default_rng(k)
+            joint = random_joint(k, positions=int(rng.integers(4, 7)), vocab=int(rng.integers(2, 5)))
+            oracle = random_oracle(k, joint, None if k % 2 else 0.2 + float(rng.random()))
+            ctx = random_context(k, joint)
+            values = np.array([abs(s.value) for s in iter_plan_samples(oracle, ctx, ExhaustivePlan())])
+            est = ecirc_abs(oracle, ctx, ExhaustivePlan())
+            assert (est.value, est.n, est.mode) == (float(values.mean()), len(values), "exact"), k
+
 
 class TestOrderSwapKL:
     def test_compatible_oracle_gives_zero(self):

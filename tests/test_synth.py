@@ -1,21 +1,27 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_joint
+from curlgauge.cli import main
 from curlgauge.core import (
     LogitTable,
     LogitTableOracle,
     PartialContext,
+    TabularJointModel,
     apply_logit_shift,
+    model_id,
     seeded_rng,
 )
 from curlgauge.dependence import total_correlation
 from curlgauge.errors import ContractViolationError, TrainingFailureError
 from curlgauge.pseudojoint import ExhaustivePlan, MonteCarloPlan, order_consistency_check
 from curlgauge.synth import (
+    EXCHANGEABLE_COMPONENTS,
     SyntheticTaskSpec,
     TrainConfig,
     ecirc_penalty,
@@ -25,6 +31,79 @@ from curlgauge.synth import (
     tc_ladder,
     train_tabular,
 )
+
+
+def _exchangeable_reference(spec: SyntheticTaskSpec) -> np.ndarray:
+    """Log table of the exchangeable family, each state's mixture of products
+    comp[v] ** count_v evaluated at the state itself."""
+    m, vocab = spec.positions, spec.vocab_size
+    rng = seeded_rng(spec.seed, 2)
+    weights = np.exp(rng.standard_normal(EXCHANGEABLE_COMPONENTS))
+    weights /= weights.sum()
+    counts = np.stack([(np.indices((vocab,) * m) == v).sum(axis=0) for v in range(vocab)])
+    table = np.zeros((vocab,) * m)
+    for c in range(EXCHANGEABLE_COMPONENTS):
+        comp = np.exp(rng.standard_normal(vocab))
+        comp /= comp.sum()
+        prod = np.ones((vocab,) * m)
+        for v in range(vocab):
+            prod = prod * np.power(comp[v], counts[v])
+        table = table + weights[c] * prod
+    with np.errstate(divide="ignore"):
+        return np.log(table)
+
+
+def _chain_reference(spec: SyntheticTaskSpec) -> np.ndarray:
+    """Log table of the chain family, every term added over the full table."""
+    m, vocab = spec.positions, spec.vocab_size
+    rng = seeded_rng(spec.seed, 1)
+    log_table = np.zeros((vocab,) * m)
+    for k in range(m):
+        shape = [1] * m
+        shape[k] = vocab
+        log_table = log_table + rng.standard_normal(vocab).reshape(shape)
+    for k in range(m - 1):
+        shape = [1] * m
+        shape[k] = shape[k + 1] = vocab
+        log_table = log_table + spec.beta * rng.standard_normal((vocab, vocab)).reshape(shape)
+    return log_table
+
+
+_REFERENCES = {"exchangeable": _exchangeable_reference, "chain": _chain_reference}
+
+
+def _reference_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
+    return TabularJointModel(spec.vocab_size, spec.positions, _REFERENCES[spec.family](spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_REFERENCES)),
+    positions=st.integers(1, 6),
+    vocab=st.integers(2, 8),
+    seed=st.integers(0, 2**32),
+    beta=st.sampled_from([0.0, 0.8, -1.7, 3.0]),
+)
+@example(family="exchangeable", positions=6, vocab=8, seed=301, beta=1.0)
+@example(family="exchangeable", positions=6, vocab=8, seed=709, beta=1.0)
+@example(family="chain", positions=6, vocab=8, seed=709, beta=0.8)
+def test_generated_joints_equal_the_full_table_formulas(family, positions, vocab, seed, beta):
+    spec = SyntheticTaskSpec(family, positions=positions, vocab_size=vocab, seed=seed, beta=beta)
+    joint, reference = generate_joint(spec), _reference_joint(spec)
+    assert joint.log_mass.tobytes() == reference.log_mass.tobytes()
+    assert model_id(joint, joint) == model_id(reference, reference)
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCES))
+def test_synth_gen_model_files_equal_the_full_table_formulas(tmp_path, family):
+    recipe = {"family": family, "positions": 6, "vocab_size": 5, "seed": 12, "beta": 0.8}
+    (tmp_path / "gen.json").write_text(json.dumps({"model": {"synthetic": recipe}, "model_out": "gen_model.json"}))
+    main(["synth-gen", "--config", str(tmp_path / "gen.json"), "--out", str(tmp_path / "out")], standalone_mode=False)
+    saved = json.loads((tmp_path / "out" / "gen_model.json").read_text())
+    reported = json.loads((tmp_path / "out" / "synth_gen.json").read_text())["model_id"]
+    reference = _reference_joint(SyntheticTaskSpec(**recipe))
+    assert np.array(saved["log_mass"]).tobytes() == reference.log_mass.tobytes()
+    assert reported == model_id(reference, reference)
 
 
 class TestGenerateJoint:
@@ -43,10 +122,10 @@ class TestGenerateJoint:
         assert tcs[0] < tcs[1] < tcs[2]
 
     def test_exchangeable_exactly_permutation_invariant(self):
-        joint = generate_joint(SyntheticTaskSpec("exchangeable", positions=4, vocab_size=3, seed=8))
-        nd = joint.log_mass_nd
-        for perm in itertools.permutations(range(4)):
-            assert np.array_equal(nd, np.transpose(nd, perm))
+        for positions, vocab in [(4, 3), (5, 4)]:
+            nd = generate_joint(SyntheticTaskSpec("exchangeable", positions=positions, vocab_size=vocab, seed=8)).log_mass_nd
+            for perm in itertools.permutations(range(positions)):
+                assert np.array_equal(nd, np.transpose(nd, perm))
 
     def test_ladder_tc_strictly_increasing(self):
         rungs = tc_ladder(3, 3, levels_total=3)
