@@ -240,13 +240,13 @@ def write_report_json(report: Mapping, path) -> str:
 
 def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> str:
     def fmt(value):
+        if type(value) is float:  # nearly every value; the checks below give repr to it too
+            return repr(value)
         if value is None:
             return ""
         if isinstance(value, bool):
             return str(value).lower()
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+        return repr(value) if isinstance(value, float) else str(value)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -34,6 +34,7 @@ from .core import (
     ConditionalOracle,
     class_strides,
     log_normalize,
+    row_sum,
     seeded_rng,
 )
 from .errors import ContractViolationError, TrainingFailureError
@@ -178,19 +179,19 @@ def penalty_batch(logits: np.ndarray, pos_idx, cls_idx, tok_idx) -> tuple[float,
     """Mean squared normalized circulation over the squares given as the
     ``(pos, cls, tok)`` arrays of :func:`square_sampler`, with its analytic
     gradient through the four participating softmax cells."""
-    n = len(pos_idx)
+    n, vocab = len(pos_idx), logits.shape[2]
     rows = log_normalize(logits[pos_idx, cls_idx])  # (n, 4, V) log conditionals
-    chosen = tok_idx[:, :, None] == np.arange(rows.shape[2])
+    chosen = tok_idx[:, :, None] == np.arange(vocab)
     lq = rows[chosen].reshape(n, 4)
     signs = np.array([1.0, 1.0, -1.0, -1.0])
-    denom = np.abs(lq).sum(axis=1) + DEFAULT_NORMALIZER_EPSILON
+    denom = sum(np.abs(lq).T) + DEFAULT_NORMALIZER_EPSILON  # the four terms left to right, as a row sum adds them
     ratio = (lq @ signs) / denom
     # d(ratio^2)/dlq_r / n; log conditionals are <= 0 so d|lq|/dlq = -1
     dlq = (2.0 / n) * (ratio / denom)[:, None] * (signs + ratio[:, None] * (lq < 0))
-    grad = np.zeros_like(logits)
-    # d log q(tok)/d logits = one_hot(tok) - probs
-    np.add.at(grad, (pos_idx, cls_idx), dlq[:, :, None] * (chosen - np.exp(rows)))
-    return float(ratio @ ratio) / n, grad
+    # d log q(tok)/d logits = one_hot(tok) - probs, added per cell from 0.0 in square order, as np.add.at adds
+    cells = (pos_idx * logits.shape[1] + cls_idx)[:, :, None] * vocab + np.arange(vocab)
+    grad = np.bincount(cells.ravel(), (dlq[:, :, None] * (chosen - np.exp(rows))).ravel(), logits.size)
+    return float(ratio @ ratio) / n, grad.reshape(logits.shape)
 
 
 def ecirc_penalty(
@@ -335,41 +336,43 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
         for i in range(positions)
         for pattern in _covered_patterns(config, i, positions)
     ]
-    cell_pos_arr = np.concatenate([np.full(cls.size, i) for i, cls in cells])
-    cell_cls_arr = np.concatenate([cls for _, cls in cells])
+    cell_rows = np.concatenate([i * logits.shape[1] + cls for i, cls in cells])  # unique rows of the (cells, V) table
     target_arr = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells])
+    table_rows, gathered = logits.reshape(-1, vocab), np.empty(target_arr.shape)
+    # rows a plain step does not move keep their verdict; a non-finite covered row fails the first loss
+    finite_elsewhere = np.isfinite(logits).all()
 
     draw_squares = square_sampler(positions, vocab)
     penalty_rng = seeded_rng(config.seed, 9)
     history: dict = {"loss": [], "penalty": [], "grad_norm": []}
 
     for _ in range(config.steps):
+        np.take(table_rows, cell_rows, axis=0, out=gathered)
         with np.errstate(over="ignore", invalid="ignore"):
-            cell_rows = log_normalize(logits[cell_pos_arr, cell_cls_arr])
-            loss = float(-(target_arr * cell_rows).sum(axis=1).mean())
-        ce_grad = np.exp(cell_rows) - target_arr
+            log_q = log_normalize(gathered)
+            loss = -float(row_sum(target_arr * log_q).sum()) / len(target_arr)  # the mean, without its overhead
+        ce_grad = np.exp(log_q) - target_arr
 
-        penalty_value = 0.0
-        penalty_grad = np.zeros_like(logits)
+        # a plain step moves the covered rows alone: the update is 0.0 elsewhere, and x - 0.0 == x
+        penalty_value, moved, before, update = 0.0, cell_rows, gathered, ce_grad
         if config.ecirc_weight > 0:
-            squares = draw_squares(penalty_rng, config.ecirc_samples)
-            penalty_value, penalty_grad = penalty_batch(logits, *squares)
+            penalty_value, penalty_grad = penalty_batch(logits, *draw_squares(penalty_rng, config.ecirc_samples))
+            # every row may move; the covered rows are unique and ce_grad is never -0.0, so this is np.add.at into zeros
+            moved, before, update = slice(None), table_rows, np.zeros_like(table_rows)
+            update[cell_rows] = ce_grad
+            update += config.ecirc_weight * penalty_grad.reshape(-1, vocab)
 
         if not (math.isfinite(loss) and math.isfinite(penalty_value)):
             raise TrainingFailureError(
                 f"training loss became non-finite at step {len(history['loss'])}", history=history
             )
-
-        update = np.zeros_like(logits)
-        np.add.at(update, (cell_pos_arr, cell_cls_arr), ce_grad)
-        update += config.ecirc_weight * penalty_grad
         grad_norm = float(np.abs(update).max())
-        logits -= config.learning_rate * update
+        table_rows[moved] = stepped = before - config.learning_rate * update
 
         history["loss"].append(loss)
         history["penalty"].append(penalty_value)
         history["grad_norm"].append(grad_norm)
-        if not np.all(np.isfinite(logits)):
+        if not (finite_elsewhere and np.isfinite(stepped).all()):
             raise TrainingFailureError(
                 f"logits became non-finite at step {len(history['loss'])}", history=history
             )

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_context, random_joint
 from curlgauge.core import (
@@ -19,6 +19,7 @@ from curlgauge.core import (
     PerturbedConditionalModel,
     TabularJointModel,
     Vocabulary,
+    _COLUMN_ROWS,
     _seed_key,
     apply_logit_shift,
     bayes_conditional,
@@ -26,9 +27,11 @@ from curlgauge.core import (
     context_class_index,
     load_model,
     log_normalize,
+    logsumexp,
     model_from_dict,
     perturbed_conditional,
     plain_json,
+    row_sum,
     save_model,
     seed_states,
 )
@@ -132,6 +135,65 @@ class TestBayesConditional:
         from scipy.special import logsumexp
 
         assert abs(logsumexp(joint.log_mass)) < 1e-9
+
+
+def _logsumexp_reference(values):
+    """numpy's row reductions, one row at a time."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    top = arr.max(axis=-1, keepdims=True)
+    return np.log(np.exp(arr - top).sum(axis=-1, keepdims=True)) + top
+
+
+def _log_normalize_reference(values):
+    return np.asarray(values, dtype=np.float64) - _logsumexp_reference(values)
+
+
+def _fp_warnings(fn, values) -> list[str]:
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        fn(values)
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+_LEADING = {"1-d": (), "one row": (1,), "below": (_COLUMN_ROWS - 1,), "at": (_COLUMN_ROWS,), "above": (3 * _COLUMN_ROWS,), "3-d": (_COLUMN_ROWS // 4 + 1, 4)}
+
+
+@pytest.mark.parametrize("leading", sorted(_LEADING))
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(max_examples=12, deadline=None)
+@given(
+    layout=st.sampled_from(["C", "F", "reversed"]),
+    special_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    specials=st.lists(st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0]), min_size=1, max_size=5),
+    neg_inf_row=st.booleans(),
+    scale=st.sampled_from([1.0, 40.0, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout="C", special_share=0.0, specials=[0.0], neg_inf_row=False, scale=1.0, seed=0)
+@example(layout="C", special_share=1.0, specials=[-0.0], neg_inf_row=False, scale=1.0, seed=0)
+def test_logsumexp_has_the_bits_of_the_row_reductions(n, leading, layout, special_share, specials, neg_inf_row, scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = _LEADING[leading] + (n,)
+    values = scale * rng.standard_normal(shape)
+    mask = rng.random(shape) < special_share
+    values[mask] = rng.choice(specials, size=int(mask.sum()))
+    if neg_inf_row:
+        values.reshape(-1, n)[-1] = -np.inf
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "reversed":
+        values = values[(slice(None, None, -1),) * values.ndim]
+    for fn, reference in [(logsumexp, _logsumexp_reference), (log_normalize, _log_normalize_reference)]:
+        with np.errstate(all="ignore"):
+            got, want = fn(values), reference(values)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert _fp_warnings(fn, values) == _fp_warnings(reference, values)
+    # a row sum that meets an input NaN and a NaN of its own (inf - inf) may keep either sign
+    with np.errstate(all="ignore"):
+        got, want = row_sum(values), np.ascontiguousarray(values).sum(axis=-1)
+    assert got.shape == want.shape
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
 
 
 class TestPerturbedModel:
@@ -416,7 +478,7 @@ def _plain_json_reference(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain_json_reference(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain_json_reference(v) for v in obj.tolist()]
+        return obj.tolist() if obj.ndim == 0 else [_plain_json_reference(v) for v in obj.tolist()]
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -444,6 +506,7 @@ def test_plain_json_equals_the_isinstance_walk():
             "d": OrderedDict([("z", np.float32(2.5)), ("y", [np.uint8(3), (np.bool_(False),)])]),
             "e": MappingProxyType({"k": np.array([True, False])}),
             "f": np.array([[np.nan], [np.inf]]),
+            "g": [np.array(np.nan), np.array(np.int64(4)), np.array(True), np.array(-0.0)],
         },
     ]
     for report in reports:

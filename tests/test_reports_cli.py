@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import curlgauge
 from curlgauge.cli import main
 from curlgauge.errors import ConfigError
-from curlgauge.reports import SCHEMA, canonical_json, check_keys, config_hash, emit_plot_data, resolve_model
+from curlgauge.reports import SCHEMA, _write_csv, canonical_json, check_keys, config_hash, emit_plot_data, resolve_model
 
 
 def run_cli(args, cwd):
@@ -408,6 +410,32 @@ class TestArtifacts:
         with open([p for p in paths if p.endswith("probe_stress.csv")][0], encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
+
+    def test_csv_bytes_equal_the_isinstance_formatter(self, tmp_path):
+        def fmt(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return str(value).lower()
+            if isinstance(value, float):
+                return repr(value)
+            return str(value)
+
+        class Ratio(float):
+            pass
+
+        rows = [
+            [0.1, -0.0, float("nan"), float("inf"), 1e-300, 2.5e16],
+            [True, False, np.bool_(True), None, 3, -7],
+            [np.float64(0.1), np.float32(2.5), np.int64(9), np.uint8(3), Ratio(1.5), "a,b", 'q"t', ""],
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "b"])
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+        _write_csv(tmp_path / "rows.csv", ["a", "b"], rows)
+        assert (tmp_path / "rows.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_csv_round_trips_and_matches_json(self, tmp_path):
         write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2})

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,17 +14,20 @@ from curlgauge.core import (
     LogitTableOracle,
     PartialContext,
     TabularJointModel,
+    Vocabulary,
     apply_logit_shift,
     model_id,
     seeded_rng,
 )
 from curlgauge.dependence import total_correlation
 from curlgauge.errors import ContractViolationError, TrainingFailureError
-from curlgauge.pseudojoint import ExhaustivePlan, MonteCarloPlan, order_consistency_check
+from curlgauge.pseudojoint import DEFAULT_NORMALIZER_EPSILON, ExhaustivePlan, MonteCarloPlan, order_consistency_check
 from curlgauge.synth import (
     EXCHANGEABLE_COMPONENTS,
     SyntheticTaskSpec,
     TrainConfig,
+    TrainedTabularOracle,
+    _covered_patterns,
     ecirc_penalty,
     generate_joint,
     penalty_batch,
@@ -258,3 +262,119 @@ class TestTrainTabular:
         assigned = {0: 1}
         assert np.array_equal(bundle.oracle.log_dist(1, assigned), oracle.log_dist(1, assigned))
         assert np.array_equal(bundle.joint.log_mass, joint.log_mass)
+
+
+def _log_normalize_reference(values):
+    """Row normalization by numpy's row reductions, one row at a time."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    top = arr.max(axis=-1, keepdims=True)
+    return arr - (np.log(np.exp(arr - top).sum(axis=-1, keepdims=True)) + top)
+
+
+def _penalty_batch_reference(logits, pos_idx, cls_idx, tok_idx):
+    """The penalty and its gradient, scattered with np.add.at."""
+    n = len(pos_idx)
+    rows = _log_normalize_reference(logits[pos_idx, cls_idx])
+    chosen = tok_idx[:, :, None] == np.arange(rows.shape[2])
+    lq = rows[chosen].reshape(n, 4)
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+    denom = np.abs(lq).sum(axis=1) + DEFAULT_NORMALIZER_EPSILON
+    ratio = (lq @ signs) / denom
+    dlq = (2.0 / n) * (ratio / denom)[:, None] * (signs + ratio[:, None] * (lq < 0))
+    grad = np.zeros_like(logits)
+    np.add.at(grad, (pos_idx, cls_idx), dlq[:, :, None] * (chosen - np.exp(rows)))
+    return float(ratio @ ratio) / n, grad
+
+
+def _train_reference(joint: TabularJointModel, config: TrainConfig) -> TrainedTabularOracle:
+    """The dense trainer: every step gathers the covered cells by (position, class),
+    scatters the cross-entropy gradient into a zero table with np.add.at, adds the
+    penalty gradient and moves the whole table."""
+    positions, vocab = joint.positions, joint.vocab.size
+    rng = seeded_rng(config.seed, 7)
+    logits = config.init_scale * rng.standard_normal((positions, (vocab + 1) ** (positions - 1), vocab))
+    cells = [
+        (i, joint.class_grid(i, {}, pattern).reshape(-1))
+        for i in range(positions)
+        for pattern in _covered_patterns(config, i, positions)
+    ]
+    cell_pos_arr = np.concatenate([np.full(cls.size, i) for i, cls in cells])
+    cell_cls_arr = np.concatenate([cls for _, cls in cells])
+    target_arr = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells])
+    draw_squares = square_sampler(positions, vocab)
+    penalty_rng = seeded_rng(config.seed, 9)
+    history: dict = {"loss": [], "penalty": [], "grad_norm": []}
+    for _ in range(config.steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cell_rows = _log_normalize_reference(logits[cell_pos_arr, cell_cls_arr])
+            loss = float(-(target_arr * cell_rows).sum(axis=1).mean())
+        ce_grad = np.exp(cell_rows) - target_arr
+        penalty_value = 0.0
+        penalty_grad = np.zeros_like(logits)
+        if config.ecirc_weight > 0:
+            squares = draw_squares(penalty_rng, config.ecirc_samples)
+            penalty_value, penalty_grad = _penalty_batch_reference(logits, *squares)
+        if not (math.isfinite(loss) and math.isfinite(penalty_value)):
+            raise TrainingFailureError(f"training loss became non-finite at step {len(history['loss'])}", history=history)
+        update = np.zeros_like(logits)
+        np.add.at(update, (cell_pos_arr, cell_cls_arr), ce_grad)
+        update += config.ecirc_weight * penalty_grad
+        grad_norm = float(np.abs(update).max())
+        logits -= config.learning_rate * update
+        history["loss"].append(loss)
+        history["penalty"].append(penalty_value)
+        history["grad_norm"].append(grad_norm)
+        if not np.all(np.isfinite(logits)):
+            raise TrainingFailureError(f"logits became non-finite at step {len(history['loss'])}", history=history)
+        if grad_norm < config.grad_tol:
+            break
+    return TrainedTabularOracle(LogitTable(Vocabulary(vocab), positions, logits), config, joint, history)
+
+
+def _training_outcome(train, joint, config):
+    """What a run leaves: its logits bytes and history, or its failure message and history."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            oracle = train(joint, config)
+        except TrainingFailureError as err:
+            return "failed", str(err), repr(err.history)
+    return "trained", oracle.table.logits.tobytes(), repr(oracle.history)
+
+
+_COVERAGES = [{"coverage": "prefix-only"}, {"coverage": "all-masks"}, {"coverage": "fraction", "coverage_fraction": 0.4}]
+
+
+@settings(max_examples=70, deadline=None)
+@given(
+    positions=st.integers(2, 5),
+    vocab=st.integers(2, 5),
+    coverage=st.sampled_from(_COVERAGES),
+    ecirc_weight=st.sampled_from([0.0, 0.7, 2.0, 50.0]),
+    ecirc_samples=st.integers(1, 80),
+    steps=st.integers(1, 12),
+    learning_rate=st.sampled_from([0.5, 1.0, 3.0, 1e308]),
+    init_scale=st.sampled_from([0.0, 1.0, 2.5, 1e308]),
+    grad_tol=st.sampled_from([0.0, 1e-8, 0.05, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(positions=3, vocab=3, coverage=_COVERAGES[1], ecirc_weight=0.0, ecirc_samples=1, steps=5, learning_rate=1e308, init_scale=1.0, grad_tol=0.0, seed=0)
+@example(positions=3, vocab=3, coverage=_COVERAGES[1], ecirc_weight=1.0, ecirc_samples=8, steps=5, learning_rate=1e308, init_scale=1.0, grad_tol=0.0, seed=0)
+@example(positions=4, vocab=3, coverage=_COVERAGES[0], ecirc_weight=0.0, ecirc_samples=1, steps=3, learning_rate=1.0, init_scale=1e308, grad_tol=0.0, seed=3)
+@example(positions=3, vocab=3, coverage=_COVERAGES[1], ecirc_weight=50.0, ecirc_samples=8, steps=5, learning_rate=1e308, init_scale=2.5, grad_tol=0.0, seed=0)
+@example(positions=5, vocab=3, coverage=_COVERAGES[0], ecirc_weight=1.0, ecirc_samples=32, steps=12, learning_rate=1.0, init_scale=0.0, grad_tol=0.3, seed=4)
+def test_train_tabular_equals_the_dense_trainer(positions, vocab, coverage, ecirc_weight, ecirc_samples, steps, learning_rate, init_scale, grad_tol, seed):
+    joint = random_joint(seed % 1000, positions=positions, vocab=vocab)
+    config = TrainConfig(**coverage, steps=steps, learning_rate=learning_rate, ecirc_weight=ecirc_weight, ecirc_samples=ecirc_samples, seed=seed, init_scale=init_scale, grad_tol=grad_tol)
+    assert _training_outcome(train_tabular, joint, config) == _training_outcome(_train_reference, joint, config)
+
+
+def test_penalty_batch_equals_the_scatter():
+    for positions, vocab, n in [(2, 2, 1), (3, 3, 40), (4, 5, 64), (5, 3, 200)]:
+        rng = seeded_rng(positions, vocab, n)
+        logits = rng.standard_normal((positions, (vocab + 1) ** (positions - 1), vocab))
+        squares = square_sampler(positions, vocab)(rng, n)
+        value, grad = penalty_batch(logits, *squares)
+        want_value, want_grad = _penalty_batch_reference(logits, *squares)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
