@@ -10,8 +10,10 @@ resulting likelihood degradation to the dependence/circulation predictors.
 
 A run's decode state is its token row (-1 where unresolved), its open block
 positions and its draw row; a batch of runs decodes as a ``(runs, positions)``
-token array.  Draws are keyed by (run seed, position), not by step index, so
-the same position reads the same draw on every path through a decode.
+token array, each run under its own scheduler and width, so the stress
+harness decodes every scheduler, width and run of a context in one batch.
+Draws are keyed by (run seed, position), not by step index, so the same
+position reads the same draw on every path through a decode.
 """
 
 from __future__ import annotations
@@ -270,9 +272,6 @@ class SchedulerSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
-    def label(self) -> str:
-        return self.kind
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -356,13 +355,13 @@ def run_scheduler(
     oracle: ConditionalOracle,
     context: PartialContext,
     seeds: Sequence[int],
-    scheduler: SchedulerSpec,
+    scheduler,
     operator: UpdateOperator,
     width,
 ) -> DecodeResult:
     """Decode the block of ``context`` once per run seed, all runs in lockstep
-    rounds, committing up to ``width`` positions per run and round; ``width``
-    is an int or one int per run.
+    rounds, committing up to ``width`` positions per run and round; ``scheduler``
+    is one `SchedulerSpec` or one per run, and ``width`` an int or one int per run.
 
     All commits within a round are decided from the pre-round conditionals
     (one-shot independent parallel within the round).  A run's sample draws
@@ -375,15 +374,22 @@ def run_scheduler(
     widths = np.broadcast_to(width, (runs,))
     if (widths < 1).any():
         raise ContractViolationError(f"width must be >= 1, got {width}")
+    specs = [scheduler] * runs if isinstance(scheduler, SchedulerSpec) else list(scheduler)
+    if len(specs) != runs:
+        raise ContractViolationError(f"{len(specs)} schedulers for {runs} runs")
     tokens = np.tile(context_row(context, positions), (runs, 1))
     draws = draw_rows(operator, seeds, positions, block)
-    # left-to-right sorts by position alone, random by each run's shuffled rank,
-    # shuffled once per distinct shuffle seed
-    key = np.zeros((runs, len(block)))
-    if scheduler.kind == "random":
-        shuffle_seeds = seeds if scheduler.seed is None else [scheduler.seed] * runs
-        ranks = {s: _shuffled_ranks(s, block) for s in dict.fromkeys(shuffle_seeds)}
-        key = np.array([ranks[s] for s in shuffle_seeds]).reshape(runs, -1)
+    # left-to-right sorts by position alone, random by each run's shuffled rank (shuffled once per
+    # distinct shuffle seed), confidence by each round's confidence; conflict-aware runs are picked
+    # per distinct spec
+    shuffle_of = [
+        (s if spec.seed is None else spec.seed) if spec.kind == "random" else None for s, spec in zip(seeds, specs)
+    ]
+    ranks = {s: [0] * len(block) if s is None else _shuffled_ranks(s, block) for s in dict.fromkeys(shuffle_of)}
+    key = np.array([ranks[s] for s in shuffle_of]).reshape(runs, len(block))
+    by_confidence = np.array([spec.kind == "confidence" for spec in specs])[:, None]
+    aware = list(dict.fromkeys(spec for spec in specs if spec.kind == "conflict-aware"))
+    aware_of = np.array([aware.index(spec) if spec.kind == "conflict-aware" else -1 for spec in specs])
     # every live run commits at least one position a round
     masks, forced = np.zeros((len(block), 2, runs, positions), dtype=bool), np.zeros((len(block), runs), dtype=bool)
     for k in itertools.count():
@@ -392,17 +398,20 @@ def run_scheduler(
         if not len(live):
             break
         rows, run_draws = tokens[live], None if draws is None else draws[live]
+        open_ = rows[:, block] < 0
         probs = np.stack([_conditionals(oracle, rows, p) for p in block], axis=1)
         conf = probs.max(axis=-1)
         # tie_key of each confidence, negated so the most confident sorts first
         conf_key = -np.rint(conf / TIE_GRID)
-        if scheduler.kind == "conflict-aware":
-            chosen = _conflict_aware_chosen(oracle, rows, run_draws, conf, widths[live], scheduler, operator, block)
-        else:
-            open_ = rows[:, block] < 0
-            round_key = conf_key if scheduler.kind == "confidence" else key[live]
-            order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
-            chosen = open_ & (np.argsort(order, axis=1) < widths[live, None])
+        round_key = np.where(by_confidence[live], conf_key, key[live])
+        order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
+        chosen = open_ & (np.argsort(order, axis=1) < widths[live, None])
+        for a, spec in enumerate(aware):
+            if len(sel := np.flatnonzero(aware_of[live] == a)):
+                sel_draws = None if run_draws is None else run_draws[sel]
+                chosen[sel] = _conflict_aware_chosen(
+                    oracle, rows[sel], sel_draws, conf[sel], widths[live[sel]], spec, operator, block
+                )
         decided = np.where(chosen, _decide(probs, operator, None if run_draws is None else run_draws[:, block]), -1)
         # stall breaker: a threshold round that commits nothing would loop
         # forever, so write the most confident selection as a plain argmax
@@ -505,42 +514,51 @@ def stress_test(
     runs: int = 200,
     seed: int = 0,
 ) -> StressReport:
-    """Decode every (context, scheduler, width) cell, all widths of a (context,
-    scheduler) pair in one batch, and relate degradation to the
-    dependence/circulation predictors.
+    """Decode every (context, scheduler, width) cell, all cells of a context in
+    one batch, and relate degradation to the dependence/circulation predictors.
 
     Degradation is the mean decoded-output negative log-likelihood under the
     reference joint, relative to the width-1 cell of the same scheduler and
     context.  Runs share per-position randomness across widths, which couples
     the comparison.  Spearman rank correlations of degradation against each
-    predictor are computed across contexts per (scheduler, width) cell.
+    predictor are computed across contexts per (scheduler, width) cell.  A
+    scheduler is labelled by its kind, or ``kind#k`` (k its index) when its
+    kind repeats.
     """
     if not contexts:
         raise ContractViolationError("stress test needs at least one context")
     if runs < 1:
         raise ContractViolationError(f"stress test needs at least one run per cell, got {runs}")
     widths = [int(w) for w in widths]
+    if len(set(widths)) < len(widths):
+        raise ContractViolationError(f"widths must be distinct, got {widths}")
     for w in widths:
         if not (1 <= w <= max(len(c.block) for c in contexts)):
             raise ContractViolationError(f"width {w} outside 1..max block size")
     if 1 not in widths:
         widths = [1] + widths
+    kinds = [sched.kind for sched in schedulers]
+    labels = [kind if kinds.count(kind) == 1 else f"{kind}#{si}" for si, kind in enumerate(kinds)]
+    cells = list(itertools.product(range(len(schedulers)), widths))
 
     per_context = []
     for ci, context in enumerate(contexts):
         log_p = joint.log_block_conditional(context)
         predictors = _context_predictors(oracle, joint, context, operator, seed, ci)
+        # derived_seed(seed, ci, si, k) for every scheduler si and run k, in one kernel call (an index is one
+        # word); the batch holds the cells in order, each over the runs, so every width repeats the seeds
+        seeds = seed_states(_seed_key(seed, ci) + [np.arange(len(schedulers))[:, None, None], np.arange(runs)])
+        seeds = np.broadcast_to(seeds, (len(schedulers), len(widths), runs)).ravel().tolist()
+        specs = [sched for sched in schedulers for _ in range(len(widths) * runs)]
+        cell_widths = np.tile(np.repeat(widths, runs), len(schedulers))
+        tokens = run_scheduler(oracle, context, seeds, specs, operator, cell_widths).tokens
+        values = log_p[tuple(tokens[:, p] for p in context.block)].tolist()
         nll: dict[tuple[int, int], float] = {}
-        for si, sched in enumerate(schedulers):
-            # derived_seed(seed, ci, si, k) for every run k, in one kernel call (a run index is one word)
-            seeds = seed_states(_seed_key(seed, ci, si) + [np.arange(runs)]).tolist()
-            tokens = run_scheduler(oracle, context, seeds * len(widths), sched, operator, np.repeat(widths, runs)).tokens
-            values = log_p[tuple(tokens[:, p] for p in context.block)].tolist()
-            for wi, w in enumerate(widths):
-                total = 0.0
-                for value in values[wi * runs : (wi + 1) * runs]:
-                    total -= value
-                nll[(si, w)] = total / runs
+        for c, cell in enumerate(cells):
+            total = 0.0
+            for value in values[c * runs : (c + 1) * runs]:
+                total -= value
+            nll[cell] = total / runs
         per_context.append((predictors, nll))
 
     rows: list[StressRow] = []
@@ -548,34 +566,31 @@ def stress_test(
     for ci, (predictors, nll) in enumerate(per_context):
         ecirc, tc, mean_eps, conflict, skipped = predictors
         any_skipped = any_skipped or skipped
-        for si, sched in enumerate(schedulers):
-            for w in widths:
-                rows.append(
-                    StressRow(
-                        context_id=ci,
-                        scheduler=sched.label(),
-                        width=w,
-                        nll=nll[(si, w)],
-                        degradation=nll[(si, w)] - nll[(si, 1)],
-                        ecirc_abs=ecirc,
-                        tc=tc,
-                        mean_eps=mean_eps,
-                        conflict=conflict,
-                    )
+        for si, w in cells:
+            rows.append(
+                StressRow(
+                    context_id=ci,
+                    scheduler=labels[si],
+                    width=w,
+                    nll=nll[(si, w)],
+                    degradation=nll[(si, w)] - nll[(si, 1)],
+                    ecirc_abs=ecirc,
+                    tc=tc,
+                    mean_eps=mean_eps,
+                    conflict=conflict,
                 )
+            )
 
     correlations: dict = {}
-    for si, sched in enumerate(schedulers):
-        for w in widths:
-            if w == 1:
-                continue
+    for si, w in cells:
+        if w != 1:
             degradation = [nll[(si, w)] - nll[(si, 1)] for _, nll in per_context]
             predictor_cols = {
                 "ecirc_abs": [pred[0] for pred, _ in per_context],
                 "tc": [pred[1] for pred, _ in per_context],
                 "mean_eps": [pred[2] for pred, _ in per_context],
             }
-            correlations[f"{sched.label()}|w={w}"] = {
+            correlations[f"{labels[si]}|w={w}"] = {
                 name: spearman_rank(col, degradation) for name, col in predictor_cols.items()
             } | {"n_contexts": len(per_context)}
 

@@ -10,6 +10,7 @@ All quantities are exact enumerations in nats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,9 @@ class DependenceReport:
 
     @property
     def sum_pairwise_cmi(self) -> float:
-        return float(sum(self.pairwise_cmi.values()))
+        # left to right: from Python 3.12 the builtin sum of floats is compensated
+        *_, total = itertools.accumulate(self.pairwise_cmi.values(), initial=0.0)
+        return float(total)
 
     def to_dict(self) -> dict:
         return {

@@ -20,6 +20,7 @@ from curlgauge.core import (
     TabularJointModel,
     Vocabulary,
     _COLUMN_ROWS,
+    _SUM8_ROWS,
     _seed_key,
     apply_logit_shift,
     bayes_conditional,
@@ -156,10 +157,11 @@ def _fp_warnings(fn, values) -> list[str]:
 
 
 _LEADING = {"1-d": (), "one row": (1,), "below": (_COLUMN_ROWS - 1,), "at": (_COLUMN_ROWS,), "above": (3 * _COLUMN_ROWS,), "3-d": (_COLUMN_ROWS // 4 + 1, 4)}
+# row_sum leaves the column path for rows of 8 entries from _SUM8_ROWS rows
+_LEADING_SUM8 = {"below-sum8": (_SUM8_ROWS - 1,), "at-sum8": (_SUM8_ROWS,)}
 
 
-@pytest.mark.parametrize("leading", sorted(_LEADING))
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n, leading", [(n, leading) for n in range(1, 10) for leading in sorted(_LEADING)] + [(8, leading) for leading in _LEADING_SUM8])
 @settings(max_examples=12, deadline=None)
 @given(
     layout=st.sampled_from(["C", "F", "reversed"]),
@@ -173,7 +175,7 @@ _LEADING = {"1-d": (), "one row": (1,), "below": (_COLUMN_ROWS - 1,), "at": (_CO
 @example(layout="C", special_share=1.0, specials=[-0.0], neg_inf_row=False, scale=1.0, seed=0)
 def test_logsumexp_has_the_bits_of_the_row_reductions(n, leading, layout, special_share, specials, neg_inf_row, scale, seed):
     rng = np.random.default_rng(seed)
-    shape = _LEADING[leading] + (n,)
+    shape = (_LEADING | _LEADING_SUM8)[leading] + (n,)
     values = scale * rng.standard_normal(shape)
     mask = rng.random(shape) < special_share
     values[mask] = rng.choice(specials, size=int(mask.sum()))

@@ -59,6 +59,29 @@ def open_row(positions):
     return np.full(positions, -1)
 
 
+SCHEDULER_POOL = [
+    SchedulerSpec("left-to-right"),
+    SchedulerSpec("random"),  # unseeded: each run shuffles its own way
+    SchedulerSpec("random", seed=5),
+    SchedulerSpec("confidence"),
+    SchedulerSpec("conflict-aware"),
+    SchedulerSpec("conflict-aware", lam_confidence=0.5, lam_conflict=2.0, lam_dependence=0.0, block_search="subsets"),
+]
+
+
+def assert_each_run_decodes_as_alone(oracle, ctx, seeds, specs, operator, widths):
+    """A batch of runs, each with its own scheduler and width, against each run decoded on its own."""
+    batch = run_scheduler(oracle, ctx, seeds, specs, operator, np.array(widths))
+    for r, seed in enumerate(seeds):
+        alone = run_scheduler(oracle, ctx, [seed], specs[r], operator, widths[r])
+        assert np.array_equal(batch.tokens[r], alone.tokens[0])
+        rounds = len(alone.forced)
+        for name in ("chosen", "committed", "forced"):
+            mask = getattr(batch, name)[:, r]
+            assert np.array_equal(mask[:rounds], getattr(alone, name)[:, 0])
+            assert not mask[rounds:].any()
+
+
 class TestApplyUpdate:
     def test_argmax_commits_highest(self, skewed_pair):
         out = apply_update(skewed_pair, open_row(2), argmax_commit(), 0)
@@ -289,27 +312,36 @@ class TestRunScheduler:
     @settings(max_examples=300, deadline=None)
     @given(
         case=st.integers(0, 10_000),
-        kind=st.sampled_from(["left-to-right", "random", "confidence", "conflict-aware"]),
         operator=st.sampled_from([argmax_commit(), sample_commit(), threshold_commit(0.5), threshold_commit(0.9)]),
         runs=st.integers(2, 5),
         data=st.data(),
     )
-    def test_batch_decodes_each_run_as_alone(self, case, kind, operator, runs, data):
+    def test_batch_decodes_each_run_as_alone(self, case, operator, runs, data):
         joint = random_joint(case, positions=data.draw(st.integers(3, 4)), vocab=data.draw(st.integers(2, 3)))
         oracle = joint if case % 2 else PerturbedConditionalModel(joint, 0.5, case)
         ctx = random_context(case, joint, min_block=1)
         widths = data.draw(st.lists(st.integers(1, len(ctx.block)), min_size=runs, max_size=runs))
-        sched = SchedulerSpec(kind)  # an unseeded random scheduler shuffles each run its own way
+        specs = data.draw(st.lists(st.sampled_from(SCHEDULER_POOL), min_size=runs, max_size=runs))
         seeds = [derived_seed(case, r) for r in range(runs)]
-        batch = run_scheduler(oracle, ctx, seeds, sched, operator, np.array(widths))
-        for r, seed in enumerate(seeds):
-            alone = run_scheduler(oracle, ctx, [seed], sched, operator, widths[r])
-            assert np.array_equal(batch.tokens[r], alone.tokens[0])
-            rounds = len(alone.forced)
-            for name in ("chosen", "committed", "forced"):
-                mask = getattr(batch, name)[:, r]
-                assert np.array_equal(mask[:rounds], getattr(alone, name)[:, 0])
-                assert not mask[rounds:].any()
+        assert_each_run_decodes_as_alone(oracle, ctx, seeds, specs, operator, widths)
+
+    @pytest.mark.parametrize("operator", [argmax_commit(), sample_commit(), threshold_commit(0.9)])
+    def test_kinds_with_one_run_or_none_decode_as_alone(self, operator):
+        # each spec as the only run of its kind among runs of every other kind, and each kind left out
+        joint = random_joint(23, positions=5, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.5, 23)
+        ctx = PartialContext({1: 2}, (0, 2, 3, 4))
+        for spec in SCHEDULER_POOL:
+            others = [other for other in SCHEDULER_POOL if other.kind != spec.kind]
+            for specs in ([spec], [spec] + others * 2, others):
+                seeds = [derived_seed(23, r) for r in range(len(specs))]
+                widths = [1 + r % len(ctx.block) for r in range(len(specs))]
+                assert_each_run_decodes_as_alone(oracle, ctx, seeds, specs, operator, widths)
+
+    def test_one_scheduler_per_run(self):
+        joint = random_joint(24, positions=3, vocab=3)
+        with pytest.raises(ContractViolationError):
+            run_scheduler(joint, PartialContext({}, (0, 1, 2)), [1, 2, 3], SCHEDULER_POOL[:2], argmax_commit(), 1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -422,6 +454,33 @@ class TestStress:
         # runs x |block| per (context, scheduler), plus |block| per context for the conflict predictor
         assert len(drawn) == sum((len(scheds) * runs + 1) * len(c.block) for c in contexts)
         assert len(set(drawn)) == len(drawn)
+
+    def test_one_decode_call_per_context(self, monkeypatch):
+        batches = []
+        exact = decoding.run_scheduler
+        monkeypatch.setattr(decoding, "run_scheduler", lambda *args: batches.append(len(args[2])) or exact(*args))
+        joint = random_joint(18, positions=4, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.5, 8)
+        contexts = [PartialContext({}, (0, 1, 2, 3)), PartialContext({0: 1}, (1, 3)), PartialContext({2: 0}, (0, 1, 3))]
+        scheds = [SchedulerSpec(kind) for kind in ("left-to-right", "random", "confidence", "conflict-aware")]
+        stress_test(oracle, joint, contexts, widths=[1, 2], schedulers=scheds, runs=3, seed=5)
+        # every scheduler, width and run of a context in one batch
+        assert batches == [len(scheds) * 2 * 3] * len(contexts)
+
+    def test_repeated_kinds_are_labelled_by_index(self):
+        joint = random_joint(19, positions=3, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.4, 5)
+        contexts = [PartialContext({}, (0, 1, 2)), PartialContext({0: 1}, (1, 2)), PartialContext({2: 0}, (0, 1))]
+        scheds = [SchedulerSpec("conflict-aware"), SchedulerSpec("conflict-aware", lam_conflict=3.0)]
+        report = stress_test(oracle, joint, contexts, widths=[1, 2, 3], schedulers=scheds, runs=6, seed=3)
+        assert len(report.rows) == 3 * 2 * 3
+        assert [r.scheduler for r in report.rows[:6]] == ["conflict-aware#0"] * 3 + ["conflict-aware#1"] * 3
+        assert set(report.correlations) == {f"conflict-aware#{k}|w={w}" for k in (0, 1) for w in (2, 3)}
+        # a kind that does not repeat keeps its plain label
+        scheds = [SchedulerSpec("random"), SchedulerSpec("left-to-right"), SchedulerSpec("random", seed=4)]
+        report = stress_test(oracle, joint, contexts, widths=[1, 2], schedulers=scheds, runs=6, seed=3)
+        assert list(dict.fromkeys(r.scheduler for r in report.rows)) == ["random#0", "left-to-right", "random#2"]
+        assert set(report.correlations) == {"random#0|w=2", "left-to-right|w=2", "random#2|w=2"}
 
     def test_independent_joint_no_degradation(self):
         joint = independent_joint(13, positions=3, vocab=3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_context, random_joint
 from curlgauge.core import PartialContext, PerturbedConditionalModel, TabularJointModel
 from curlgauge.dependence import (
+    DependenceReport,
     dependence_report,
     independent_parallel_gap,
     pairwise_cmi,
@@ -141,3 +142,10 @@ def test_report_serialization():
         "tc_minus_sum_cmi",
     }
     assert set(data["pairwise_cmi"]) == {"0-1", "0-2", "1-2"}
+
+
+def test_sum_pairwise_cmi_adds_left_to_right():
+    # a compensated sum (the builtin sum of floats from Python 3.12) would give 1.0
+    report = DependenceReport(0.0, 0.0, 0.0, 0.0, {(0, 1): 1e16, (0, 2): 1.0, (1, 2): -1e16})
+    assert report.sum_pairwise_cmi == 0.0
+    assert report.to_dict()["tc_minus_sum_cmi"] == 0.0

@@ -234,6 +234,17 @@ class TestCliExitCodes:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_widths_exit_two(self, tmp_path):
+        stress = {"widths": [2, 2, 3], "schedulers": [{"kind": "left-to-right"}, {"kind": "confidence"}], "runs": 4}
+        write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL, "seed": 1, "stress": stress})
+        result = CliRunner().invoke(
+            main, ["stress", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: widths must be distinct")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_explicit_context_exits_two(self, tmp_path):
         config = {
             "model": CHAIN_MODEL,
