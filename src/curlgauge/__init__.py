@@ -21,9 +21,7 @@ from .core import (
     TabularJointModel,
     Vocabulary,
     apply_logit_shift,
-    bayes_conditional,
     load_model,
-    perturbed_conditional,
     save_model,
 )
 from .errors import (
@@ -47,9 +45,7 @@ __all__ = [
     "TabularJointModel",
     "Vocabulary",
     "apply_logit_shift",
-    "bayes_conditional",
     "load_model",
-    "perturbed_conditional",
     "save_model",
     "ConfigError",
     "ContractViolationError",

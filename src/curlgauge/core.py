@@ -351,9 +351,7 @@ class ConditionalOracle:
                 grid = grid + (strides[p] * digits).reshape((1,) * k + (-1,) + (1,) * (len(free) - k - 1))
         return grid
 
-    def _validate_query(self, position: int, context: PartialContext) -> None:
-        if not (0 <= position < self.positions):
-            raise DimensionError(f"position {position} outside model with {self.positions} positions")
+    def _validate_context(self, context: PartialContext) -> None:
         for p, t in context.observed.items():
             if not (0 <= p < self.positions):
                 raise DimensionError(f"observed position {p} outside model with {self.positions} positions")
@@ -362,20 +360,6 @@ class ConditionalOracle:
         for p in context.block:
             if not (0 <= p < self.positions):
                 raise DimensionError(f"block position {p} outside model with {self.positions} positions")
-        if position in context.observed:
-            raise ContractViolationError(f"position {position} is already observed in the context")
-
-    def log_conditional_dist(self, position: int, context: PartialContext) -> np.ndarray:
-        """Validated log conditional vector over the vocabulary."""
-        self._validate_query(position, context)
-        return self.log_dist(position, context.observed)
-
-    def log_conditional(self, position: int, token: int, context: PartialContext) -> float:
-        """log q(x_position = token | context's observed assignment), in nats."""
-        dist = self.log_conditional_dist(position, context)
-        if not (0 <= token < self.vocab.size):
-            raise DimensionError(f"token {token} outside vocabulary of size {self.vocab.size}")
-        return float(dist[token])
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -463,7 +447,7 @@ class TabularJointModel(ConditionalOracle):
         """
         if not context.block:
             raise ContractViolationError("block must be non-empty")
-        self._validate_query(context.block[0], context)
+        self._validate_context(context)
         digits: list = [0] * self.positions
         for p, v in context.observed.items():
             digits[p] = v + 1
@@ -480,11 +464,6 @@ class TabularJointModel(ConditionalOracle):
             "positions": self.positions,
             "log_mass": [float(v) for v in self._log_mass],
         }
-
-
-def bayes_conditional(joint: TabularJointModel, position: int, token: int, context: PartialContext) -> float:
-    """Exact conditional of the joint: log of a ratio of summed state masses."""
-    return joint.log_conditional(position, token, context)
 
 
 class PerturbedConditionalModel(ConditionalOracle):
@@ -515,12 +494,6 @@ class PerturbedConditionalModel(ConditionalOracle):
         out = self.base.to_dict()
         out["perturbation"] = {"delta": self.delta, "seed": self.perturbation_seed}
         return out
-
-
-def perturbed_conditional(
-    model: PerturbedConditionalModel, position: int, token: int, context: PartialContext
-) -> float:
-    return model.log_conditional(position, token, context)
 
 
 @dataclass(frozen=True)

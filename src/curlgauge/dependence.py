@@ -68,7 +68,7 @@ def independent_parallel_gap(
     log_probs = joint.log_block_conditional(context)
     log_product = np.zeros_like(log_probs)
     for axis, pos in enumerate(context.block):
-        vec = oracle.log_conditional_dist(pos, context)
+        vec = oracle.log_dist(pos, context.observed)
         shape = [1] * log_probs.ndim
         shape[axis] = oracle.vocab.size
         log_product = log_product + vec.reshape(shape)

@@ -96,13 +96,6 @@ class MonteCarloPlan:
 
 
 @dataclass(frozen=True)
-class ExplicitPlan:
-    """A caller-chosen list of (i, j, a, b) tuples."""
-
-    tuples: tuple[tuple[int, int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class Estimate:
     """A scalar statistic; stderr and n are set for Monte Carlo estimates."""
 
@@ -122,7 +115,7 @@ def pseudo_joint_log_prob(oracle: ConditionalOracle, spec: PseudoJointSpec, assi
             f"assignment keys {sorted(assignment)} must cover exactly the block {spec.context.block}"
         )
     assigned = dict(spec.context.observed)
-    oracle._validate_query(spec.order[0], spec.context)
+    oracle._validate_context(spec.context)
     total = 0.0
     for pos in spec.order:
         tok = int(assignment[pos])
@@ -143,7 +136,7 @@ def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order
     """
     spec = PseudoJointSpec(context, tuple(order))
     axes = tuple(visible) + context.block
-    oracle._validate_query(spec.order[0], context)
+    oracle._validate_context(context)
     table = np.zeros((oracle.vocab.size,) * len(axes))
     for m, pos in enumerate(spec.order):
         given = set(visible) | set(spec.order[:m])
@@ -171,7 +164,7 @@ def curl_local(
     for tok in (a, b):
         if not (0 <= tok < oracle.vocab.size):
             raise ContractViolationError(f"token {tok} outside vocabulary of size {oracle.vocab.size}")
-    oracle._validate_query(i, context)
+    oracle._validate_context(context)
 
     assigned = context.observed
     t0 = float(oracle.log_dist(i, assigned)[a])
@@ -250,68 +243,37 @@ def _subset_scans(oracle: ConditionalOracle, context: PartialContext, epsilon: f
         yield visible, pairs, np.stack([g[0] for g in grids], axis=1), np.stack([g[1] for g in grids], axis=1)
 
 
-def curl_normalized(sample: CurlSample, epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> float:
-    """|value| over the summed magnitudes of the four log terms, plus epsilon."""
-    if not (epsilon > 0):
-        raise ContractViolationError(f"epsilon must be positive, got {epsilon}")
-    denom = sum(abs(t) for t in sample.terms) + epsilon
-    return abs(sample.value) / denom
-
-
 def _block_pairs(context: PartialContext) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(context.block), 2))
 
 
-def iter_plan_samples(
-    oracle: ConditionalOracle,
-    context: PartialContext,
-    plan,
-    epsilon: float = DEFAULT_NORMALIZER_EPSILON,
-) -> Iterator[CurlSample]:
-    """Evaluate circulation at every tuple the plan selects, in plan order, read
-    from the circulation grid of each position pair of the context."""
+def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsilon: float = DEFAULT_NORMALIZER_EPSILON):
+    """The plan's squares in plan order as (pair index into ``_block_pairs``, a, b) int arrays,
+    with their circulation and normalised circulation read from each block pair's grid.
+    Exhaustive squares run pair by pair, then row-major in (a, b); a Monte Carlo sample
+    draws its pair, then a, then b, one ``integers`` call each."""
     vocab, pairs = oracle.vocab.size, _block_pairs(context)
-    if isinstance(plan, ExplicitPlan):
-        squares = list(plan.tuples)
-    elif not isinstance(plan, (ExhaustivePlan, MonteCarloPlan)):
+    if not isinstance(plan, (ExhaustivePlan, MonteCarloPlan)):
         raise ContractViolationError(f"unknown sampling plan {plan!r}")
-    elif not pairs:
+    if not pairs:
         raise ContractViolationError("exhaustive and sampling plans need a block with at least two positions")
-    elif isinstance(plan, ExhaustivePlan):
-        squares = [(i, j, a, b) for i, j in pairs for a, b in itertools.product(range(vocab), repeat=2)]
+    if isinstance(plan, ExhaustivePlan):
+        k, a, b = (axis.reshape(-1) for axis in np.indices((len(pairs), vocab, vocab)))
     else:
         rng = seeded_rng(plan.seed)
-        draws = ((pairs[rng.integers(len(pairs))], rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n))
-        squares = [(i, j, int(a), int(b)) for (i, j), a, b in draws]
-    if not squares:
-        raise ContractViolationError("explicit plan must list at least one tuple")
-    grids: dict = {}
-    for i, j, a, b in squares:
-        if not (i != j and {i, j} <= set(context.block) and 0 <= a < vocab and 0 <= b < vocab):
-            raise ContractViolationError(f"square {(i, j, a, b)} needs distinct block positions and tokens below {vocab}")
-        if (i, j) not in grids:
-            terms, value, normalized = _pair_circulation(oracle, context.observed, (), i, j, epsilon)
-            grids[i, j] = np.broadcast_arrays(*terms), value, normalized
-        terms, value, normalized = grids[i, j]
-        yield CurlSample(
-            i=i, j=j, a=a, b=b, context=context, value=float(value[0, a, b]),
-            terms=tuple(float(t[0, a, b]) for t in terms), normalized_value=float(normalized[0, a, b]),
-        )
+        k, a, b = np.array([(rng.integers(len(pairs)), rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n)]).T
+    grids = [_pair_circulation(oracle, context.observed, (), i, j, epsilon)[1:] for i, j in pairs]
+    value, normalized = (np.concatenate([grid[m] for grid in grids]) for m in (0, 1))
+    return k, a, b, value[k, a, b], normalized[k, a, b]
 
 
 def ecirc_abs(oracle: ConditionalOracle, context: PartialContext, plan=ExhaustivePlan()) -> Estimate:
     """Mean absolute circulation under the plan (the scalar incompatibility summary)."""
-    if isinstance(plan, ExhaustivePlan) and (pairs := _block_pairs(context)):
-        # the plan's squares are the block pairs' circulation grids, row-major in (a, b)
-        grids = [_pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)[1] for i, j in pairs]
-        values = np.abs(np.concatenate([grid.reshape(-1) for grid in grids]))
-    else:
-        values = np.array([abs(s.value) for s in iter_plan_samples(oracle, context, plan)])
+    values = np.abs(plan_squares(oracle, context, plan)[3])
     if isinstance(plan, MonteCarloPlan):
         stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
         return Estimate(value=float(values.mean()), stderr=stderr, n=len(values), mode="monte-carlo")
-    mode = "explicit" if isinstance(plan, ExplicitPlan) else "exact"
-    return Estimate(value=float(values.mean()), n=len(values), mode=mode)
+    return Estimate(value=float(values.mean()), n=len(values), mode="exact")
 
 
 def order_swap_kl(
@@ -469,7 +431,9 @@ def swap_decomposition(
     lp_start = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.start), assignment)
     lp_end = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.end), assignment)
     log_gap = lp_start - lp_end
-    residual = log_gap - sum(t.value for t in terms)
+    # left to right: from Python 3.12 the builtin sum of floats is compensated
+    *_, swap_sum = itertools.accumulate((t.value for t in terms), initial=0.0)
+    residual = log_gap - swap_sum
     return SwapDecomposition(terms=tuple(terms), log_gap=log_gap, residual=residual)
 
 
@@ -582,17 +546,22 @@ def curl_scan_report(
     maximum sample as witness (none when every |circulation| is below the
     1e-12 tie grid), and the exact order-swap KL per block pair, labelled
     with the caller's ``model_id``."""
-    samples = list(iter_plan_samples(oracle, context, plan, epsilon))
-    values = np.array([abs(s.value) for s in samples])
-    normalized = np.array([s.normalized_value for s in samples])
-    worst = samples[int(values.argmax())]
+    pairs = _block_pairs(context)
+    k, a, b, value, normalized = plan_squares(oracle, context, plan, epsilon)
+    samples = [
+        {"i": pairs[p][0], "j": pairs[p][1], "a": x, "b": y, "value": v, "normalized_value": nv}
+        for p, x, y, v, nv in zip(k.tolist(), a.tolist(), b.tolist(), value.tolist(), normalized.tolist())
+    ]
+    values = np.abs(value)
+    i, j, x, y, v, nv = samples[int(values.argmax())].values()
+    witness = {"i": i, "j": j, "a": x, "b": y, "context": context.to_dict(), "value": v, "normalized_value": nv}
     seed = plan.seed if isinstance(plan, MonteCarloPlan) else None
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if isinstance(plan, MonteCarloPlan) and len(values) > 1 else None
     pair_kl = {
         f"{i}-{j}": order_swap_kl(oracle, context, i, j, mode="exact").value
-        for i, j in _block_pairs(context)
+        for i, j in pairs
     }
-    plan_label = {ExhaustivePlan: "exhaustive", MonteCarloPlan: "monte-carlo", ExplicitPlan: "explicit"}[type(plan)]
+    plan_label = {ExhaustivePlan: "exhaustive", MonteCarloPlan: "monte-carlo"}[type(plan)]
     return {
         "model_id": model_id,
         "context": context.to_dict(),
@@ -604,11 +573,8 @@ def curl_scan_report(
             "max_curl": float(values.max()),
             "order_swap_kl": pair_kl,
         },
-        "witnesses": [worst.to_dict()] if values.max() >= TIE_GRID else [],
+        "witnesses": [witness] if values.max() >= TIE_GRID else [],
         "seed": seed,
         "n": len(samples),
-        "samples": [
-            {"i": s.i, "j": s.j, "a": s.a, "b": s.b, "value": s.value, "normalized_value": s.normalized_value}
-            for s in samples
-        ],
+        "samples": samples,
     }

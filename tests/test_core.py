@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import curlgauge
 from conftest import random_context, random_joint
 from curlgauge.core import (
     LogitTable,
@@ -23,14 +24,12 @@ from curlgauge.core import (
     _SUM8_ROWS,
     _seed_key,
     apply_logit_shift,
-    bayes_conditional,
     class_strides,
     context_class_index,
     load_model,
     log_normalize,
     logsumexp,
     model_from_dict,
-    perturbed_conditional,
     plain_json,
     row_sum,
     save_model,
@@ -80,11 +79,11 @@ class TestBayesConditional:
     def test_uniform_symmetry(self):
         joint = TabularJointModel.uniform(2, 2)
         ctx = PartialContext(observed={}, block=(0, 1))
-        assert bayes_conditional(joint, 0, 0, ctx) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert joint.log_dist(0, ctx.observed)[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_hand_marginalized_two_by_two(self, two_by_two):
         ctx = PartialContext(observed={0: 0}, block=(1,))
-        assert bayes_conditional(two_by_two, 1, 0, ctx) == pytest.approx(math.log(0.8), abs=1e-12)
+        assert two_by_two.log_dist(1, ctx.observed)[0] == pytest.approx(math.log(0.8), abs=1e-12)
 
     def test_matches_brute_force_mass_ratio(self):
         joint = random_joint(5, positions=4, vocab=3)
@@ -92,7 +91,7 @@ class TestBayesConditional:
         table = np.exp(joint.log_mass_nd)
         num = table[1, :, :, 2][0, :].sum()
         den = table[1, :, :, 2].sum()
-        assert joint.log_conditional(1, 0, ctx) == pytest.approx(math.log(num / den), abs=1e-12)
+        assert joint.log_dist(1, ctx.observed)[0] == pytest.approx(math.log(num / den), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -100,21 +99,21 @@ class TestBayesConditional:
         joint = random_joint(seed, positions=3, vocab=4)
         ctx = random_context(seed, joint)
         for i in ctx.block:
-            total = np.exp(joint.log_conditional_dist(i, ctx)).sum()
+            total = np.exp(joint.log_dist(i, ctx.observed)).sum()
             assert abs(total - 1.0) < 1e-9
 
     def test_observed_position_is_contract_violation(self, two_by_two):
         ctx = PartialContext(observed={0: 0}, block=(1,))
         with pytest.raises(ContractViolationError):
-            two_by_two.log_conditional(0, 0, ctx)
+            two_by_two.log_dist(0, ctx.observed)
 
     def test_out_of_range_is_dimension_error(self, two_by_two):
         with pytest.raises(DimensionError):
-            two_by_two.log_conditional(5, 0, PartialContext({}, (0, 1)))
+            two_by_two.log_block_conditional(PartialContext({}, (0, 5)))
         with pytest.raises(DimensionError):
-            two_by_two.log_conditional(0, 7, PartialContext({}, (0, 1)))
+            two_by_two.log_block_conditional(PartialContext({7: 0}, (1,)))
         with pytest.raises(DimensionError):
-            two_by_two.log_conditional(1, 0, PartialContext({0: 5}, (1,)))
+            two_by_two.log_block_conditional(PartialContext({0: 5}, (1,)))
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):
@@ -211,7 +210,7 @@ class TestPerturbedModel:
         pert = PerturbedConditionalModel(joint, 0.5, 3)
         ctx = PartialContext({}, (0, 1, 2))
         for i in range(3):
-            assert abs(np.exp(pert.log_conditional_dist(i, ctx)).sum() - 1.0) < 1e-9
+            assert abs(np.exp(pert.log_dist(i, ctx.observed)).sum() - 1.0) < 1e-9
 
     def test_bit_identical_across_constructions(self):
         joint = random_joint(9, positions=3, vocab=3)
@@ -239,12 +238,6 @@ class TestPerturbedModel:
             wins += means[0] <= means[1] <= means[2]
         assert wins >= 0.8 * trials
 
-    def test_perturbed_conditional_wrapper(self):
-        joint = random_joint(10)
-        pert = PerturbedConditionalModel(joint, 0.3, 5)
-        ctx = PartialContext({}, (0, 1, 2))
-        assert perturbed_conditional(pert, 0, 1, ctx) == pert.log_conditional(0, 1, ctx)
-
 
 class TestLogitShift:
     def test_zero_shift_is_identity(self):
@@ -261,7 +254,7 @@ class TestLogitShift:
         ctx = PartialContext({}, (0, 1, 2))
         for i in range(3):
             np.testing.assert_allclose(
-                before.log_conditional_dist(i, ctx), after.log_conditional_dist(i, ctx), atol=1e-12
+                before.log_dist(i, ctx.observed), after.log_dist(i, ctx.observed), atol=1e-12
             )
 
     def test_curl_invariant_under_shift(self):
@@ -307,7 +300,7 @@ class TestModelFiles:
         assert bundle.oracle.delta == 0.25
         ctx = PartialContext({}, (0, 1, 2))
         assert np.array_equal(
-            bundle.oracle.log_conditional_dist(0, ctx), pert.log_conditional_dist(0, ctx)
+            bundle.oracle.log_dist(0, ctx.observed), pert.log_dist(0, ctx.observed)
         )
 
     def test_model_id_is_pinned(self):
@@ -516,3 +509,9 @@ def test_plain_json_equals_the_isinstance_walk():
         assert repr(got) == repr(want)
         assert json.dumps(got) == json.dumps(want)
         assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(want, sort_keys=True, indent=1)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in curlgauge.__all__ if not hasattr(curlgauge, name)]
+    assert missing == []
+    assert len(set(curlgauge.__all__)) == len(curlgauge.__all__)

@@ -67,6 +67,9 @@ class TestOrderCrossEntropy:
         joint = random_joint(2)
         with pytest.raises(ContractViolationError):
             order_cross_entropy(joint, joint, PartialContext({}, (0, 1)), (0, 2))
+        message = r"^order \(0, 0, 1\) is not a permutation of the block \(0, 1, 2\)$"
+        with pytest.raises(ContractViolationError, match=message):
+            order_cross_entropy(joint, joint, PartialContext({}, (0, 1, 2)), (0, 0, 1))
 
     def test_nonblock_positions_are_marginalized(self):
         joint = random_joint(3, positions=4, vocab=3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,21 +15,19 @@ from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
     context_class_index,
+    seeded_rng,
 )
 from curlgauge.errors import ContractViolationError, SizeCapError
 from curlgauge.pseudojoint import (
     ExhaustivePlan,
-    ExplicitPlan,
     MonteCarloPlan,
     PseudoJointSpec,
     SwapPath,
     apply_swap_steps,
     bubble_path,
     curl_local,
-    curl_normalized,
     curl_scan_report,
     ecirc_abs,
-    iter_plan_samples,
     order_consistency_check,
     order_swap_kl,
     pseudo_joint_log_prob,
@@ -60,7 +59,7 @@ class TestPseudoJointLogProb:
         joint = random_joint(1, positions=3, vocab=3)
         ctx = PartialContext(observed={0: 1, 2: 2}, block=(1,))
         spec = PseudoJointSpec(ctx, (1,))
-        assert pseudo_joint_log_prob(joint, spec, {1: 0}) == joint.log_conditional(1, 0, ctx)
+        assert pseudo_joint_log_prob(joint, spec, {1: 0}) == float(joint.log_dist(1, ctx.observed)[0])
 
     def test_exact_oracle_matches_brute_force_chain_rule(self):
         joint = random_joint(2, positions=4, vocab=3)
@@ -161,20 +160,7 @@ class TestCurlNormalized:
     def test_zero_value(self):
         joint = random_joint(8)
         sample = curl_local(joint, PartialContext({}, (0, 1, 2)), 0, 1, 0, 0)
-        assert curl_normalized(sample) == pytest.approx(0.0, abs=1e-10)
-
-    def test_unit_terms_arithmetic(self):
-        sample_like = curl_local(random_joint(9), PartialContext({}, (0, 1, 2)), 0, 1, 0, 0)
-        fake = type(sample_like)(
-            i=0, j=1, a=0, b=0, context=sample_like.context,
-            value=0.4, terms=(-1.0, -1.0, -1.0, -1.0), normalized_value=0.0,
-        )
-        assert curl_normalized(fake, 1e-6) == pytest.approx(0.4 / (4 + 1e-6), abs=1e-15)
-
-    def test_epsilon_must_be_positive(self):
-        sample = curl_local(random_joint(10), PartialContext({}, (0, 1, 2)), 0, 1, 0, 0)
-        with pytest.raises(ContractViolationError):
-            curl_normalized(sample, 0.0)
+        assert sample.normalized_value == pytest.approx(0.0, abs=1e-10)
 
     def test_bounded_below_one(self):
         joint = random_joint(12, positions=3, vocab=3)
@@ -198,13 +184,6 @@ class TestEcircAbs:
         mc = ecirc_abs(oracle, ctx, MonteCarloPlan(seed=4, n=10_000))
         assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-12
 
-    def test_single_tuple_plan_is_absolute_curl(self):
-        joint = random_joint(15, positions=3, vocab=3)
-        oracle = PerturbedConditionalModel(joint, 0.5, 10)
-        ctx = PartialContext({}, (0, 1, 2))
-        est = ecirc_abs(oracle, ctx, ExplicitPlan(((0, 1, 2, 1),)))
-        assert est.value == abs(curl_local(oracle, ctx, 0, 1, 2, 1).value)
-
     def test_empty_block_pair_set_rejected(self):
         joint = random_joint(15)
         with pytest.raises(ContractViolationError):
@@ -216,7 +195,9 @@ class TestEcircAbs:
             joint = random_joint(k, positions=int(rng.integers(4, 7)), vocab=int(rng.integers(2, 5)))
             oracle = random_oracle(k, joint, None if k % 2 else 0.2 + float(rng.random()))
             ctx = random_context(k, joint)
-            values = np.array([abs(s.value) for s in iter_plan_samples(oracle, ctx, ExhaustivePlan())])
+            pairs = itertools.combinations(sorted(ctx.block), 2)
+            squares = itertools.product(pairs, range(joint.vocab.size), range(joint.vocab.size))
+            values = np.array([abs(curl_local(oracle, ctx, i, j, a, b).value) for (i, j), a, b in squares])
             est = ecirc_abs(oracle, ctx, ExhaustivePlan())
             assert (est.value, est.n, est.mode) == (float(values.mean()), len(values), "exact"), k
 
@@ -291,6 +272,17 @@ class TestSwapPaths:
             out = swap_decomposition(oracle, ctx, path, assignment)
             assert abs(out.residual) < 1e-10
 
+    def test_residual_adds_the_swap_terms_left_to_right(self, monkeypatch):
+        # 1e16 + 1.0 rounds back to 1e16, so left to right the terms add to 0.0; a
+        # compensated sum (the builtin sum from Python 3.12) would give 1.0
+        values = iter([1e16, 1.0, -1e16])
+        monkeypatch.setattr(pseudojoint, "curl_local", lambda *args: SimpleNamespace(value=next(values)))
+        joint = random_joint(22, positions=3, vocab=3)
+        path = SwapPath(start=(0, 1, 2), end=(1, 0, 2), steps=(1, 2, 2))
+        out = swap_decomposition(joint, PartialContext({}, (0, 1, 2)), path, {0: 1, 1: 0, 2: 2})
+        assert [t.value for t in out.terms] == [1e16, 1.0, -1e16]
+        assert out.residual == out.log_gap
+
     def test_two_paths_same_sum_different_terms(self):
         joint = random_joint(21, positions=4, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 2)
@@ -360,6 +352,26 @@ def test_curl_scan_report_shape():
     assert set(report["stats"]["order_swap_kl"]) == {"0-1", "0-2", "1-2"}
 
 
+def test_monte_carlo_plan_draws_pair_then_a_then_b():
+    for seed in range(12):
+        joint = random_joint(seed, positions=int(2 + seed % 4), vocab=int(2 + seed % 3))
+        oracle = PerturbedConditionalModel(joint, 0.5, seed)
+        ctx = random_context(seed, joint)
+        vocab, epsilon, n = joint.vocab.size, 0.01, 1 + 7 * seed
+        pairs = list(itertools.combinations(sorted(ctx.block), 2))
+        rng, expected = seeded_rng(seed), []
+        for _ in range(n):
+            i, j = pairs[rng.integers(len(pairs))]
+            a = rng.integers(vocab)
+            b = rng.integers(vocab)
+            expected.append((i, j, int(a), int(b)))
+        report = curl_scan_report(oracle, ctx, MonteCarloPlan(seed=seed, n=n), epsilon, model_id="test")
+        assert [(s["i"], s["j"], s["a"], s["b"]) for s in report["samples"]] == expected
+        for s in report["samples"]:
+            reference = curl_local(oracle, ctx, s["i"], s["j"], s["a"], s["b"], epsilon)
+            assert (s["value"], s["normalized_value"]) == (reference.value, reference.normalized_value)
+
+
 def _scalar_consistency_scan(oracle, context, tol):
     """Reference square loop: one curl_local call per reachable square; also
     returns every square's squared normalized circulation, in scan order."""
@@ -406,10 +418,10 @@ class TestSquareEngineMatchesScalarReference:
         ctx = random_context(seed, joint)
 
         for plan in (ExhaustivePlan(), MonteCarloPlan(seed=seed, n=20)):
-            for sample in iter_plan_samples(oracle, ctx, plan):
-                reference = curl_local(oracle, ctx, sample.i, sample.j, sample.a, sample.b)
-                assert sample.value == reference.value
-                assert sample.normalized_value == reference.normalized_value
+            for sample in curl_scan_report(oracle, ctx, plan, model_id="test")["samples"]:
+                reference = curl_local(oracle, ctx, sample["i"], sample["j"], sample["a"], sample["b"])
+                assert sample["value"] == reference.value
+                assert sample["normalized_value"] == reference.normalized_value
 
         report = order_consistency_check(oracle, ctx, tol)
         tables = np.stack([pseudo_joint_table(oracle, ctx, perm) for perm in itertools.permutations(ctx.block)])

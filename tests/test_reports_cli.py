@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -201,6 +202,15 @@ class TestCliExitCodes:
         )
         assert result.exit_code == 2
         assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_order_with_a_repeated_position_exits_two_with_one_line(self, tmp_path):
+        write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL, "seed": 1, "orders": [[0, 0, 1]]})
+        result = CliRunner().invoke(
+            main, ["order-error", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert re.fullmatch(r"config error: order \(0, 0, 1\) is not a permutation of the block \(.*\)\n", result.stderr)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])

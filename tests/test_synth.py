@@ -249,7 +249,7 @@ class TestTrainTabular:
         oracle = train_tabular(joint, TrainConfig(coverage="prefix-only", steps=50, seed=3))
         ctx = PartialContext({}, (0, 1, 2))
         for i in range(3):
-            assert abs(np.exp(oracle.log_conditional_dist(i, ctx)).sum() - 1.0) < 1e-9
+            assert abs(np.exp(oracle.log_dist(i, ctx.observed)).sum() - 1.0) < 1e-9
 
     def test_serialization_round_trip(self, tmp_path):
         from curlgauge.core import load_model, save_model
