@@ -47,7 +47,7 @@ from .pseudojoint import (
     MonteCarloPlan,
     curl_scan_report,
     order_consistency_check,
-    order_swap_kl,
+    order_gap_entries,
 )
 from .reports import build_report, emit_plot_data, load_config, parse_config, resolve_contexts, resolve_model, write_report_json
 from .synth import TrainConfig, train_tabular
@@ -173,20 +173,11 @@ def cmd_order_gap(config_path, seed, out_dir, fmt):
     def body(config, seed, bundle, contexts, out_dir):
         mc_cfg = config.get("monte_carlo")
         mc_plan = None if mc_cfg is None else MonteCarloPlan(seed=mc_cfg.get("seed", seed), n=mc_cfg["n"])
-        entries = []
-        for cid, context in enumerate(contexts):
-            for i, j in itertools.combinations(sorted(context.block), 2):
-                entry = {
-                    "context_id": cid,
-                    "i": i,
-                    "j": j,
-                    "kl_ij": order_swap_kl(bundle.oracle, context, i, j).value,
-                    "kl_ji": order_swap_kl(bundle.oracle, context, j, i).value,
-                }
-                if mc_plan is not None:
-                    est = order_swap_kl(bundle.oracle, context, i, j, mode=mc_plan)
-                    entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
-                entries.append(entry)
+        entries = [
+            {"context_id": cid, **entry}
+            for cid, context in enumerate(contexts)
+            for entry in order_gap_entries(bundle.oracle, context, mc_plan)
+        ]
         return {"order_gap": entries}
 
     _run("order-gap", config_path, seed, out_dir, fmt, body)

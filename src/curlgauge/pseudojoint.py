@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import TIE_GRID, ConditionalOracle, PartialContext, kl, seeded_rng
-from .errors import ContractViolationError, IdentityCheckError, SizeCapError
+from .errors import ContractViolationError, IdentityCheckError
 
 DEFAULT_NORMALIZER_EPSILON = 1e-6
 DEFAULT_CONSISTENCY_TOL = 1e-8
@@ -67,15 +67,9 @@ class CurlSample:
     normalized_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "a": self.a,
-            "b": self.b,
-            "context": self.context.to_dict(),
-            "value": self.value,
-            "normalized_value": self.normalized_value,
-        }
+        out = {**vars(self), "context": self.context.to_dict()}
+        del out["terms"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,15 @@ class Estimate:
     n: int | None = None
     mode: str = "exact"
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "n": self.n, "mode": self.mode}
+
+def _mean_estimate(values: np.ndarray, plan) -> Estimate:
+    """Mean of a plan's samples; a Monte Carlo mean carries its standard error, which one
+    sample leaves undefined."""
+    n = len(values)
+    if not isinstance(plan, MonteCarloPlan):
+        return Estimate(value=float(values.mean()), n=n, mode="exact")
+    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None
+    return Estimate(value=float(values.mean()), stderr=stderr, n=n, mode="monte-carlo")
 
 
 def pseudo_joint_log_prob(oracle: ConditionalOracle, spec: PseudoJointSpec, assignment: Mapping[int, int]) -> float:
@@ -171,9 +172,7 @@ def curl_local(
     t1 = float(oracle.log_dist(j, {**assigned, i: a})[b])
     t2 = float(oracle.log_dist(j, assigned)[b])
     t3 = float(oracle.log_dist(i, {**assigned, j: b})[a])
-    forward = t0 + t1
-    backward = t2 + t3
-    value = forward - backward
+    value = (t0 + t1) - (t2 + t3)
 
     pair_context = PartialContext(observed=assigned, block=(i, j), time=context.time)
     lp_ij = pseudo_joint_log_prob(oracle, PseudoJointSpec(pair_context, (i, j)), {i: a, j: b})
@@ -207,9 +206,23 @@ def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], visible:
     return t0, t1, t2, np.ascontiguousarray(t3.swapaxes(1, 2))
 
 
+@dataclass(frozen=True)
+class _PairRecord:
+    """One square group (visible, i, j), gathered once: the four ``_pair_terms``, the i-first and
+    j-first pair-order tables (axes: visible, then i, j), the ``[values, a, b]`` circulation and
+    normalised circulation, and the largest gap between circulation and the tables' log-ratio."""
+
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ij: np.ndarray
+    ji: np.ndarray
+    value: np.ndarray
+    normalized: np.ndarray
+    residual: float
+
+
 def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], visible, i: int, j: int, epsilon: float):
-    """Four-term circulation of the group (visible, i, j) as a ``[values, a, b]`` array, with its
-    terms and normalised array; checked once per group against the two pair-order tables."""
+    """The record of the group (visible, i, j); its circulation is checked against the two
+    pair-order tables."""
     pair_context = PartialContext(observed=observed, block=(i, j))
     ij, ji = (pseudo_joint_table(oracle, pair_context, order, visible) for order in ((i, j), (j, i)))
     terms = _pair_terms(oracle, observed, visible, i, j)
@@ -221,7 +234,37 @@ def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], vi
             f"circulation cross-check failed: four-term values differ from the product log-ratio by {residual!r}"
         )
     normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)
-    return terms, value, normalized
+    return _PairRecord(terms, ij, ji, value, normalized, residual)
+
+
+def _swap_kls(record: _PairRecord) -> tuple[float, float]:
+    """KL(q_ij || q_ji) and KL(q_ji || q_ij) of a record with no visible positions, each checked
+    against the expectation of its own circulation under its first product.  The j-first sums
+    run over C-contiguous (j, i)-axis copies: the summation order of tables built j first."""
+    flip = lambda t: np.ascontiguousarray(t.T)  # noqa: E731
+    curl = record.value[0]
+    kls = []
+    for log_p, log_q, c in ((record.ij, record.ji, curl), (flip(record.ji), flip(record.ij), flip(-curl))):
+        swap_kl = float(kl(log_p, log_q))
+        curl_expectation = float((np.exp(log_p) * c).sum())
+        if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
+            raise IdentityCheckError(
+                f"order-swap KL cross-check failed: {swap_kl!r} vs circulation expectation {curl_expectation!r}"
+            )
+        kls.append(swap_kl)
+    return kls[0], kls[1]
+
+
+def _swap_kl_draws(record: _PairRecord, plan: MonteCarloPlan) -> Estimate:
+    """Monte Carlo KL(q_ij || q_ji): the mean circulation of a record with no visible positions
+    over (a, b) drawn from q_ij, a then b from one uniform pair each."""
+    t0, t1 = record.terms[0][0, :, 0], record.terms[1][0]
+    vocab = len(t0)
+    u = seeded_rng(plan.seed).random((plan.n, 2))
+    # a count of cdf entries <= u is a right-sided search
+    a = np.searchsorted(np.cumsum(np.exp(t0)), u[:, 0], side="right").clip(0, vocab - 1)
+    b = (np.cumsum(np.exp(t1), axis=1)[a] <= u[:, 1:]).sum(axis=1).clip(0, vocab - 1)
+    return _mean_estimate(record.value[0][a, b], plan)
 
 
 def _square_groups(context: PartialContext) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -239,8 +282,8 @@ def _subset_scans(oracle: ConditionalOracle, context: PartialContext, epsilon: f
     normalised circulation; flattened and joined, they list the squares in enumeration order."""
     for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
         pairs = [(i, j) for _, i, j in groups]
-        grids = [_pair_circulation(oracle, context.observed, visible, i, j, epsilon)[1:] for i, j in pairs]
-        yield visible, pairs, np.stack([g[0] for g in grids], axis=1), np.stack([g[1] for g in grids], axis=1)
+        records = [_pair_circulation(oracle, context.observed, visible, i, j, epsilon) for i, j in pairs]
+        yield visible, pairs, np.stack([r.value for r in records], axis=1), np.stack([r.normalized for r in records], axis=1)
 
 
 def _block_pairs(context: PartialContext) -> list[tuple[int, int]]:
@@ -249,9 +292,9 @@ def _block_pairs(context: PartialContext) -> list[tuple[int, int]]:
 
 def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsilon: float = DEFAULT_NORMALIZER_EPSILON):
     """The plan's squares in plan order as (pair index into ``_block_pairs``, a, b) int arrays,
-    with their circulation and normalised circulation read from each block pair's grid.
-    Exhaustive squares run pair by pair, then row-major in (a, b); a Monte Carlo sample
-    draws its pair, then a, then b, one ``integers`` call each."""
+    with their circulation and normalised circulation read from each block pair's record,
+    and those records.  Exhaustive squares run pair by pair, then row-major in (a, b); a
+    Monte Carlo sample draws its pair, then a, then b, one ``integers`` call each."""
     vocab, pairs = oracle.vocab.size, _block_pairs(context)
     if not isinstance(plan, (ExhaustivePlan, MonteCarloPlan)):
         raise ContractViolationError(f"unknown sampling plan {plan!r}")
@@ -262,60 +305,45 @@ def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsil
     else:
         rng = seeded_rng(plan.seed)
         k, a, b = np.array([(rng.integers(len(pairs)), rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n)]).T
-    grids = [_pair_circulation(oracle, context.observed, (), i, j, epsilon)[1:] for i, j in pairs]
-    value, normalized = (np.concatenate([grid[m] for grid in grids]) for m in (0, 1))
-    return k, a, b, value[k, a, b], normalized[k, a, b]
+    records = [_pair_circulation(oracle, context.observed, (), i, j, epsilon) for i, j in pairs]
+    value, normalized = (np.concatenate([getattr(r, name) for r in records]) for name in ("value", "normalized"))
+    return k, a, b, value[k, a, b], normalized[k, a, b], records
 
 
 def ecirc_abs(oracle: ConditionalOracle, context: PartialContext, plan=ExhaustivePlan()) -> Estimate:
     """Mean absolute circulation under the plan (the scalar incompatibility summary)."""
-    values = np.abs(plan_squares(oracle, context, plan)[3])
-    if isinstance(plan, MonteCarloPlan):
-        stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-        return Estimate(value=float(values.mean()), stderr=stderr, n=len(values), mode="monte-carlo")
-    return Estimate(value=float(values.mean()), n=len(values), mode="exact")
+    return _mean_estimate(np.abs(plan_squares(oracle, context, plan)[3]), plan)
 
 
-def order_swap_kl(
-    oracle: ConditionalOracle,
-    context: PartialContext,
-    i: int,
-    j: int,
-    mode="exact",
-) -> Estimate:
+def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j: int, mode="exact") -> Estimate:
     """KL between the two order-induced pair products, resolving i first vs j first.
 
-    Both modes cross-check the exact KL over all token pairs against the expectation
-    of the four-term circulation under the i-first product; Monte Carlo mode then
-    averages circulation over samples drawn from that product.
+    Both modes read one pair record and cross-check the exact KL of each direction against
+    the expectation of its circulation under its first product; Monte Carlo mode then
+    averages circulation over samples drawn from the i-first product.
     """
     if i == j or i not in context.block or j not in context.block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
     if mode != "exact" and not isinstance(mode, MonteCarloPlan):
         raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
-    vocab = oracle.vocab.size
-    pair_context = PartialContext(observed=context.observed, block=(i, j), time=context.time)
-    log_q_ij = pseudo_joint_table(oracle, pair_context, (i, j))
-    log_q_ji = pseudo_joint_table(oracle, pair_context, (j, i))
-    t0, t1, t2, t3 = (t[0] for t in _pair_terms(oracle, context.observed, (), i, j))
-    curl = (t0 + t1) - (t2 + t3)
-    weight = np.exp(log_q_ij)
-    swap_kl = float(kl(log_q_ij, log_q_ji))
-    curl_expectation = float((weight * curl).sum())
-    if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
-        raise IdentityCheckError(
-            f"order-swap KL cross-check failed: {swap_kl!r} vs circulation expectation {curl_expectation!r}"
-        )
-    if mode == "exact":
-        return Estimate(value=swap_kl, mode="exact")
+    record = _pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)
+    swap_kl = _swap_kls(record)[0]
+    return Estimate(value=swap_kl, mode="exact") if mode == "exact" else _swap_kl_draws(record, mode)
 
-    # a then b from one uniform pair each; a count of cdf entries <= u is a right-sided search
-    u = seeded_rng(mode.seed).random((mode.n, 2))
-    a = np.searchsorted(np.cumsum(np.exp(t0[:, 0])), u[:, 0], side="right").clip(0, vocab - 1)
-    b = (np.cumsum(np.exp(t1), axis=1)[a] <= u[:, 1:]).sum(axis=1).clip(0, vocab - 1)
-    values = curl[a, b]
-    stderr = float(values.std(ddof=1) / math.sqrt(mode.n)) if mode.n > 1 else 0.0
-    return Estimate(value=float(values.mean()), stderr=stderr, n=mode.n, mode="monte-carlo")
+
+def order_gap_entries(oracle: ConditionalOracle, context: PartialContext, plan: MonteCarloPlan | None) -> list[dict]:
+    """Per block pair (i < j), KL(q_ij || q_ji), KL(q_ji || q_ij) and, given a plan, the
+    Monte Carlo estimate of the first, all read from the pair's one record."""
+    entries = []
+    for i, j in _block_pairs(context):
+        record = _pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)
+        kl_ij, kl_ji = _swap_kls(record)
+        entry = {"i": i, "j": j, "kl_ij": kl_ij, "kl_ji": kl_ji}
+        if plan is not None:
+            est = _swap_kl_draws(record, plan)
+            entry |= {"mc_value": est.value, "mc_stderr": est.stderr, "mc_n": est.n}
+        entries.append(entry)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -405,27 +433,29 @@ def swap_decomposition(
     circulation terms collected along the path's adjacent swaps.
 
     Each swap contributes the circulation of the swapped pair evaluated at
-    the context extended by the assignment values of the slots before it.
-    The residual against the independently computed endpoint gap is returned
+    the context extended by the assignment values of the slots before it: the
+    record whose visible set is that prefix, at the prefix's tokens.  The
+    residual against the independently computed endpoint gap is returned
     and should sit at floating-point noise.
     """
+    vocab = oracle.vocab.size
     if sorted(path.start) != sorted(context.block):
         raise ContractViolationError("path permutations must cover the context block")
     if set(assignment) != set(context.block):
         raise ContractViolationError("assignment must cover exactly the block")
+    for tok in assignment.values():
+        if not (0 <= tok < vocab):
+            raise ContractViolationError(f"token {tok} outside vocabulary of size {vocab}")
 
     terms: list[SwapTerm] = []
     current = list(path.start)
     for k in path.steps:
         i_r, j_r = current[k - 1], current[k]
         prefix = tuple(current[: k - 1])
-        ctx = context
-        for p in prefix:
-            ctx = ctx.assign(p, assignment[p])
-        sample = curl_local(oracle, ctx, i_r, j_r, assignment[i_r], assignment[j_r])
-        terms.append(
-            SwapTerm(i=i_r, j=j_r, a=assignment[i_r], b=assignment[j_r], prefix=prefix, value=sample.value)
-        )
+        record = _pair_circulation(oracle, context.observed, prefix, i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
+        grid = record.value.reshape((vocab,) * (len(prefix) + 2))
+        value = float(grid[tuple(assignment[p] for p in (*prefix, i_r, j_r))])
+        terms.append(SwapTerm(i=i_r, j=j_r, a=assignment[i_r], b=assignment[j_r], prefix=prefix, value=value))
         current[k - 1], current[k] = current[k], current[k - 1]
 
     lp_start = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.start), assignment)
@@ -452,17 +482,7 @@ class ConsistencyReport:
     curl_consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "max_order_gap": self.max_order_gap,
-            "max_curl": self.max_curl,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "tol": self.tol,
-            "permutations_checked": self.permutations_checked,
-            "squares_checked": self.squares_checked,
-            "order_gap_consistent": self.order_gap_consistent,
-            "curl_consistent": self.curl_consistent,
-        }
+        return {**vars(self), "witness": None if self.witness is None else self.witness.to_dict()}
 
 
 def order_consistency_check(
@@ -484,10 +504,6 @@ def order_consistency_check(
     vocab = oracle.vocab.size
     if n < 2:
         raise ContractViolationError("consistency check needs a block with at least two positions")
-    if n > 5:
-        raise SizeCapError(f"consistency check caps the block at 5 positions, got {n}")
-    if vocab**n > 32768:
-        raise SizeCapError(f"consistency check caps assignments at 32768, got {vocab}**{n}")
 
     # largest and smallest log product over the orders of each resolved set (axes
     # in block order), each order extended by its last position; rounding is
@@ -547,7 +563,7 @@ def curl_scan_report(
     1e-12 tie grid), and the exact order-swap KL per block pair, labelled
     with the caller's ``model_id``."""
     pairs = _block_pairs(context)
-    k, a, b, value, normalized = plan_squares(oracle, context, plan, epsilon)
+    k, a, b, value, normalized, records = plan_squares(oracle, context, plan, epsilon)
     samples = [
         {"i": pairs[p][0], "j": pairs[p][1], "a": x, "b": y, "value": v, "normalized_value": nv}
         for p, x, y, v, nv in zip(k.tolist(), a.tolist(), b.tolist(), value.tolist(), normalized.tolist())
@@ -555,26 +571,20 @@ def curl_scan_report(
     values = np.abs(value)
     i, j, x, y, v, nv = samples[int(values.argmax())].values()
     witness = {"i": i, "j": j, "a": x, "b": y, "context": context.to_dict(), "value": v, "normalized_value": nv}
-    seed = plan.seed if isinstance(plan, MonteCarloPlan) else None
-    stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if isinstance(plan, MonteCarloPlan) and len(values) > 1 else None
-    pair_kl = {
-        f"{i}-{j}": order_swap_kl(oracle, context, i, j, mode="exact").value
-        for i, j in pairs
-    }
-    plan_label = {ExhaustivePlan: "exhaustive", MonteCarloPlan: "monte-carlo"}[type(plan)]
+    pair_kl = {f"{i}-{j}": _swap_kls(record)[0] for (i, j), record in zip(pairs, records)}
     return {
         "model_id": model_id,
         "context": context.to_dict(),
-        "plan": plan_label,
+        "plan": {ExhaustivePlan: "exhaustive", MonteCarloPlan: "monte-carlo"}[type(plan)],
         "stats": {
             "ecirc_abs": float(values.mean()),
-            "ecirc_abs_stderr": stderr,
+            "ecirc_abs_stderr": _mean_estimate(values, plan).stderr,
             "ecirc_norm": float(normalized.mean()),
             "max_curl": float(values.max()),
             "order_swap_kl": pair_kl,
         },
         "witnesses": [witness] if values.max() >= TIE_GRID else [],
-        "seed": seed,
+        "seed": plan.seed if isinstance(plan, MonteCarloPlan) else None,
         "n": len(samples),
         "samples": samples,
     }

@@ -43,6 +43,7 @@ from .pseudojoint import (
     ExhaustivePlan,
     MonteCarloPlan,
     Estimate,
+    _mean_estimate,
     _square_groups,
     _subset_scans,
 )
@@ -194,11 +195,7 @@ def penalty_batch(logits: np.ndarray, pos_idx, cls_idx, tok_idx) -> tuple[float,
     return float(ratio @ ratio) / n, grad.reshape(logits.shape)
 
 
-def ecirc_penalty(
-    oracle: ConditionalOracle,
-    plan=ExhaustivePlan(),
-    epsilon: float = DEFAULT_NORMALIZER_EPSILON,
-) -> Estimate:
+def ecirc_penalty(oracle: ConditionalOracle, plan=ExhaustivePlan(), epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> Estimate:
     """Mean squared normalized circulation over visible-context squares.
 
     Exhaustive mode enumerates every (visible subset, values, pair, tokens)
@@ -208,8 +205,7 @@ def ecirc_penalty(
     if isinstance(plan, ExhaustivePlan):
         scans = _subset_scans(oracle, PartialContext({}, tuple(range(positions))), epsilon)
         values = np.concatenate([normalized.reshape(-1) ** 2 for *_, normalized in scans])
-        return Estimate(value=float(values.mean()), n=len(values), mode="exact")
-    if isinstance(plan, MonteCarloPlan):
+    elif isinstance(plan, MonteCarloPlan):
         pos, cls, tok = square_sampler(positions, vocab)(seeded_rng(plan.seed), plan.n)
         lq = np.empty(pos.shape)
         for p in range(positions):
@@ -217,9 +213,9 @@ def ecirc_penalty(
             lq[at] = np.take_along_axis(oracle.log_rows(p, cls[at]), tok[at][:, None], axis=1)[:, 0]
         t0, t1, t2, t3 = lq.T
         values = (np.abs((t0 + t1) - (t2 + t3)) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)) ** 2
-        stderr = float(values.std(ddof=1) / math.sqrt(plan.n)) if plan.n > 1 else 0.0
-        return Estimate(value=float(values.mean()), stderr=stderr, n=plan.n, mode="monte-carlo")
-    raise ContractViolationError(f"unknown sampling plan {plan!r}")
+    else:
+        raise ContractViolationError(f"unknown sampling plan {plan!r}")
+    return _mean_estimate(values, plan)
 
 
 # ---------------------------------------------------------------------------

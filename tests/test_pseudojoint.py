@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +18,13 @@ from curlgauge.core import (
     context_class_index,
     seeded_rng,
 )
-from curlgauge.errors import ContractViolationError, SizeCapError
+from curlgauge.errors import ContractViolationError
 from curlgauge.pseudojoint import (
     ExhaustivePlan,
     MonteCarloPlan,
     PseudoJointSpec,
     SwapPath,
+    SwapTerm,
     apply_swap_steps,
     bubble_path,
     curl_local,
@@ -201,6 +203,14 @@ class TestEcircAbs:
             est = ecirc_abs(oracle, ctx, ExhaustivePlan())
             assert (est.value, est.n, est.mode) == (float(values.mean()), len(values), "exact"), k
 
+    def test_one_sample_has_no_stderr(self):
+        joint = random_joint(16, positions=3, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.5, 16)
+        ctx = PartialContext({}, (0, 1, 2))
+        for est in (ecirc_abs(oracle, ctx, MonteCarloPlan(seed=1, n=1)), ecirc_penalty(oracle, MonteCarloPlan(seed=1, n=1))):
+            assert (est.stderr, est.n) == (None, 1)
+        assert order_swap_kl(oracle, ctx, 0, 1, mode=MonteCarloPlan(seed=1, n=1)).stderr is None
+
 
 class TestOrderSwapKL:
     def test_compatible_oracle_gives_zero(self):
@@ -233,6 +243,21 @@ class TestOrderSwapKL:
             log_q = sample.terms[0] + sample.terms[1]
             expectation += math.exp(log_q) * sample.value
         assert order_swap_kl(oracle, ctx, 0, 1).value == pytest.approx(expectation, abs=1e-12)
+
+
+    def test_order_gap_entries_equal_both_directions_of_order_swap_kl(self):
+        for k in range(60):
+            rng = np.random.default_rng(k)
+            joint = random_joint(900 + k, positions=int(rng.integers(3, 7)), vocab=int(rng.integers(2, 9)))
+            oracle = random_oracle(k, joint, 0.2 + float(rng.random()))
+            ctx = random_context(k, joint)
+            plan = MonteCarloPlan(seed=k, n=25)
+            for e in pseudojoint.order_gap_entries(oracle, ctx, plan):
+                i, j = e["i"], e["j"]
+                mc = order_swap_kl(oracle, ctx, i, j, mode=plan)
+                assert e["kl_ij"] == order_swap_kl(oracle, ctx, i, j).value, k
+                assert e["kl_ji"] == order_swap_kl(oracle, ctx, j, i).value, k
+                assert (e["mc_value"], e["mc_stderr"], e["mc_n"]) == (mc.value, mc.stderr, mc.n), k
 
 
 class TestSwapPaths:
@@ -276,12 +301,27 @@ class TestSwapPaths:
         # 1e16 + 1.0 rounds back to 1e16, so left to right the terms add to 0.0; a
         # compensated sum (the builtin sum from Python 3.12) would give 1.0
         values = iter([1e16, 1.0, -1e16])
-        monkeypatch.setattr(pseudojoint, "curl_local", lambda *args: SimpleNamespace(value=next(values)))
+
+        def record(oracle, observed, visible, i, j, epsilon):
+            return SimpleNamespace(value=np.full((3,) * (len(visible) + 2), next(values)))
+
+        monkeypatch.setattr(pseudojoint, "_pair_circulation", record)
         joint = random_joint(22, positions=3, vocab=3)
         path = SwapPath(start=(0, 1, 2), end=(1, 0, 2), steps=(1, 2, 2))
         out = swap_decomposition(joint, PartialContext({}, (0, 1, 2)), path, {0: 1, 1: 0, 2: 2})
         assert [t.value for t in out.terms] == [1e16, 1.0, -1e16]
         assert out.residual == out.log_gap
+
+    def test_out_of_range_token_rejected_before_any_gather(self, monkeypatch):
+        def no_gather(*args):
+            raise AssertionError("a grid was gathered for an out-of-range token")
+
+        monkeypatch.setattr(pseudojoint, "_pair_terms", no_gather)
+        joint = random_joint(23, positions=3, vocab=3)
+        path = SwapPath(start=(0, 1, 2), end=(0, 2, 1), steps=(2,))  # the swap's prefix is (0,)
+        for tok in (-1, 3):
+            with pytest.raises(ContractViolationError, match="outside vocabulary"):
+                swap_decomposition(joint, PartialContext({}, (0, 1, 2)), path, {0: tok, 1: 0, 2: 1})
 
     def test_two_paths_same_sum_different_terms(self):
         joint = random_joint(21, positions=4, vocab=3)
@@ -325,10 +365,17 @@ class TestOrderConsistency:
             report = order_consistency_check(oracle, PartialContext({}, (0, 1, 2)))
             assert report.order_gap_consistent == report.curl_consistent
 
-    def test_block_size_cap_refused(self):
-        big = random_joint(25, positions=6, vocab=2)
-        with pytest.raises(SizeCapError):
-            order_consistency_check(big, PartialContext({}, tuple(range(6))))
+    def test_six_position_block_matches_brute_force(self):
+        joint = random_joint(25, positions=6, vocab=2)
+        ctx = PartialContext({}, tuple(range(6)))
+        for oracle in (joint, PerturbedConditionalModel(joint, 0.4, 25)):
+            report = order_consistency_check(oracle, ctx)
+            tables = np.stack([pseudo_joint_table(oracle, ctx, perm) for perm in itertools.permutations(ctx.block)])
+            gap = float((tables.max(axis=0) - tables.min(axis=0)).max())
+            assert (report.max_order_gap, report.permutations_checked) == (gap, 720)
+            assert report.consistent == (gap < report.tol)
+            # per visible subset size s: C(6, s) subsets, 2**s values, C(6 - s, 2) pairs, 2**2 token pairs
+            assert report.squares_checked == sum(math.comb(6, s) * 2**s * math.comb(6 - s, 2) * 4 for s in range(5))
 
 
 def test_curl_scan_witness_needs_circulation_on_the_tie_grid():
@@ -350,6 +397,19 @@ def test_curl_scan_report_shape():
     assert len(report["samples"]) == 3 * 9
     assert report["stats"]["max_curl"] == max(abs(s["value"]) for s in report["samples"])
     assert set(report["stats"]["order_swap_kl"]) == {"0-1", "0-2", "1-2"}
+
+
+def test_curl_scan_gathers_each_block_pair_once(monkeypatch):
+    counts = Counter()
+    for name in ("_pair_terms", "pseudo_joint_table"):
+        def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(pseudojoint, name, counted)
+    oracle = PerturbedConditionalModel(random_joint(27, positions=6, vocab=3), 0.4, 27)
+    curl_scan_report(oracle, PartialContext({}, tuple(range(6))), model_id="test")
+    assert counts == {"_pair_terms": 15, "pseudo_joint_table": 30}
 
 
 def test_monte_carlo_plan_draws_pair_then_a_then_b():
@@ -450,5 +510,59 @@ class TestSquareEngineMatchesScalarReference:
             order_consistency_check(joint, ctx)
         with pytest.raises(RuntimeError, match="circulation cross-check"):
             ecirc_abs(joint, ctx, ExhaustivePlan())
+        # order_swap_kl reads a pair record, whose circulation check fires before the KL check
+        with pytest.raises(RuntimeError, match="circulation cross-check"):
+            order_swap_kl(joint, ctx, 0, 1)
+
+    def test_fault_in_the_kl_trips_only_the_swap_kl_check(self, monkeypatch):
+        exact_kl = pseudojoint.kl
+        monkeypatch.setattr(pseudojoint, "kl", lambda *args: exact_kl(*args) + 1e-9)
+        joint = random_joint(33, positions=3, vocab=3)
+        ctx = PartialContext({}, (0, 1, 2))
+        assert order_consistency_check(joint, ctx).consistent
+        assert ecirc_abs(joint, ctx, ExhaustivePlan()).value < 1e-10
         with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
             order_swap_kl(joint, ctx, 0, 1)
+        with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
+            curl_scan_report(joint, ctx, model_id="test")
+
+
+def _scalar_swap_walk(oracle, context, path, assignment):
+    """Reference decomposition: one curl_local call per swap, at the context extended
+    by the swap's prefix, and the endpoint gap less the terms added left to right."""
+    terms, current = [], list(path.start)
+    for k in path.steps:
+        i, j = current[k - 1], current[k]
+        prefix = tuple(current[: k - 1])
+        ctx = context
+        for p in prefix:
+            ctx = ctx.assign(p, assignment[p])
+        value = curl_local(oracle, ctx, i, j, assignment[i], assignment[j]).value
+        terms.append(SwapTerm(i=i, j=j, a=assignment[i], b=assignment[j], prefix=prefix, value=value))
+        current[k - 1], current[k] = current[k], current[k - 1]
+    log_gap = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.start), assignment) - pseudo_joint_log_prob(
+        oracle, PseudoJointSpec(context, path.end), assignment
+    )
+    swap_sum = 0.0
+    for term in terms:
+        swap_sum += term.value
+    return tuple(terms), log_gap, log_gap - swap_sum
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["tabular", "perturbed"]),
+    seed=st.integers(0, 10_000),
+    positions=st.integers(2, 5),
+    vocab=st.integers(2, 4),
+    length=st.integers(0, 8),
+)
+def test_swap_decomposition_equals_scalar_walk(kind, seed, positions, vocab, length):
+    joint = random_joint(seed, positions, vocab)
+    oracle = joint if kind == "tabular" else PerturbedConditionalModel(joint, 0.4, seed)
+    ctx = random_context(seed, joint)
+    path = random_walk_path(ctx.block, length, seed)
+    rng = np.random.default_rng(seed)
+    assignment = {p: int(rng.integers(vocab)) for p in ctx.block}
+    out = swap_decomposition(oracle, ctx, path, assignment)
+    assert (out.terms, out.log_gap, out.residual) == _scalar_swap_walk(oracle, ctx, path, assignment)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,7 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_size_cap_exits_three(self, tmp_path):
-        big = {"synthetic": {"family": "chain", "positions": 6, "vocab_size": 2, "seed": 1, "beta": 0.5}}
+        big = {"synthetic": {"family": "chain", "positions": 7, "vocab_size": 2, "seed": 1, "beta": 0.5}}
         write_config(tmp_path / "cfg.json", {"model": big, "seed": 1})
         result = run_cli(["consistency", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert result.exit_code == 3
@@ -241,6 +242,19 @@ class TestCliExitCodes:
         )
         assert result.exit_code == 5
         assert result.stderr.startswith("identity check failed: circulation cross-check")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["order-gap", "curl-scan"])
+    def test_failed_kl_check_exits_five(self, tmp_path, monkeypatch, command):
+        from curlgauge import pseudojoint
+
+        exact_kl = pseudojoint.kl
+        monkeypatch.setattr(pseudojoint, "kl", lambda *args: exact_kl(*args) + 1e-9)
+        write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1})
+        result = CliRunner().invoke(main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 5
+        assert result.stderr.startswith("identity check failed: order-swap KL cross-check")
         assert len(result.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
@@ -522,6 +536,35 @@ class TestArtifacts:
         for command in ("order-gap", "order-error", "commutator"):
             result = run_cli([command, "--config", "cfg.json", "--out", "out_" + command], tmp_path)
             assert result.exit_code == 0, command
+
+    def test_one_sample_reports_a_null_stderr(self, tmp_path):
+        configs = {
+            "curl-scan": {"plan": {"mode": "monte-carlo", "n": 1, "seed": 3}},
+            "order-gap": {"monte_carlo": {"n": 1, "seed": 3}},
+        }
+        for command, fields in configs.items():
+            write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2, **fields})
+            assert run_cli([command, "--config", "cfg.json", "--out", "out_" + command], tmp_path).exit_code == 0
+        scan = read_report(tmp_path / "out_curl-scan" / "curl_scan.json")["sections"]["curl_scan"]
+        assert [entry["report"]["stats"]["ecirc_abs_stderr"] for entry in scan] == [None] * len(scan)
+        gaps = read_report(tmp_path / "out_order-gap" / "order_gap.json")["sections"]["order_gap"]
+        assert gaps and [(e["mc_n"], e["mc_stderr"]) for e in gaps] == [(1, None)] * len(gaps)
+
+    def test_order_gap_gathers_each_block_pair_once(self, tmp_path, monkeypatch):
+        from curlgauge import pseudojoint
+
+        counts = Counter()
+        for name in ("_pair_terms", "pseudo_joint_table"):
+            def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(pseudojoint, name, counted)
+        model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 6}}
+        contexts = {"explicit": [{"observed": {"1": 2, "4": 0}, "block": [0, 2, 3, 5]}]}
+        write_config(tmp_path / "cfg.json", {"model": model, "contexts": contexts, "monte_carlo": {"n": 20, "seed": 3}})
+        assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
+        assert counts == {"_pair_terms": 6, "pseudo_joint_table": 12}
 
     def test_every_report_embeds_provenance(self, tmp_path):
         write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL, "seed": 11})
