@@ -12,7 +12,6 @@ runs leave no partial artifacts.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 import time
@@ -24,7 +23,6 @@ from .core import save_model
 from .decoding import (
     SchedulerSpec,
     UpdateOperator,
-    commutator,
     conflict_score,
     context_row,
     draw_row,
@@ -35,7 +33,6 @@ from .dependence import dependence_report
 from .errors import (
     ConfigError,
     ContractViolationError,
-    DegenerateComparisonError,
     DimensionError,
     IdentityCheckError,
     SizeCapError,
@@ -235,14 +232,10 @@ def cmd_commutator(config_path, seed, out_dir, fmt):
             row = context_row(context, bundle.oracle.positions)
             draws = draw_row(operator, seed, bundle.oracle.positions, context.block)
             block = sorted(context.block)
-            for i, j in itertools.combinations(block, 2):
-                try:
-                    value = commutator(bundle.oracle, row, block, operator, i, j, draws)
-                except DegenerateComparisonError:
-                    continue
-                pairs_out.append({"context_id": cid, "i": i, "j": j, "value": value})
             if len(block) >= 2:
+                # each pair is scored once; a two-position block skips its one pair
                 score = conflict_score(bundle.oracle, row, block, operator, block, draws)
+                pairs_out.extend({"context_id": cid, "i": i, "j": j, "value": v} for (i, j), v in score.pair_values.items())
                 conflicts.append({"context_id": cid, **score.to_dict()})
         return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
 

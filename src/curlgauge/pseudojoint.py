@@ -127,6 +127,15 @@ def pseudo_joint_log_prob(oracle: ConditionalOracle, spec: PseudoJointSpec, assi
     return total
 
 
+def step_table(oracle: ConditionalOracle, observed: Mapping[int, int], axes: Sequence[int], pos: int, given) -> np.ndarray:
+    """log q(pos | observed, given) over ``axes``: one row gather, with V on the axes of
+    ``given`` and pos and length 1 elsewhere.  The token axis of the rows replaces the
+    length-1 grid axis of pos, so ``np.swapaxes(table[..., None], axes.index(pos), -1)``
+    gives back the gathered rows, tokens last."""
+    grid = oracle.class_grid(pos, observed, [p if p in given else None for p in axes])
+    return np.swapaxes(oracle.log_rows(pos, grid), axes.index(pos), -1)[..., 0]
+
+
 def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order: Sequence[int], visible=()) -> np.ndarray:
     """Log sequential product for every block assignment.
 
@@ -140,10 +149,7 @@ def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order
     oracle._validate_context(context)
     table = np.zeros((oracle.vocab.size,) * len(axes))
     for m, pos in enumerate(spec.order):
-        given = set(visible) | set(spec.order[:m])
-        grid = oracle.class_grid(pos, context.observed, [p if p in given else None for p in axes])
-        # the token axis of the rows replaces the length-1 grid axis of pos
-        table += np.swapaxes(oracle.log_rows(pos, grid), axes.index(pos), -1)[..., 0]
+        table += step_table(oracle, context.observed, axes, pos, set(visible) | set(spec.order[:m]))
     return table
 
 
@@ -504,20 +510,19 @@ def order_consistency_check(
     vocab = oracle.vocab.size
     if n < 2:
         raise ContractViolationError("consistency check needs a block with at least two positions")
+    oracle._validate_context(context)
 
-    # largest and smallest log product over the orders of each resolved set (axes
-    # in block order), each order extended by its last position; rounding is
-    # monotone, so these equal the extremes over all n! order tables to the bit
+    # largest and smallest log product over the orders of each resolved set (block
+    # axes, length 1 where unresolved), each order extended by its last position;
+    # rounding is monotone, so these equal the extremes over all n! order tables to the bit
     high, low = {(): np.zeros(())}, {(): np.zeros(())}
     for size in range(1, n + 1):
         for resolved in itertools.combinations(block, size):
             for pos in resolved:
                 rest = tuple(p for p in resolved if p != pos)
-                # log q(pos | rest), with the axes of rest and then pos
-                step = pseudo_joint_table(oracle, PartialContext(context.observed, (pos,)), (pos,), rest)
-                axis = resolved.index(pos)
-                high[resolved] = np.maximum(high.get(resolved, -np.inf), np.moveaxis(high[rest][..., None] + step, -1, axis))
-                low[resolved] = np.minimum(low.get(resolved, np.inf), np.moveaxis(low[rest][..., None] + step, -1, axis))
+                step = step_table(oracle, context.observed, block, pos, rest)
+                high[resolved] = np.maximum(high.get(resolved, -np.inf), high[rest] + step)
+                low[resolved] = np.minimum(low.get(resolved, np.inf), low[rest] + step)
     max_order_gap = float((high[block] - low[block]).max())
 
     max_curl = 0.0

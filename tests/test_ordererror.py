@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_context, random_joint, random_oracle
+from curlgauge import ordererror
 from curlgauge.core import (
     LogitTable,
     LogitTableOracle,
@@ -12,9 +14,11 @@ from curlgauge.core import (
     PerturbedConditionalModel,
     TabularJointModel,
     apply_logit_shift,
+    derived_seed,
+    kl,
     seeded_rng,
 )
-from curlgauge.errors import ContractViolationError, SizeCapError
+from curlgauge.errors import ContractViolationError
 from curlgauge.ordererror import (
     StepRecord,
     local_estimation_error,
@@ -23,6 +27,7 @@ from curlgauge.ordererror import (
     stratify_contexts,
     stratify_steps,
 )
+from curlgauge.pseudojoint import pseudo_joint_table, step_table
 from curlgauge.synth import SyntheticTaskSpec, TrainConfig, generate_joint, train_tabular
 
 N_DIRECTION_TRIALS = 50
@@ -153,11 +158,11 @@ class TestRankOrders:
             rank_orders(joint, joint, PartialContext({}, (0, 1, 2)), orders=[])
 
     def test_candidate_cap(self):
+        # distinct candidates are at most |B|! orders, so a repeat is the only way past the cap
         joint = random_joint(10)
         ctx = PartialContext({}, (0, 1, 2))
-        too_many = [(0, 1, 2)] * 121
-        with pytest.raises(SizeCapError):
-            rank_orders(joint, joint, ctx, orders=too_many)
+        with pytest.raises(ContractViolationError, match=r"^candidate orders must be distinct, got 1 repeats$"):
+            rank_orders(joint, joint, ctx, orders=[(0, 1, 2), (2, 1, 0), [0, 1, 2]])
 
     def test_ranking_invariant_under_logit_shift(self):
         table = LogitTable.random(3, 3, seed=31, scale=1.0)
@@ -169,6 +174,55 @@ class TestRankOrders:
         assert [p.order for p in before] == [p.order for p in after]
         for x, y in zip(before, after):
             assert abs(x.kl_total - y.kl_total) < 1e-10
+
+
+class TestStepLattice:
+    def test_every_order_equals_its_pseudo_joint_table(self, monkeypatch):
+        # the full-table KL reads each order's lattice table, in candidate order
+        tables, exact_kl = [], ordererror.kl
+
+        def spy(log_p, log_q, axis=None):
+            if axis is None:
+                tables.append(log_q)
+            return exact_kl(log_p, log_q, axis=axis)
+
+        monkeypatch.setattr(ordererror, "kl", spy)
+        for seed in range(60):
+            rng = seeded_rng(seed, 61)
+            m, vocab = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            joint = random_joint(derived_seed(seed, 62), m, vocab)
+            oracle = joint if seed % 3 == 0 else PerturbedConditionalModel(joint, 0.5, derived_seed(seed, 63))
+            block = tuple(rng.permutation(m)[: int(rng.integers(2, m + 1))].tolist())  # often unsorted
+            observed = {p: int(rng.integers(vocab)) for p in range(m) if p not in block and rng.random() < 0.6}
+            ctx = PartialContext(observed, block)
+            tables.clear()
+            profiles = {prof.order: prof for prof in rank_orders(oracle, joint, ctx)}
+            assert len(tables) == len(profiles) == math.factorial(len(block))
+            log_p = joint.log_block_conditional(ctx)
+            p = np.exp(log_p)
+            for order, table in zip(itertools.permutations(block), tables):
+                reference = pseudo_joint_table(oracle, ctx, order)
+                assert table.flags.c_contiguous and table.tobytes() == reference.tobytes()
+                profile = profiles[order]
+                assert profile.cross_entropy == float(-(p * reference)[p > 0].sum())
+                assert profile.kl_total == float(kl(log_p, reference))
+                for k, (pos, step) in enumerate(zip(order, profile.steps)):
+                    # one gather per step, rows weighted by the prefix's mass under p
+                    free = [q if q in order[:k] else None for q in block]
+                    weight = p.sum(axis=tuple(a for a, q in enumerate(free) if q is None), keepdims=True)
+                    grid = joint.class_grid(pos, observed, free)
+                    log_p_rows, log_q_rows = joint.log_rows(pos, grid), oracle.log_rows(pos, grid)
+                    assert step.kl == float((weight * kl(log_p_rows, log_q_rows, axis=-1)).sum())
+                    assert step.entropy == float((weight * -kl(log_q_rows, 0.0, axis=-1)).sum())
+
+    def test_each_step_is_gathered_once(self, monkeypatch):
+        # m * 2^(m-1) steps for the oracle and as many for the joint, shared by all m! orders
+        calls = []
+        monkeypatch.setattr(ordererror, "step_table", lambda *args: calls.append(args[0]) or step_table(*args))
+        joint = random_joint(15, positions=4, vocab=2)
+        oracle = PerturbedConditionalModel(joint, 0.4, 5)
+        assert len(rank_orders(oracle, joint, PartialContext({}, (0, 1, 2, 3)))) == 24
+        assert calls.count(oracle) == calls.count(joint) == 4 * 2**3
 
 
 class TestPrefixTrainingDirection:
@@ -247,3 +301,27 @@ class TestStrata:
         entropies = [1.0 - 2e-15, 1.0, 1.0 + 2e-15, 1.0, 2.0]
         steps = [StepRecord(p, (), 0.1, h, False) for p, h in enumerate(entropies)]
         assert stratify_steps(steps)["high-entropy"]["count"] == 1
+
+
+def test_strata_survive_rounding_noise():
+    # entropies that are equal in exact arithmetic differ by rounding noise; moving
+    # every one by 4 ULP, all up, all down or each with a seeded sign, keeps the counts
+    def moved(value, ulps):
+        for _ in range(abs(ulps)):
+            value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+        return value
+
+    def counts(strata):
+        return {name: stratum["count"] for name, stratum in strata.items() if name != "total_steps"}
+
+    for seed in range(20):
+        joint = generate_joint(SyntheticTaskSpec("exchangeable", positions=4, vocab_size=4, seed=seed))
+        for delta in (0.0, 0.4):
+            oracle = joint if delta == 0.0 else PerturbedConditionalModel(joint, delta, derived_seed(seed, 64))
+            for ctx in (PartialContext({}, (0, 1, 2, 3)), PartialContext({0: seed % 4}, (1, 2, 3))):
+                profiles = rank_orders(oracle, joint, ctx)
+                for steps in [prof.steps for prof in profiles] + [[s for prof in profiles for s in prof.steps]]:
+                    signs = seeded_rng(seed, 65).choice([-1, 1], size=len(steps))
+                    for shift in ([4] * len(steps), [-4] * len(steps), 4 * signs):
+                        noisy = [dataclasses.replace(s, entropy=moved(s.entropy, int(k))) for s, k in zip(steps, shift)]
+                        assert counts(stratify_steps(noisy)) == counts(stratify_steps(steps)), (seed, delta, ctx)

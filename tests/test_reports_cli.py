@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -565,6 +566,61 @@ class TestArtifacts:
         write_config(tmp_path / "cfg.json", {"model": model, "contexts": contexts, "monte_carlo": {"n": 20, "seed": 3}})
         assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
         assert counts == {"_pair_terms": 6, "pseudo_joint_table": 12}
+
+    def test_order_error_ranks_all_orders_of_six_positions(self, tmp_path):
+        from curlgauge.core import PartialContext, kl, tie_key
+        from curlgauge.pseudojoint import pseudo_joint_table
+
+        model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 6}}
+        write_config(tmp_path / "cfg.json", {"model": model, "seed": 2})
+        assert run_cli(["order-error", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
+        profiles = read_report(tmp_path / "out" / "order_error.json")["sections"]["order_error"][0]["profiles"]
+        assert len(profiles) == 720
+        # brute force: every order's table on its own, ranked by the report's rule
+        bundle = resolve_model(model)
+        ctx = PartialContext({}, tuple(range(6)))
+        log_p = bundle.joint.log_block_conditional(ctx)
+        kls = {order: float(kl(log_p, pseudo_joint_table(bundle.oracle, ctx, order))) for order in itertools.permutations(range(6))}
+        best = min(kls, key=lambda order: (tie_key(kls[order]), order))
+        assert (tuple(profiles[0]["order"]), profiles[0]["kl_total"]) == (best, kls[best]) == (best, min(kls.values()))
+
+    def test_repeated_candidate_order_exits_two(self, tmp_path):
+        order = list(range(6))
+        model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 6}}
+        write_config(tmp_path / "cfg.json", {"model": model, "seed": 2, "orders": [order, order[::-1], order]})
+        result = CliRunner().invoke(main, ["order-error", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: candidate orders must be distinct, got 1 repeats\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_commutator_scores_each_pair_once(self, tmp_path, monkeypatch):
+        from curlgauge import decoding
+
+        scored, updates = Counter(), Counter()
+
+        def counted_commutator(oracle, row, block, *args, _fn=decoding.commutator):
+            scored[tuple(block)] += 1
+            return _fn(oracle, row, block, *args)
+
+        def counted_update(*args, _fn=decoding.apply_update):
+            updates["apply_update"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(decoding, "commutator", counted_commutator)
+        # a commutator makes four updates, so no call may bypass the counter
+        monkeypatch.setattr(decoding, "apply_update", counted_update)
+        model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 4}}
+        blocks = [[0, 1, 2], [1, 2, 3], [0, 1, 2, 3], [2, 3]]
+        contexts = {"explicit": [{"observed": {"0": 1} if 0 not in b else {}, "block": b} for b in blocks]}
+        write_config(tmp_path / "cfg.json", {"model": model, "seed": 2, "contexts": contexts})
+        assert run_cli(["commutator", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
+        assert scored == {(0, 1, 2): 3, (1, 2, 3): 3, (0, 1, 2, 3): 6}
+        assert updates["apply_update"] == 4 * sum(scored.values())
+        section = read_report(tmp_path / "out" / "commutator.json")["sections"]["commutator"]
+        assert [(e["context_id"], e["i"], e["j"]) for e in section["pairs"]] == [
+            (cid, i, j) for cid, b in enumerate(blocks[:3]) for i, j in itertools.combinations(b, 2)
+        ]
+        assert section["conflict"][3]["skipped_pairs"] == [[2, 3]]
 
     def test_every_report_embeds_provenance(self, tmp_path):
         write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL, "seed": 11})
