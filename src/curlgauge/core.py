@@ -42,10 +42,8 @@ _NORMALIZED_TOL = 1e-12
 # enumerations of equal values agree to ~1e-15, so rounding noise cannot split them
 TIE_GRID = 1e-12
 # numpy reduces a short last axis one row at a time; from this many rows of 1 to 8
-# entries, logsumexp and row_sum reduce columns (crossover: timeit, numpy 2.4.6, 2 vCPUs)
+# entries, logsumexp reduces columns (crossover: timeit, numpy 2.4.6, 2 vCPUs)
 _COLUMN_ROWS = 48
-# from this many rows of 8, numpy's row sum beats the transposed copy (timeit, as above)
-_SUM8_ROWS = 30_000
 
 
 def tie_key(value: float):
@@ -61,18 +59,12 @@ def _columns(arr: np.ndarray):
 
 
 def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """The column sums, added in numpy's order for one row (see ``logsumexp``)."""
+    """The column sums, added in numpy's order for one row (see ``logsumexp``): the bits of
+    the row sums, bar the sign of a NaN where an input NaN meets inf - inf."""
     if len(cols) < 8:
         return cols.sum(axis=0)
     pairs = cols[0::2] + cols[1::2]
     return (pairs[0] + pairs[1]) + (pairs[2] + pairs[3]) + 0.0
-
-
-def row_sum(values) -> np.ndarray:
-    """``values.sum(axis=-1)`` with the same bits, bar the sign of a NaN where an input NaN meets inf - inf."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    cols = None if arr.shape[-1:] == (8,) and arr.size >= 8 * _SUM8_ROWS else _columns(arr)
-    return arr.sum(axis=-1) if cols is None else _column_sum(cols).reshape(arr.shape[:-1])
 
 
 def logsumexp(values) -> np.ndarray:
@@ -86,8 +78,13 @@ def logsumexp(values) -> np.ndarray:
     if (cols := _columns(arr)) is None:
         top = arr.max(axis=-1, keepdims=True)
         return np.log(np.exp(arr - top).sum(axis=-1, keepdims=True)) + top
+    return _column_logsumexp(cols).reshape(arr.shape[:-1] + (1,))
+
+
+def _column_logsumexp(cols: np.ndarray) -> np.ndarray:
+    """``logsumexp`` down the columns of a (1 to 8, rows) array, with the bits of its rows' reductions."""
     top = cols.max(axis=0)
-    return (np.log(_column_sum(np.exp(cols - top))) + top).reshape(arr.shape[:-1] + (1,))
+    return np.log(_column_sum(np.exp(cols - top))) + top
 
 
 def log_normalize(values) -> np.ndarray:

@@ -87,6 +87,16 @@ def local_estimation_error(
     return float(kl(joint.log_dist(position, context.observed), oracle.log_dist(position, context.observed)))
 
 
+def _table_scores(flat_p, flat_log_p, log_q, scratch) -> tuple[float, float]:
+    """An order table's cross-entropy and KL against the block conditional p, each summed
+    over every cell in C order, the order of ``core.kl``'s sum.  The joint floors every log
+    mass at -50, so p > 0 in every cell and ``kl``'s p > 0 mask changes nothing; the
+    products go to ``scratch``, so no order allocates a full-size temporary."""
+    flat_q = log_q.reshape(-1)
+    cross_entropy = -float(np.multiply(flat_p, flat_q, out=scratch).sum())
+    return cross_entropy, float(np.multiply(flat_p, np.subtract(flat_log_p, flat_q, out=scratch), out=scratch).sum())
+
+
 def rank_orders(
     oracle: ConditionalOracle,
     joint: TabularJointModel,
@@ -114,7 +124,7 @@ def rank_orders(
     oracle._validate_context(context)
     p = np.exp(log_p)
     conditional_entropy = float(entropy(log_p))
-    flat_p = p.reshape(-1)
+    flat_p, flat_log_p, scratch = p.reshape(-1), log_p.reshape(-1), np.empty(p.size)
 
     steps: dict = {}
 
@@ -141,8 +151,7 @@ def rank_orders(
         log_q = np.zeros(())
         for m, pos in enumerate(order):
             log_q = log_q + step(pos, order[:m])[0]
-        cross_entropy = float(-(flat_p * log_q.reshape(-1)).sum())
-        kl_total = float(kl(log_p, log_q))
+        cross_entropy, kl_total = _table_scores(flat_p, flat_log_p, log_q, scratch)
         records = tuple(
             StepRecord(pos, order[:m], *step(pos, order[:m])[1:], _is_prefix_like(pos, order[:m], block))
             for m, pos in enumerate(order)

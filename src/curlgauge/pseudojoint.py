@@ -440,9 +440,9 @@ def swap_decomposition(
 
     Each swap contributes the circulation of the swapped pair evaluated at
     the context extended by the assignment values of the slots before it: the
-    record whose visible set is that prefix, at the prefix's tokens.  The
-    residual against the independently computed endpoint gap is returned
-    and should sit at floating-point noise.
+    V x V record of the pair with those values observed.  The residual against
+    the independently computed endpoint gap is returned and should sit at
+    floating-point noise.
     """
     vocab = oracle.vocab.size
     if sorted(path.start) != sorted(context.block):
@@ -458,9 +458,9 @@ def swap_decomposition(
     for k in path.steps:
         i_r, j_r = current[k - 1], current[k]
         prefix = tuple(current[: k - 1])
-        record = _pair_circulation(oracle, context.observed, prefix, i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
-        grid = record.value.reshape((vocab,) * (len(prefix) + 2))
-        value = float(grid[tuple(assignment[p] for p in (*prefix, i_r, j_r))])
+        observed = {**context.observed, **{p: assignment[p] for p in prefix}}
+        record = _pair_circulation(oracle, observed, (), i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
+        value = float(record.value.reshape(vocab, vocab)[assignment[i_r], assignment[j_r]])
         terms.append(SwapTerm(i=i_r, j=j_r, a=assignment[i_r], b=assignment[j_r], prefix=prefix, value=value))
         current[k - 1], current[k] = current[k], current[k - 1]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .core import (
     TabularJointModel,
     Vocabulary,
     ConditionalOracle,
+    _column_logsumexp,
+    _column_sum,
     class_strides,
-    log_normalize,
-    row_sum,
     seeded_rng,
 )
 from .errors import ContractViolationError, TrainingFailureError
@@ -156,7 +157,9 @@ def square_sampler(positions: int, vocab: int):
     context, as ``(pos, cls, tok)`` index arrays of shape ``(n, 4)`` for the four
     terms ``(q_i(a|S), q_j(b|S,a), q_j(b|S), q_i(a|S,b))``.  A group (visible
     subset, i, j) has weight ``V**len(visible)``, its share of the squares; one
-    token row per square gives the visible values, a (at i) and b (at j)."""
+    token row per square gives the visible values, a (at i) and b (at j).
+    ``draw(rng, n, steps)`` draws ``steps`` such batches, one after the other with
+    the two draws of a one-step call each, as arrays with a leading step axis."""
     groups = list(_square_groups(PartialContext({}, tuple(range(positions)))))
     bounds = np.cumsum([vocab ** len(visible) for visible, _, _ in groups])
     term_pos = np.array([(i, j, j, i) for _, i, j in groups])
@@ -167,32 +170,69 @@ def square_sampler(positions: int, vocab: int):
         seen[g, 1, i] = seen[g, 3, j] = 1
     weights = seen * np.array(class_strides(positions, vocab))[term_pos]
 
-    def draw(rng: np.random.Generator, n: int):
-        pick = np.searchsorted(bounds, rng.integers(bounds[-1], size=n), side="right")
-        tokens = rng.integers(vocab, size=(n, positions))
+    def draw(rng: np.random.Generator, n: int, steps: int | None = None):
+        draws = [(rng.integers(bounds[-1], size=n), rng.integers(vocab, size=(n, positions))) for _ in range(steps or 1)]
+        pick, tokens = np.searchsorted(bounds, np.stack([u for u, _ in draws]), side="right"), np.stack([t for _, t in draws])
         pos = term_pos[pick]
-        return pos, (weights[pick] @ (tokens + 1)[:, :, None])[:, :, 0], np.take_along_axis(tokens, pos, axis=1)
+        squares = pos, np.einsum("...tp,...p->...t", weights[pick], tokens + 1), np.take_along_axis(tokens, pos, axis=-1)
+        return squares if steps else tuple(a[0] for a in squares)
 
     return draw
 
 
-def penalty_batch(logits: np.ndarray, pos_idx, cls_idx, tok_idx) -> tuple[float, np.ndarray]:
-    """Mean squared normalized circulation over the squares given as the
-    ``(pos, cls, tok)`` arrays of :func:`square_sampler`, with its analytic
-    gradient through the four participating softmax cells."""
-    n, vocab = len(pos_idx), logits.shape[2]
-    rows = log_normalize(logits[pos_idx, cls_idx])  # (n, 4, V) log conditionals
-    chosen = tok_idx[:, :, None] == np.arange(vocab)
-    lq = rows[chosen].reshape(n, 4)
+class Squares(NamedTuple):
+    """One step's n squares as indices into a ``(V, rows)`` table of logit columns.
+
+    ``terms``: the column of each square's four terms, square by square (4n);
+    ``pick``: each term's token cell in the ``(V, 4n)`` block of those columns, as a flat index;
+    ``chosen``: that block's one-hot token mask; ``touched``: the distinct columns, ascending;
+    ``bins``: each cell of the block as a flat slot of the ``(V, len(touched))`` gradient block;
+    ``covered``: how many touched columns lie below the bound the squares were indexed with.
+    """
+
+    terms: np.ndarray
+    pick: np.ndarray
+    chosen: np.ndarray
+    touched: np.ndarray
+    bins: np.ndarray
+    covered: int
+
+
+def _index_squares(terms: np.ndarray, tok: np.ndarray, covered: int, vocab: int):
+    """Yield the :class:`Squares` of each step of ``(steps, n, 4)`` column and token arrays, indexed at once."""
+    steps, width = terms.shape[0], terms[0].size
+    terms, tok = terms.reshape(steps, width), tok.reshape(steps, width)
+    span = int(terms.max()) + 1
+    # each step's distinct columns, ascending, as one sorted run of (step, column) keys
+    keys, inverse = np.unique((np.arange(steps)[:, None] * span + terms).reshape(-1), return_inverse=True)
+    step_of, touched = np.divmod(keys, span)
+    sizes, below = np.bincount(step_of, minlength=steps), np.bincount(step_of[touched < covered], minlength=steps)
+    ends = np.cumsum(sizes)
+    slots = inverse.reshape(steps, width) - (ends - sizes)[:, None]
+    bins = np.arange(vocab)[:, None] * sizes[:, None, None] + slots[:, None, :]
+    pick = tok * width + np.arange(width)
+    chosen = tok[:, None, :] == np.arange(vocab)[:, None]
+    for s in range(steps):
+        yield Squares(terms[s], pick[s], chosen[s], touched[ends[s] - sizes[s] : ends[s]], bins[s].reshape(-1), int(below[s]))
+
+
+def penalty_batch(cols: np.ndarray, squares: Squares) -> tuple[float, np.ndarray]:
+    """Mean squared normalized circulation over one step's squares of a ``(V, rows)``
+    table of logit columns, with its analytic gradient through the four participating
+    softmax cells, as the ``(V, len(squares.touched))`` block of the touched columns."""
+    n = len(squares.terms) // 4
+    block = cols.take(squares.terms, axis=1)  # C order (cols[:, terms] is not), so reductions run across rows
+    log_rows = block - _column_logsumexp(block)  # (V, 4n) log conditionals
+    lq = np.take(log_rows, squares.pick).reshape(n, 4)
     signs = np.array([1.0, 1.0, -1.0, -1.0])
     denom = sum(np.abs(lq).T) + DEFAULT_NORMALIZER_EPSILON  # the four terms left to right, as a row sum adds them
     ratio = (lq @ signs) / denom
     # d(ratio^2)/dlq_r / n; log conditionals are <= 0 so d|lq|/dlq = -1
     dlq = (2.0 / n) * (ratio / denom)[:, None] * (signs + ratio[:, None] * (lq < 0))
     # d log q(tok)/d logits = one_hot(tok) - probs, added per cell from 0.0 in square order, as np.add.at adds
-    cells = (pos_idx * logits.shape[1] + cls_idx)[:, :, None] * vocab + np.arange(vocab)
-    grad = np.bincount(cells.ravel(), (dlq[:, :, None] * (chosen - np.exp(rows))).ravel(), logits.size)
-    return float(ratio @ ratio) / n, grad.reshape(logits.shape)
+    cell_grads = dlq.reshape(1, -1) * (squares.chosen - np.exp(log_rows))
+    grad = np.bincount(squares.bins, cell_grads.reshape(-1), cols.shape[0] * len(squares.touched))
+    return float(ratio @ ratio) / n, grad.reshape(cols.shape[0], -1)
 
 
 def ecirc_penalty(oracle: ConditionalOracle, plan=ExhaustivePlan(), epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> Estimate:
@@ -256,8 +296,8 @@ class TrainConfig:
             raise ContractViolationError("steps must be >= 1")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ContractViolationError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.ecirc_weight < 0:
-            raise ContractViolationError("ecirc weight must be >= 0")
+        if not (self.ecirc_weight >= 0 and math.isfinite(self.ecirc_weight)):
+            raise ContractViolationError(f"ecirc weight must be finite and >= 0, got {self.ecirc_weight}")
         if self.ecirc_weight > 0 and self.ecirc_samples < 1:
             raise ContractViolationError("ecirc penalty needs at least one sample per step")
         if not (self.init_scale >= 0 and math.isfinite(self.init_scale)):
@@ -308,6 +348,20 @@ class TrainedTabularOracle(LogitTableOracle):
         return out
 
 
+# squares drawn and indexed at once: a chunk holds at most this many, and at least one step;
+# larger chunks save little per step and hold more index arrays at once
+_CHUNK_SQUARES = 1024
+
+
+def _square_steps(draw, rng: np.random.Generator, n: int, steps: int, column: np.ndarray, covered: int, vocab: int):
+    """Yield the :class:`Squares` of ``steps`` steps of n squares, drawn and indexed a chunk of
+    steps at a time; ``column[pos, cls]`` is the column of a (position, class) row."""
+    per_chunk = max(1, _CHUNK_SQUARES // n)
+    for start in range(0, steps, per_chunk):
+        pos, cls, tok = draw(rng, n, min(per_chunk, steps - start))
+        yield from _index_squares(column[pos, cls], tok, covered, vocab)
+
+
 def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabularOracle:
     """Fit a logit table to the joint's conditionals on the covered contexts.
 
@@ -319,6 +373,11 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
     conditional) unchanged while equalizing convergence rates.  Deterministic
     per (config, joint).  Raises TrainingFailureError with the history
     attached if the loss stops being finite.
+
+    The run holds the table as V columns of its rows: the covered rows in cell
+    order, then, with the penalty, every other row.  A step reduces down the
+    columns, with the bits of the row reductions, and moves the covered rows
+    and its squares' rows alone; the table is written back after the last step.
     """
     positions, vocab = joint.positions, joint.vocab.size
     rng = seeded_rng(config.seed, 7)
@@ -333,47 +392,65 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
         for pattern in _covered_patterns(config, i, positions)
     ]
     cell_rows = np.concatenate([i * logits.shape[1] + cls for i, cls in cells])  # unique rows of the (cells, V) table
-    target_arr = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells])
-    table_rows, gathered = logits.reshape(-1, vocab), np.empty(target_arr.shape)
-    # rows a plain step does not move keep their verdict; a non-finite covered row fails the first loss
+    target = np.concatenate([np.exp(joint.log_rows(i, cls)) for i, cls in cells]).T.copy()
+    table_rows, n_cells = logits.reshape(-1, vocab), len(cell_rows)
+    # rows a step does not move keep their verdict; a non-finite covered row fails the first loss
     finite_elsewhere = np.isfinite(logits).all()
 
-    draw_squares = square_sampler(positions, vocab)
-    penalty_rng = seeded_rng(config.seed, 9)
+    penalized, held = config.ecirc_weight > 0, cell_rows
+    if penalized:
+        others = np.ones(len(table_rows), dtype=bool)
+        others[cell_rows] = False
+        held = np.concatenate([cell_rows, np.flatnonzero(others)])
+        column = np.empty(len(held), dtype=np.intp)
+        column[held] = np.arange(len(held))
+        squares = _square_steps(
+            square_sampler(positions, vocab), seeded_rng(config.seed, 9), config.ecirc_samples, config.steps,
+            column.reshape(logits.shape[:2]), n_cells, vocab,
+        )
+    cols = table_rows[held].T.copy()
+    covered = cols[:, :n_cells]
     history: dict = {"loss": [], "penalty": [], "grad_norm": []}
 
     for _ in range(config.steps):
-        np.take(table_rows, cell_rows, axis=0, out=gathered)
         with np.errstate(over="ignore", invalid="ignore"):
-            log_q = log_normalize(gathered)
-            loss = -float(row_sum(target_arr * log_q).sum()) / len(target_arr)  # the mean, without its overhead
-        ce_grad = np.exp(log_q) - target_arr
+            log_q = covered - _column_logsumexp(covered)
+            loss = -float(_column_sum(target * log_q).sum()) / n_cells  # the mean, without its overhead
+        update = np.exp(log_q) - target
 
-        # a plain step moves the covered rows alone: the update is 0.0 elsewhere, and x - 0.0 == x
-        penalty_value, moved, before, update = 0.0, cell_rows, gathered, ce_grad
-        if config.ecirc_weight > 0:
-            penalty_value, penalty_grad = penalty_batch(logits, *draw_squares(penalty_rng, config.ecirc_samples))
-            # every row may move; the covered rows are unique and ce_grad is never -0.0, so this is np.add.at into zeros
-            moved, before, update = slice(None), table_rows, np.zeros_like(table_rows)
-            update[cell_rows] = ce_grad
-            update += config.ecirc_weight * penalty_grad.reshape(-1, vocab)
+        penalty_value = 0.0
+        if penalized:
+            step = next(squares)
+            penalty_value, penalty_grad = penalty_batch(cols, step)
 
         if not (math.isfinite(loss) and math.isfinite(penalty_value)):
             raise TrainingFailureError(
                 f"training loss became non-finite at step {len(history['loss'])}", history=history
             )
+        # x - 0.0 == x, so a row whose update is 0.0 need not move
+        if penalized:
+            penalty_grad *= config.ecirc_weight
+            update[:, step.touched[: step.covered]] += penalty_grad[:, : step.covered]
         grad_norm = float(np.abs(update).max())
-        table_rows[moved] = stepped = before - config.learning_rate * update
+        covered -= config.learning_rate * update
+        finite = finite_elsewhere and np.isfinite(covered).all()
+        if penalized and step.covered < len(step.touched):
+            moved = step.touched[step.covered :]
+            outside = 0.0 + penalty_grad[:, step.covered :]  # from 0.0, as a dense update: -0.0 becomes +0.0
+            grad_norm = float(np.maximum(grad_norm, np.abs(outside).max()))
+            cols[:, moved] = stepped = cols.take(moved, axis=1) - config.learning_rate * outside
+            finite = finite and np.isfinite(stepped).all()
 
         history["loss"].append(loss)
         history["penalty"].append(penalty_value)
         history["grad_norm"].append(grad_norm)
-        if not (finite_elsewhere and np.isfinite(stepped).all()):
+        if not finite:
             raise TrainingFailureError(
                 f"logits became non-finite at step {len(history['loss'])}", history=history
             )
         if grad_norm < config.grad_tol:
             break
 
+    table_rows[held] = cols.T
     table = LogitTable(Vocabulary(vocab), positions, logits)
     return TrainedTabularOracle(table=table, config=config, source_joint=joint, history=history)

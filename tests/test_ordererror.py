@@ -178,15 +178,14 @@ class TestRankOrders:
 
 class TestStepLattice:
     def test_every_order_equals_its_pseudo_joint_table(self, monkeypatch):
-        # the full-table KL reads each order's lattice table, in candidate order
-        tables, exact_kl = [], ordererror.kl
+        # the full-table scores read each order's lattice table, in candidate order
+        tables, scores = [], ordererror._table_scores
 
-        def spy(log_p, log_q, axis=None):
-            if axis is None:
-                tables.append(log_q)
-            return exact_kl(log_p, log_q, axis=axis)
+        def spy(flat_p, flat_log_p, log_q, scratch):
+            tables.append(log_q)
+            return scores(flat_p, flat_log_p, log_q, scratch)
 
-        monkeypatch.setattr(ordererror, "kl", spy)
+        monkeypatch.setattr(ordererror, "_table_scores", spy)
         for seed in range(60):
             rng = seeded_rng(seed, 61)
             m, vocab = int(rng.integers(2, 6)), int(rng.integers(2, 5))

@@ -23,11 +23,14 @@ from curlgauge.dependence import total_correlation
 from curlgauge.errors import ContractViolationError, TrainingFailureError
 from curlgauge.pseudojoint import DEFAULT_NORMALIZER_EPSILON, ExhaustivePlan, MonteCarloPlan, order_consistency_check
 from curlgauge.synth import (
+    _CHUNK_SQUARES,
     EXCHANGEABLE_COMPONENTS,
     SyntheticTaskSpec,
     TrainConfig,
     TrainedTabularOracle,
     _covered_patterns,
+    _index_squares,
+    _square_steps,
     ecirc_penalty,
     generate_joint,
     penalty_batch,
@@ -184,16 +187,16 @@ class TestEcircPenalty:
         positions, vocab = 3, 3
         rng = seeded_rng(77)
         logits = rng.standard_normal((positions, (vocab + 1) ** (positions - 1), vocab))
-        squares = square_sampler(positions, vocab)(rng, 10)
-        _, grad = penalty_batch(logits, *squares)
+        squares = _indexed(logits, *square_sampler(positions, vocab)(rng, 10))
+        grad = _dense_grad(logits, squares, penalty_batch(_table_columns(logits), squares)[1])
         eps = 1e-6
         for p, c, t in np.argwhere(grad != 0)[:40]:
             bumped = logits.copy()
             bumped[p, c, t] += eps
             dipped = logits.copy()
             dipped[p, c, t] -= eps
-            up, _ = penalty_batch(bumped, *squares)
-            down, _ = penalty_batch(dipped, *squares)
+            up, _ = penalty_batch(_table_columns(bumped), squares)
+            down, _ = penalty_batch(_table_columns(dipped), squares)
             numeric = (up - down) / (2 * eps)
             assert numeric == pytest.approx(grad[p, c, t], abs=1e-8)
 
@@ -286,6 +289,23 @@ def _penalty_batch_reference(logits, pos_idx, cls_idx, tok_idx):
     return float(ratio @ ratio) / n, grad
 
 
+def _table_columns(logits):
+    """The logit table as V columns of its rows, in table order."""
+    return logits.reshape(-1, logits.shape[2]).T.copy()
+
+
+def _indexed(logits, pos, cls, tok):
+    """One step's squares as indices into the columns of :func:`_table_columns`."""
+    return next(_index_squares((pos * logits.shape[1] + cls)[None], tok[None], 0, logits.shape[2]))
+
+
+def _dense_grad(logits, squares, block):
+    """A penalty gradient block scattered back to the table's shape."""
+    grad = np.zeros((logits.shape[2], logits.size // logits.shape[2]))
+    grad[:, squares.touched] = block
+    return grad.T.reshape(logits.shape)
+
+
 def _train_reference(joint: TabularJointModel, config: TrainConfig) -> TrainedTabularOracle:
     """The dense trainer: every step gathers the covered cells by (position, class),
     scatters the cross-entropy gradient into a zero table with np.add.at, adds the
@@ -363,6 +383,17 @@ _COVERAGES = [{"coverage": "prefix-only"}, {"coverage": "all-masks"}, {"coverage
 @example(positions=4, vocab=3, coverage=_COVERAGES[0], ecirc_weight=0.0, ecirc_samples=1, steps=3, learning_rate=1.0, init_scale=1e308, grad_tol=0.0, seed=3)
 @example(positions=3, vocab=3, coverage=_COVERAGES[1], ecirc_weight=50.0, ecirc_samples=8, steps=5, learning_rate=1e308, init_scale=2.5, grad_tol=0.0, seed=0)
 @example(positions=5, vocab=3, coverage=_COVERAGES[0], ecirc_weight=1.0, ecirc_samples=32, steps=12, learning_rate=1.0, init_scale=0.0, grad_tol=0.3, seed=4)
+# penalized runs over three chunks of square draws and part of a fourth
+@example(positions=3, vocab=3, coverage=_COVERAGES[0], ecirc_weight=2.0, ecirc_samples=80, steps=3 * (_CHUNK_SQUARES // 80) + 5, learning_rate=1.0, init_scale=1.0, grad_tol=0.0, seed=7)
+@example(positions=4, vocab=2, coverage=_COVERAGES[2], ecirc_weight=0.7, ecirc_samples=3, steps=3 * (_CHUNK_SQUARES // 3) + 1, learning_rate=3.0, init_scale=2.5, grad_tol=0.0, seed=11)
+# a grad_tol stop at step 14, two steps into the second chunk of 12 steps
+@example(positions=3, vocab=3, coverage=_COVERAGES[1], ecirc_weight=0.7, ecirc_samples=80, steps=400, learning_rate=1.0, init_scale=1.0, grad_tol=0.05, seed=0)
+# a non-finite failure at step 1 of a 12-step chunk
+@example(positions=3, vocab=3, coverage=_COVERAGES[0], ecirc_weight=2.0, ecirc_samples=80, steps=3 * (_CHUNK_SQUARES // 80) + 5, learning_rate=1e308, init_scale=1.0, grad_tol=0.0, seed=5)
+# signed zeros: every logit starts at +0.0 or -0.0
+@example(positions=4, vocab=3, coverage=_COVERAGES[1], ecirc_weight=2.0, ecirc_samples=80, steps=3 * (_CHUNK_SQUARES // 80) + 5, learning_rate=0.5, init_scale=0.0, grad_tol=0.0, seed=9)
+# the bench's train-prefix-only-penalty job
+@example(positions=5, vocab=3, coverage=_COVERAGES[0], ecirc_weight=1.0, ecirc_samples=32, steps=200, learning_rate=1.0, init_scale=1.0, grad_tol=0.0, seed=201)
 def test_train_tabular_equals_the_dense_trainer(positions, vocab, coverage, ecirc_weight, ecirc_samples, steps, learning_rate, init_scale, grad_tol, seed):
     joint = random_joint(seed % 1000, positions=positions, vocab=vocab)
     config = TrainConfig(**coverage, steps=steps, learning_rate=learning_rate, ecirc_weight=ecirc_weight, ecirc_samples=ecirc_samples, seed=seed, init_scale=init_scale, grad_tol=grad_tol)
@@ -374,7 +405,42 @@ def test_penalty_batch_equals_the_scatter():
         rng = seeded_rng(positions, vocab, n)
         logits = rng.standard_normal((positions, (vocab + 1) ** (positions - 1), vocab))
         squares = square_sampler(positions, vocab)(rng, n)
-        value, grad = penalty_batch(logits, *squares)
+        indexed = _indexed(logits, *squares)
+        value, block = penalty_batch(_table_columns(logits), indexed)
         want_value, want_grad = _penalty_batch_reference(logits, *squares)
         assert value == want_value
-        assert grad.tobytes() == want_grad.tobytes()
+        assert _dense_grad(logits, indexed, block).tobytes() == want_grad.tobytes()
+
+
+def test_chunked_square_draws_equal_the_per_step_draws():
+    for positions, vocab, n in [(2, 2, 1), (3, 3, 80), (5, 3, 32), (4, 5, 7)]:
+        draw = square_sampler(positions, vocab)
+        per_chunk = _CHUNK_SQUARES // n
+        steps, classes = 3 * per_chunk + per_chunk // 2 + 1, (vocab + 1) ** (positions - 1)
+        # the held columns of a penalized run: the covered rows first, in any order
+        column = seeded_rng(positions, vocab, 1).permutation(positions * classes)
+        covered = len(column) // 3
+        chunked_rng, want_rng = seeded_rng(n, 2), seeded_rng(n, 2)
+        got = list(_square_steps(draw, chunked_rng, n, steps, column.reshape(positions, classes), covered, vocab))
+        chunk = draw(seeded_rng(n, 2), n, steps)
+        assert len(got) == steps
+        for s, squares in enumerate(got):
+            pos, cls, tok = draw(want_rng, n)
+            assert all(np.array_equal(a[s], b) for a, b in zip(chunk, (pos, cls, tok)))
+            rows, tok = column[pos * classes + cls].reshape(-1), tok.reshape(-1)
+            touched = np.unique(rows)
+            assert np.array_equal(squares.terms, rows)
+            assert np.array_equal(squares.pick, tok * 4 * n + np.arange(4 * n))
+            assert np.array_equal(squares.chosen, tok == np.arange(vocab)[:, None])
+            assert np.array_equal(squares.touched, touched)
+            assert squares.covered == (touched < covered).sum()
+            assert np.array_equal(squares.bins, (np.arange(vocab)[:, None] * len(touched) + np.searchsorted(touched, rows)).reshape(-1))
+        # the chunks drew exactly the per-step draws, and nothing more
+        assert chunked_rng.integers(2**62) == want_rng.integers(2**62)
+        # the one-step call of ecirc_penalty scores the first step of a chunk
+        oracle = LogitTableOracle(LogitTable.random(vocab, positions, seed=n, scale=1.5))
+        pos, cls, tok = (a[0] for a in draw(seeded_rng(3), n, 3))
+        lq = np.array([[oracle.log_rows(p, np.array([c]))[0, t] for p, c, t in zip(*square)] for square in zip(pos, cls, tok)])
+        t0, t1, t2, t3 = lq.T
+        values = (np.abs((t0 + t1) - (t2 + t3)) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + DEFAULT_NORMALIZER_EPSILON)) ** 2
+        assert ecirc_penalty(oracle, MonteCarloPlan(seed=3, n=n)).value == float(np.mean(values))
