@@ -11,7 +11,6 @@ runs leave no partial artifacts.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
@@ -81,25 +80,6 @@ def _plan_from_config(raw, default_seed: int):
     return MonteCarloPlan(seed=raw.get("seed", default_seed), n=raw["n"])
 
 
-def config_options(fn):
-    @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON experiment config.")
-    @click.option("--seed", type=int, default=None, help="Override the config's global seed.")
-    @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True, help="Output directory.")
-    @click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "json+csv"]),
-        default="json+csv",
-        show_default=True,
-        help="Artifact formats to write.",
-    )
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    return wrapper
-
-
 def _run(command: str, config_path, seed_override, out_dir, fmt, body) -> None:
     """Load and check the whole config, run the body, write artifacts, exit 0."""
     started = time.time()
@@ -145,179 +125,152 @@ def main():
     """Exact order-consistency diagnostics for local conditional models."""
 
 
-@main.command("curl-scan")
-@config_options
-def cmd_curl_scan(config_path, seed, out_dir, fmt):
-    """Scan circulation over contexts; summary stats plus per-square samples."""
+def _command(name: str):
+    """Register ``body(config, seed, bundle, contexts, out_dir) -> sections`` as command ``name``, with the
+    shared options; the body's docstring is the command's help."""
 
-    def body(config, seed, bundle, contexts, out_dir):
-        plan = _plan_from_config(config.get("plan"), seed)
-        epsilon = _positive_number(config.get("epsilon", 1e-6), "epsilon")
-        entries = [
-            {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, model_id=bundle.model_id)}
-            for cid, context in enumerate(contexts)
-        ]
-        return {"curl_scan": entries}
-
-    _run("curl-scan", config_path, seed, out_dir, fmt, body)
-
-
-@main.command("order-gap")
-@config_options
-def cmd_order_gap(config_path, seed, out_dir, fmt):
-    """Exact two-order KL for every block pair, optionally with an MC estimate."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        mc_cfg = config.get("monte_carlo")
-        mc_plan = None if mc_cfg is None else MonteCarloPlan(seed=mc_cfg.get("seed", seed), n=mc_cfg["n"])
-        entries = [
-            {"context_id": cid, **entry}
-            for cid, context in enumerate(contexts)
-            for entry in order_gap_entries(bundle.oracle, context, mc_plan)
-        ]
-        return {"order_gap": entries}
-
-    _run("order-gap", config_path, seed, out_dir, fmt, body)
-
-
-@main.command("tc")
-@config_options
-def cmd_tc(config_path, seed, out_dir, fmt):
-    """Total correlation, entropies, independent-parallel gap, pairwise MI."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        joint = _require_joint(bundle, "tc")
-        entries = [
-            {"context_id": cid, "report": dependence_report(bundle.oracle, joint, context).to_dict()}
-            for cid, context in enumerate(contexts)
-        ]
-        return {"dependence": entries}
-
-    _run("tc", config_path, seed, out_dir, fmt, body)
-
-
-@main.command("order-error")
-@config_options
-def cmd_order_error(config_path, seed, out_dir, fmt):
-    """Rank resolution orders by exact order-specific KL; stratify steps."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        joint = _require_joint(bundle, "order-error")
-        orders_cfg = config.get("orders")
-        entries = []
-        for cid, context in enumerate(contexts):
-            profiles = rank_orders(bundle.oracle, joint, context, orders_cfg)
-            entries.append(
-                {
-                    "context_id": cid,
-                    "profiles": [p.to_dict() for p in profiles],
-                    "strata": stratify_contexts(profiles),
-                }
-            )
-        return {"order_error": entries}
-
-    _run("order-error", config_path, seed, out_dir, fmt, body)
-
-
-@main.command("commutator")
-@config_options
-def cmd_commutator(config_path, seed, out_dir, fmt):
-    """Pairwise operator commutators and the block conflict score."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        operator = _operator_from_config(config.get("operator"))
-        pairs_out = []
-        conflicts = []
-        for cid, context in enumerate(contexts):
-            row = context_row(context, bundle.oracle.positions)
-            draws = draw_row(operator, seed, bundle.oracle.positions, context.block)
-            block = sorted(context.block)
-            if len(block) >= 2:
-                # each pair is scored once; a two-position block skips its one pair
-                score = conflict_score(bundle.oracle, row, block, operator, block, draws)
-                pairs_out.extend({"context_id": cid, "i": i, "j": j, "value": v} for (i, j), v in score.pair_values.items())
-                conflicts.append({"context_id": cid, **score.to_dict()})
-        return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
-
-    _run("commutator", config_path, seed, out_dir, fmt, body)
-
-
-@main.command("stress")
-@config_options
-def cmd_stress(config_path, seed, out_dir, fmt):
-    """Decode under schedulers and widths; relate degradation to predictors."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        joint = _require_joint(bundle, "stress")
-        stress_cfg = config["stress"]
-        report = stress_test(
-            bundle.oracle,
-            joint,
-            contexts,
-            stress_cfg["widths"],
-            [SchedulerSpec(**raw) for raw in stress_cfg["schedulers"]],
-            operator=_operator_from_config(stress_cfg.get("operator")),
-            runs=stress_cfg.get("runs", 200),
-            seed=seed,
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON experiment config.")
+        @click.option("--seed", type=int, default=None, help="Override the config's global seed.")
+        @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True, help="Output directory.")
+        @click.option(
+            "--format",
+            "fmt",
+            type=click.Choice(["json", "json+csv"]),
+            default="json+csv",
+            show_default=True,
+            help="Artifact formats to write.",
         )
-        return {"stress": report.to_dict()}
+        def command(config_path, seed, out_dir, fmt):
+            _run(name, config_path, seed, out_dir, fmt, body)
 
-    _run("stress", config_path, seed, out_dir, fmt, body)
+        return body
+
+    return register
 
 
-@main.command("synth-gen")
-@config_options
-def cmd_synth_gen(config_path, seed, out_dir, fmt):
+@_command("curl-scan")
+def curl_scan(config, seed, bundle, contexts, out_dir):
+    """Scan circulation over contexts; summary stats plus per-square samples."""
+    plan = _plan_from_config(config.get("plan"), seed)
+    epsilon = _positive_number(config.get("epsilon", 1e-6), "epsilon")
+    entries = [
+        {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, model_id=bundle.model_id)}
+        for cid, context in enumerate(contexts)
+    ]
+    return {"curl_scan": entries}
+
+
+@_command("order-gap")
+def order_gap(config, seed, bundle, contexts, out_dir):
+    """Exact two-order KL for every block pair, optionally with an MC estimate."""
+    mc_cfg = config.get("monte_carlo")
+    mc_plan = None if mc_cfg is None else MonteCarloPlan(seed=mc_cfg.get("seed", seed), n=mc_cfg["n"])
+    entries = [
+        {"context_id": cid, **entry}
+        for cid, context in enumerate(contexts)
+        for entry in order_gap_entries(bundle.oracle, context, mc_plan)
+    ]
+    return {"order_gap": entries}
+
+
+@_command("tc")
+def tc(config, seed, bundle, contexts, out_dir):
+    """Total correlation, entropies, independent-parallel gap, pairwise MI."""
+    joint = _require_joint(bundle, "tc")
+    entries = [
+        {"context_id": cid, "report": dependence_report(bundle.oracle, joint, context).to_dict()}
+        for cid, context in enumerate(contexts)
+    ]
+    return {"dependence": entries}
+
+
+@_command("order-error")
+def order_error(config, seed, bundle, contexts, out_dir):
+    """Rank resolution orders by exact order-specific KL; stratify steps."""
+    joint = _require_joint(bundle, "order-error")
+    entries = []
+    for cid, context in enumerate(contexts):
+        profiles = rank_orders(bundle.oracle, joint, context, config.get("orders"))
+        entries.append({"context_id": cid, "profiles": [p.to_dict() for p in profiles], "strata": stratify_contexts(profiles)})
+    return {"order_error": entries}
+
+
+@_command("commutator")
+def commutator(config, seed, bundle, contexts, out_dir):
+    """Pairwise operator commutators and the block conflict score."""
+    operator = _operator_from_config(config.get("operator"))
+    pairs_out = []
+    conflicts = []
+    for cid, context in enumerate(contexts):
+        row = context_row(context, bundle.oracle.positions)
+        draws = draw_row(operator, seed, bundle.oracle.positions, context.block)
+        block = sorted(context.block)
+        if len(block) >= 2:
+            # each pair is scored once; a two-position block skips its one pair
+            score = conflict_score(bundle.oracle, row, block, operator, block, draws)
+            pairs_out.extend({"context_id": cid, "i": i, "j": j, "value": v} for (i, j), v in score.pair_values.items())
+            conflicts.append({"context_id": cid, **score.to_dict()})
+    return {"commutator": {"pairs": pairs_out, "conflict": conflicts, "operator": operator.to_dict()}}
+
+
+@_command("stress")
+def stress(config, seed, bundle, contexts, out_dir):
+    """Decode under schedulers and widths; relate degradation to predictors."""
+    joint = _require_joint(bundle, "stress")
+    stress_cfg = config["stress"]
+    report = stress_test(
+        bundle.oracle,
+        joint,
+        contexts,
+        stress_cfg["widths"],
+        [SchedulerSpec(**raw) for raw in stress_cfg["schedulers"]],
+        operator=_operator_from_config(stress_cfg.get("operator")),
+        runs=stress_cfg.get("runs", 200),
+        seed=seed,
+    )
+    return {"stress": report.to_dict()}
+
+
+@_command("synth-gen")
+def synth_gen(config, seed, bundle, contexts, out_dir):
     """Generate a synthetic joint and write it as a model file."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        path = _model_path(config, out_dir, "model.json", "synth-gen")
-        os.makedirs(out_dir, exist_ok=True)
-        save_model(bundle.oracle, path)
-        return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
-
-    _run("synth-gen", config_path, seed, out_dir, fmt, body)
+    path = _model_path(config, out_dir, "model.json", "synth-gen")
+    os.makedirs(out_dir, exist_ok=True)
+    save_model(bundle.oracle, path)
+    return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
 
 
-@main.command("train")
-@config_options
-def cmd_train(config_path, seed, out_dir, fmt):
+@_command("train")
+def train(config, seed, bundle, contexts, out_dir):
     """Train a logit-table oracle against the model's conditionals."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        joint = _require_joint(bundle, "train")
-        path = _model_path(config, out_dir, "trained_model.json", "train")
-        train_config = TrainConfig(**config.get("train", {}))
-        oracle = train_tabular(joint, train_config)
-        os.makedirs(out_dir, exist_ok=True)
-        save_model(oracle, path)
-        return {
-            "training": {
-                "model_file": path,
-                "steps_run": len(oracle.history["loss"]),
-                "final_loss": oracle.history["loss"][-1],
-                "train_config": train_config.to_dict(),
-                "history": oracle.history,
-            }
+    joint = _require_joint(bundle, "train")
+    path = _model_path(config, out_dir, "trained_model.json", "train")
+    train_config = TrainConfig(**config.get("train", {}))
+    oracle = train_tabular(joint, train_config)
+    os.makedirs(out_dir, exist_ok=True)
+    save_model(oracle, path)
+    return {
+        "training": {
+            "model_file": path,
+            "steps_run": len(oracle.history["loss"]),
+            "final_loss": oracle.history["loss"][-1],
+            "train_config": train_config.to_dict(),
+            "history": oracle.history,
         }
+    }
 
-    _run("train", config_path, seed, out_dir, fmt, body)
 
-
-@main.command("consistency")
-@config_options
-def cmd_consistency(config_path, seed, out_dir, fmt):
+@_command("consistency")
+def consistency(config, seed, bundle, contexts, out_dir):
     """Brute-force order-consistency verdicts per context."""
-
-    def body(config, seed, bundle, contexts, out_dir):
-        tol = _positive_number(config.get("tol", 1e-8), "tol")
-        entries = [
-            {"context_id": cid, "report": order_consistency_check(bundle.oracle, context, tol).to_dict()}
-            for cid, context in enumerate(contexts)
-        ]
-        return {"consistency": entries}
-
-    _run("consistency", config_path, seed, out_dir, fmt, body)
+    tol = _positive_number(config.get("tol", 1e-8), "tol")
+    entries = [
+        {"context_id": cid, "report": order_consistency_check(bundle.oracle, context, tol).to_dict()}
+        for cid, context in enumerate(contexts)
+    ]
+    return {"consistency": entries}
 
 
 if __name__ == "__main__":

@@ -215,9 +215,6 @@ class Vocabulary:
         if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 2:
             raise ContractViolationError(f"vocabulary size must be an integer >= 2, got {self.size!r}")
 
-    def tokens(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class PartialContext:

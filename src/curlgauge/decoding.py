@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ class UpdateOperator:
                 raise ContractViolationError(f"threshold operator needs tau in [0, 1], got {self.tau}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "tau": self.tau}
+        return dict(vars(self))
 
 
 def argmax_commit() -> UpdateOperator:
@@ -253,7 +253,7 @@ class SchedulerSpec:
     The conflict-aware policy scores candidate width-w blocks by
     lam_confidence * (-mean max-probability) + lam_conflict * Conflict(B)
     + lam_dependence * (pairwise dependence proxy), searching contiguous
-    windows or, when the unresolved set is small, all w-subsets.
+    windows or all w-subsets.
     """
 
     kind: str
@@ -271,16 +271,6 @@ class SchedulerSpec:
         for name in ("lam_confidence", "lam_conflict", "lam_dependence"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "lam_confidence": self.lam_confidence,
-            "lam_conflict": self.lam_conflict,
-            "lam_dependence": self.lam_dependence,
-            "block_search": self.block_search,
-        }
 
 
 def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, j: int) -> float | np.ndarray:
@@ -305,7 +295,7 @@ def _conflict_aware_chosen(oracle, rows, draws, conf, widths, scheduler: Schedul
     keys, group_of = _distinct_rows(np.column_stack([open_, np.minimum(widths, open_.sum(axis=1))]))
     for g, (*open_set, w) in enumerate(keys.tolist()):
         runs, unresolved = np.flatnonzero(group_of == g), list(itertools.compress(block, open_set))
-        if scheduler.block_search == "subsets" and len(unresolved) <= 8:
+        if scheduler.block_search == "subsets":
             candidates = list(itertools.combinations(unresolved, w))
         else:
             candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
@@ -437,17 +427,7 @@ class StressRow:
     conflict: float
 
     def to_dict(self) -> dict:
-        return {
-            "context_id": self.context_id,
-            "scheduler": self.scheduler,
-            "width": self.width,
-            "nll": self.nll,
-            "degradation": self.degradation,
-            "ecirc_abs": self.ecirc_abs,
-            "tc": self.tc,
-            "mean_eps": self.mean_eps,
-            "conflict": self.conflict,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -460,14 +440,7 @@ class StressReport:
     skipped_conflict_pairs: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "correlations": self.correlations,
-            "runs": self.runs,
-            "seed": self.seed,
-            "operator": self.operator.to_dict(),
-            "skipped_conflict_pairs": self.skipped_conflict_pairs,
-        }
+        return asdict(self)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -51,14 +51,7 @@ class OrderErrorProfile:
     context_strata: dict
 
     def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "cross_entropy": self.cross_entropy,
-            "conditional_entropy": self.conditional_entropy,
-            "kl_total": self.kl_total,
-            "per_step_kl": list(self.per_step_kl),
-            "context_strata": self.context_strata,
-        }
+        return {k: v for k, v in vars(self).items() if k != "steps"}
 
 
 def _is_prefix_like(position: int, conditioning: Sequence[int], block: Sequence[int]) -> bool:
@@ -172,6 +165,12 @@ def rank_orders(
     return sorted(profiles, key=lambda prof: (tie_key(prof.kl_total), prof.order))
 
 
+def _median(values: Sequence[float]) -> float:
+    """``np.median``'s value for finite values, without the ``numpy.ma`` import it makes."""
+    values, half = sorted(values), len(values) // 2
+    return float(values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2)
+
+
 def stratify_steps(steps: Sequence[StepRecord]) -> dict:
     """Mean per-step KL by stratum over a collection of step records.
 
@@ -181,8 +180,7 @@ def stratify_steps(steps: Sequence[StepRecord]) -> dict:
     and no mean.
     """
     steps = list(steps)
-    entropies = np.array([s.entropy for s in steps]) if steps else np.array([])
-    median = float(np.median(entropies)) if steps else 0.0
+    median = _median([s.entropy for s in steps]) if steps else 0.0
     groups = {
         STRATUM_PREFIX: [s.kl for s in steps if s.prefix_like],
         STRATUM_RANDOM: [s.kl for s in steps if not s.prefix_like],

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .core import ModelBundle, PartialContext, PerturbedConditionalModel, model_from_dict, model_id, plain_json, seeded_rng
@@ -126,6 +126,58 @@ def _walk(value, kind, where: str):
     if isinstance(value, bool) or not isinstance(value, types) or (kind is float and abs(value) > sys.float_info.max):
         raise ConfigError(f"{where} must be {name}, got {value!r}")
     return kind(value)
+
+
+# ---------------------------------------------------------------------------
+# CSV views: the one place a section's CSV files and columns are declared.  A reader gives a section's
+# rows as mappings, and a cell is the row's value under its column, empty when the row lacks the key.
+
+
+def _view(name: str, columns: str, read, in_order: bool = False) -> tuple:
+    """A CSV file of a section: its name, its columns, and its row reader; an ``in_order`` reader
+    gives each row as its values in column order."""
+    names = columns.split()
+    return name, names, (lambda section: (dict(zip(names, row)) for row in read(section))) if in_order else read
+
+
+# a section without views (synth_gen) is JSON-only
+CSV_VIEWS = {
+    "curl_scan": (
+        _view("curl_samples", "context_id i j a b value normalized_value",
+              lambda s: ({**e, **x} for e in s for x in e["report"]["samples"])),
+        _view("order_swap_kl", "context_id pair kl",
+              lambda s: ((e["context_id"], *kv) for e in s for kv in e["report"]["stats"]["order_swap_kl"].items()),
+              in_order=True),
+    ),
+    "order_gap": (_view("order_gap", "context_id i j kl_ij kl_ji mc_value mc_stderr mc_n", lambda s: s),),
+    "dependence": (
+        _view("dependence", "context_id tc sum_marginal_entropies joint_entropy independent_parallel_kl sum_pairwise_cmi",
+              lambda s: ({**e, **e["report"]} for e in s)),
+        _view("pairwise_cmi", "context_id pair cmi",
+              lambda s: ((e["context_id"], *kv) for e in s for kv in e["report"]["pairwise_cmi"].items()),
+              in_order=True),
+    ),
+    "order_error": (
+        _view("order_rankings", "context_id rank order cross_entropy conditional_entropy kl_total",
+              lambda s: ({**e, **p, "rank": k, "order": "-".join(map(str, p["order"]))}
+                         for e in s for k, p in enumerate(e["profiles"]))),
+    ),
+    "commutator": (_view("commutator", "context_id i j value", lambda s: s["pairs"]),),
+    "stress": (
+        _view("stress", "context_id scheduler width nll degradation ecirc_abs tc mean_eps conflict", lambda s: s["rows"]),
+        _view("stress_correlations", "cell predictor spearman_rho n_contexts",
+              lambda s: ((cell, name, rho, stats["n_contexts"])
+                         for cell, stats in s["correlations"].items() for name, rho in stats.items() if name != "n_contexts"),
+              in_order=True),
+    ),
+    "consistency": (
+        _view("consistency", "context_id consistent max_order_gap max_curl", lambda s: ({**e, **e["report"]} for e in s)),
+    ),
+    "training": (
+        _view("train_history", "step loss penalty grad_norm",
+              lambda s: (dict(zip(s["history"], row), step=k) for k, row in enumerate(zip(*s["history"].values())))),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +290,9 @@ def write_report_json(report: Mapping, path) -> str:
     return str(path)
 
 
-def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _write_csv(path, columns: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """Write each row's value under each column; a row without the key gives an empty cell."""
+
     def fmt(value):
         if type(value) is float:  # nearly every value; the checks below give repr to it too
             return repr(value)
@@ -250,153 +304,24 @@ def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([fmt(v) for v in row])
+        writer.writerow([fmt(row.get(c)) for c in columns])
     atomic_write_text(path, buf.getvalue())
     return str(path)
 
 
 def emit_plot_data(report: Mapping, out_dir, base: str) -> list[str]:
-    """Derive long-format CSV files from a report's tabular sections.
+    """Derive long-format CSV files, ``<base>_<view>.csv``, from a report's tabular sections.
 
     Every emitted CSV repeats values exactly as found in the JSON report
     (shortest round-trip float text), so both views agree value for value.
     Sections with no rows become header-only files.
     """
     sections = report.get("sections", {})
-    written: list[str] = []
-
-    def path_for(name: str) -> str:
-        return os.path.join(out_dir, f"{base}_{name}.csv")
-
-    if "curl_scan" in sections:
-        rows = []
-        for entry in sections["curl_scan"]:
-            cid = entry["context_id"]
-            for s in entry["report"]["samples"]:
-                rows.append([cid, s["i"], s["j"], s["a"], s["b"], s["value"], s["normalized_value"]])
-        written.append(
-            _write_csv(path_for("curl_samples"), ["context_id", "i", "j", "a", "b", "value", "normalized_value"], rows)
-        )
-        rows = []
-        for entry in sections["curl_scan"]:
-            stats = entry["report"]["stats"]
-            for pair, value in stats["order_swap_kl"].items():
-                rows.append([entry["context_id"], pair, value])
-        written.append(_write_csv(path_for("order_swap_kl"), ["context_id", "pair", "kl"], rows))
-
-    if "order_gap" in sections:
-        rows = [
-            [e["context_id"], e["i"], e["j"], e["kl_ij"], e["kl_ji"], e.get("mc_value"), e.get("mc_stderr"), e.get("mc_n")]
-            for e in sections["order_gap"]
-        ]
-        written.append(
-            _write_csv(path_for("order_gap"), ["context_id", "i", "j", "kl_ij", "kl_ji", "mc_value", "mc_stderr", "mc_n"], rows)
-        )
-
-    if "dependence" in sections:
-        rows = []
-        cmi_rows = []
-        for entry in sections["dependence"]:
-            rep = entry["report"]
-            rows.append(
-                [
-                    entry["context_id"],
-                    rep["tc"],
-                    rep["sum_marginal_entropies"],
-                    rep["joint_entropy"],
-                    rep["independent_parallel_kl"],
-                    rep["sum_pairwise_cmi"],
-                ]
-            )
-            for pair, value in rep["pairwise_cmi"].items():
-                cmi_rows.append([entry["context_id"], pair, value])
-        written.append(
-            _write_csv(
-                path_for("dependence"),
-                ["context_id", "tc", "sum_marginal_entropies", "joint_entropy", "independent_parallel_kl", "sum_pairwise_cmi"],
-                rows,
-            )
-        )
-        written.append(_write_csv(path_for("pairwise_cmi"), ["context_id", "pair", "cmi"], cmi_rows))
-
-    if "order_error" in sections:
-        rows = []
-        for entry in sections["order_error"]:
-            for rank, prof in enumerate(entry["profiles"]):
-                rows.append(
-                    [
-                        entry["context_id"],
-                        rank,
-                        "-".join(str(p) for p in prof["order"]),
-                        prof["cross_entropy"],
-                        prof["conditional_entropy"],
-                        prof["kl_total"],
-                    ]
-                )
-        written.append(
-            _write_csv(
-                path_for("order_rankings"),
-                ["context_id", "rank", "order", "cross_entropy", "conditional_entropy", "kl_total"],
-                rows,
-            )
-        )
-
-    if "commutator" in sections:
-        rows = [
-            [e["context_id"], e["i"], e["j"], e["value"]]
-            for e in sections["commutator"]["pairs"]
-        ]
-        written.append(_write_csv(path_for("commutator"), ["context_id", "i", "j", "value"], rows))
-
-    if "stress" in sections:
-        rows = [
-            [
-                r["context_id"],
-                r["scheduler"],
-                r["width"],
-                r["nll"],
-                r["degradation"],
-                r["ecirc_abs"],
-                r["tc"],
-                r["mean_eps"],
-                r["conflict"],
-            ]
-            for r in sections["stress"]["rows"]
-        ]
-        written.append(
-            _write_csv(
-                path_for("stress"),
-                ["context_id", "scheduler", "width", "nll", "degradation", "ecirc_abs", "tc", "mean_eps", "conflict"],
-                rows,
-            )
-        )
-        corr_rows = []
-        for cell, stats in sections["stress"]["correlations"].items():
-            for predictor in ("ecirc_abs", "tc", "mean_eps"):
-                corr_rows.append([cell, predictor, stats[predictor], stats["n_contexts"]])
-        written.append(
-            _write_csv(path_for("stress_correlations"), ["cell", "predictor", "spearman_rho", "n_contexts"], corr_rows)
-        )
-
-    if "consistency" in sections:
-        rows = [
-            [
-                e["context_id"],
-                e["report"]["consistent"],
-                e["report"]["max_order_gap"],
-                e["report"]["max_curl"],
-            ]
-            for e in sections["consistency"]
-        ]
-        written.append(
-            _write_csv(path_for("consistency"), ["context_id", "consistent", "max_order_gap", "max_curl"], rows)
-        )
-
-    if "training" in sections:
-        hist = sections["training"]["history"]
-        rows = [[k, hist["loss"][k], hist["penalty"][k], hist["grad_norm"][k]] for k in range(len(hist["loss"]))]
-        written.append(_write_csv(path_for("train_history"), ["step", "loss", "penalty", "grad_norm"], rows))
-
-    return written
+    return [
+        _write_csv(os.path.join(out_dir, f"{base}_{name}.csv"), columns, read(sections[section]))
+        for section, views in CSV_VIEWS.items()
+        if section in sections
+        for name, columns, read in views
+    ]

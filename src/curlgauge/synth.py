@@ -304,17 +304,7 @@ class TrainConfig:
             raise ContractViolationError(f"init scale must be finite and >= 0, got {self.init_scale}")
 
     def to_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "coverage_fraction": self.coverage_fraction,
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "ecirc_weight": self.ecirc_weight,
-            "ecirc_samples": self.ecirc_samples,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-            "grad_tol": self.grad_tol,
-        }
+        return dict(vars(self))
 
 
 def _covered_patterns(config: TrainConfig, position: int, positions: int) -> list[tuple[int, ...]]:

@@ -324,3 +324,11 @@ def test_strata_survive_rounding_noise():
                     for shift in ([4] * len(steps), [-4] * len(steps), 4 * signs):
                         noisy = [dataclasses.replace(s, entropy=moved(s.entropy, int(k))) for s, k in zip(steps, shift)]
                         assert counts(stratify_steps(noisy)) == counts(stratify_steps(steps)), (seed, delta, ctx)
+
+
+def test_median_has_the_bits_of_np_median():
+    # sorted middle value, or the mean of the two middle values; ties come from a coarse grid
+    rng = np.random.default_rng(52)
+    for size in range(1, 51):
+        for values in (rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4), rng.integers(0, 4, size) * 0.1):
+            assert ordererror._median(values.tolist()) == np.median(values), (size, values)

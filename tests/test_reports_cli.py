@@ -336,6 +336,28 @@ def fuzz_config(command):
     return {"model": FUZZ_MODEL, "contexts": FUZZ_CONTEXTS, "seed": 1, **FUZZ_CONFIGS[command]}
 
 
+CSV_HEADERS = {
+    "curl-scan": {
+        "curl_scan_curl_samples.csv": "context_id,i,j,a,b,value,normalized_value",
+        "curl_scan_order_swap_kl.csv": "context_id,pair,kl",
+    },
+    "order-gap": {"order_gap_order_gap.csv": "context_id,i,j,kl_ij,kl_ji,mc_value,mc_stderr,mc_n"},
+    "tc": {
+        "tc_dependence.csv": "context_id,tc,sum_marginal_entropies,joint_entropy,independent_parallel_kl,sum_pairwise_cmi",
+        "tc_pairwise_cmi.csv": "context_id,pair,cmi",
+    },
+    "order-error": {"order_error_order_rankings.csv": "context_id,rank,order,cross_entropy,conditional_entropy,kl_total"},
+    "commutator": {"commutator_commutator.csv": "context_id,i,j,value"},
+    "stress": {
+        "stress_stress.csv": "context_id,scheduler,width,nll,degradation,ecirc_abs,tc,mean_eps,conflict",
+        "stress_stress_correlations.csv": "cell,predictor,spearman_rho,n_contexts",
+    },
+    "synth-gen": {},
+    "train": {"train_train_history.csv": "step,loss,penalty,grad_norm"},
+    "consistency": {"consistency_consistency.csv": "context_id,consistent,max_order_gap,max_curl"},
+}
+
+
 def schema_fields(kind):
     """Every field name the config schema declares under ``kind``."""
     if isinstance(kind, list):
@@ -460,18 +482,55 @@ class TestArtifacts:
         class Ratio(float):
             pass
 
-        rows = [
+        columns = [f"c{k}" for k in range(8)]
+        values = [
             [0.1, -0.0, float("nan"), float("inf"), 1e-300, 2.5e16],
             [True, False, np.bool_(True), None, 3, -7],
             [np.float64(0.1), np.float32(2.5), np.int64(9), np.uint8(3), Ratio(1.5), "a,b", 'q"t', ""],
         ]
+        rows = [dict(zip(columns, row)) for row in values]  # the shorter rows lack the last keys
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b"])
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
-        _write_csv(tmp_path / "rows.csv", ["a", "b"], rows)
+            writer.writerow([fmt(row.get(c)) for c in columns])
+        _write_csv(tmp_path / "rows.csv", columns, rows)
         assert (tmp_path / "rows.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_every_csv_keeps_its_header(self, tmp_path):
+        # every command's CSV files and their headers; a section without CSV files is JSON-only
+        for command in sorted(FUZZ_CONFIGS):
+            write_config(tmp_path / "cfg.json", fuzz_config(command))
+            out = tmp_path / command
+            assert run_cli([command, "--config", "cfg.json", "--out", str(out)], tmp_path).exit_code == 0
+            base = command.replace("-", "_")
+            headers = {path.name: path.read_text(encoding="utf-8").splitlines()[0] for path in out.glob(f"{base}_*.csv")}
+            assert headers == CSV_HEADERS[command], command
+            sections = read_report(out / f"{base}.json")["sections"]
+            assert len(sections) == 1 and (list(sections) == ["synth_gen"]) == (not headers), command
+
+    def test_header_only_files(self, tmp_path):
+        # one-position blocks have no commutator pairs; width 1 alone has no degradation to correlate
+        contexts = {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}, {"observed": {}, "block": [1]}]}
+        write_config(tmp_path / "comm.json", {"model": PERTURBED_MODEL, "seed": 2, "contexts": contexts})
+        assert run_cli(["commutator", "--config", "comm.json", "--out", "out"], tmp_path).exit_code == 0
+        stress = {"widths": [1], "schedulers": [{"kind": "left-to-right"}], "runs": 4}
+        write_config(tmp_path / "stress.json", {"model": PERTURBED_MODEL, "seed": 2, "stress": stress})
+        assert run_cli(["stress", "--config", "stress.json", "--out", "out"], tmp_path).exit_code == 0
+        for name in ("commutator_commutator.csv", "stress_stress_correlations.csv"):
+            command = name.split("_")[0]
+            assert (tmp_path / "out" / name).read_text(encoding="utf-8") == CSV_HEADERS[command][name] + "\n"
+        assert len((tmp_path / "out" / "stress_stress.csv").read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_order_gap_without_monte_carlo_leaves_mc_cells_empty(self, tmp_path):
+        write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2})
+        assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
+        with open(tmp_path / "out" / "order_gap_order_gap.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert (row["mc_value"], row["mc_stderr"], row["mc_n"]) == ("", "", "")
+            assert float(row["kl_ij"]) >= 0.0 and float(row["kl_ji"]) >= 0.0
 
     def test_csv_round_trips_and_matches_json(self, tmp_path):
         write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2})
@@ -684,3 +743,47 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
     assert (tmp_path / "out" / "stress.json").exists()
+
+
+def test_order_error_run_does_not_load_numpy_ma(tmp_path):
+    src = str(Path(curlgauge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2})
+    code = (
+        "import sys, curlgauge.cli\n"
+        "try:\n"
+        f"    curlgauge.cli.main(['order-error', '--config', {str(tmp_path / 'cfg.json')!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert (tmp_path / "out" / "order_error.json").exists()
+
+
+def test_commands_keep_their_names_help_and_options():
+    assert (main.name, main.help) == ("main", "Exact order-consistency diagnostics for local conditional models.")
+    helps = {
+        "commutator": "Pairwise operator commutators and the block conflict score.",
+        "consistency": "Brute-force order-consistency verdicts per context.",
+        "curl-scan": "Scan circulation over contexts; summary stats plus per-square samples.",
+        "order-error": "Rank resolution orders by exact order-specific KL; stratify steps.",
+        "order-gap": "Exact two-order KL for every block pair, optionally with an MC estimate.",
+        "stress": "Decode under schedulers and widths; relate degradation to predictors.",
+        "synth-gen": "Generate a synthetic joint and write it as a model file.",
+        "tc": "Total correlation, entropies, independent-parallel gap, pairwise MI.",
+        "train": "Train a logit-table oracle against the model's conditionals.",
+    }
+    options = [
+        (["--config"], "config_path", "path", True, None, "JSON experiment config."),
+        (["--seed"], "seed", "integer", False, None, "Override the config's global seed."),
+        (["--out"], "out_dir", "path", False, ".", "Output directory."),
+        (["--format"], "fmt", "choice", False, "json+csv", "Artifact formats to write."),
+    ]
+    assert {name: command.help for name, command in main.commands.items()} == helps
+    for name, command in main.commands.items():
+        # a required option has no default
+        params = [(p.opts, p.name, p.type.name, p.required, None if p.required else p.default, p.help) for p in command.params]
+        assert params == options, name
+        assert list(command.params[3].type.choices) == ["json", "json+csv"]
