@@ -20,7 +20,6 @@ from .core import (
     PerturbedConditionalModel,
     TabularJointModel,
     Vocabulary,
-    apply_logit_shift,
     load_model,
     save_model,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "PerturbedConditionalModel",
     "TabularJointModel",
     "Vocabulary",
-    "apply_logit_shift",
     "load_model",
     "save_model",
     "ConfigError",

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error (malformed JSON, non-finite
 number literals, unknown or missing fields, values of the wrong kind, values
-a library call rejects as out of contract, a custom table of the wrong size),
-3 enumeration-cap refusal, 4 training failure, 5 failed identity check.  The
-whole config is checked against its schema before any computation; reports
-are written only after the whole computation succeeds, atomically, so failed
-runs leave no partial artifacts.
+a library call rejects as out of contract, a custom table of the wrong size,
+a model file that cannot be read or parsed), 3 enumeration-cap refusal, 4
+training failure, 5 failed identity check.  The whole config is checked
+against its schema before any computation; reports are written only after
+the whole computation succeeds, atomically, so failed runs leave no partial
+artifacts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import click
 
 from . import __version__
-from .core import save_model
+from .core import ModelBundle, save_model
 from .decoding import (
     SchedulerSpec,
     UpdateOperator,
@@ -238,7 +239,7 @@ def synth_gen(config, seed, bundle, contexts, out_dir):
     """Generate a synthetic joint and write it as a model file."""
     path = _model_path(config, out_dir, "model.json", "synth-gen")
     os.makedirs(out_dir, exist_ok=True)
-    save_model(bundle.oracle, path)
+    save_model(bundle, path)
     return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
 
 
@@ -248,16 +249,16 @@ def train(config, seed, bundle, contexts, out_dir):
     joint = _require_joint(bundle, "train")
     path = _model_path(config, out_dir, "trained_model.json", "train")
     train_config = TrainConfig(**config.get("train", {}))
-    oracle = train_tabular(joint, train_config)
+    oracle, history = train_tabular(joint, train_config)
     os.makedirs(out_dir, exist_ok=True)
-    save_model(oracle, path)
+    save_model(ModelBundle(oracle, joint, train_config.to_dict()), path)
     return {
         "training": {
             "model_file": path,
-            "steps_run": len(oracle.history["loss"]),
-            "final_loss": oracle.history["loss"][-1],
+            "steps_run": len(history["loss"]),
+            "final_loss": history["loss"][-1],
             "train_config": train_config.to_dict(),
-            "history": oracle.history,
+            "history": history,
         }
     }
 

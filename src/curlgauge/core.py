@@ -286,6 +286,14 @@ def context_class_index(position: int, assigned: Mapping[int, int], positions: i
     return index
 
 
+def _check_caps(vocab_size: int, positions: int) -> None:
+    """Refuse a model past the desk-scale caps (or of fewer than 2 tokens)."""
+    if not (1 <= positions <= MAX_POSITIONS):
+        raise SizeCapError(f"positions must be in 1..{MAX_POSITIONS}, got {positions}")
+    if not (2 <= vocab_size <= MAX_VOCAB):
+        raise SizeCapError(f"vocab size must be in 2..{MAX_VOCAB}, got {vocab_size}")
+
+
 def context_class_count(positions: int, vocab_size: int) -> int:
     return (vocab_size + 1) ** (positions - 1)
 
@@ -355,9 +363,6 @@ class ConditionalOracle:
             if not (0 <= p < self.positions):
                 raise DimensionError(f"block position {p} outside model with {self.positions} positions")
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class TabularJointModel(ConditionalOracle):
     """Exact joint over ``vocab_size ** positions`` states.
@@ -371,10 +376,7 @@ class TabularJointModel(ConditionalOracle):
     """
 
     def __init__(self, vocab_size: int, positions: int, log_mass):
-        if not (1 <= positions <= MAX_POSITIONS):
-            raise SizeCapError(f"positions must be in 1..{MAX_POSITIONS}, got {positions}")
-        if not (2 <= vocab_size <= MAX_VOCAB):
-            raise SizeCapError(f"vocab size must be in 2..{MAX_VOCAB}, got {vocab_size}")
+        _check_caps(vocab_size, positions)
         super().__init__(vocab_size, positions)
         arr = np.array(log_mass, dtype=np.float64).reshape(-1)
         if arr.size != vocab_size**positions:
@@ -389,13 +391,12 @@ class TabularJointModel(ConditionalOracle):
             arr = arr - logsumexp(arr)
         arr.flags.writeable = False
         self._log_mass = arr
-        self._nd = arr.reshape((self.vocab.size,) * self.positions)
 
         # log_marginal[d_0, ..., d_{m-1}]: digit d > 0 fixes that position to
         # token d - 1, digit 0 sums it out; filled one axis at a time in place
         m, radix = self.positions, self.vocab.size + 1
         marginal = np.zeros((radix,) * m)
-        marginal[(slice(1, None),) * m] = np.exp(self._nd)
+        marginal[(slice(1, None),) * m] = np.exp(arr.reshape((self.vocab.size,) * m))
         for axis in range(m):
             head = (slice(None),) * axis
             np.sum(marginal[head + (slice(1, None),)], axis=axis, keepdims=True, out=marginal[head + (slice(0, 1),)])
@@ -421,10 +422,6 @@ class TabularJointModel(ConditionalOracle):
     def log_mass(self) -> np.ndarray:
         """Flat normalized log-mass table, row-major (last position fastest)."""
         return self._log_mass
-
-    @property
-    def log_mass_nd(self) -> np.ndarray:
-        return self._nd
 
     def log_rows(self, position: int, cls) -> np.ndarray:
         # the digits before and after `position` index the outer and inner axis
@@ -452,13 +449,6 @@ class TabularJointModel(ConditionalOracle):
         kept = sorted(context.block)
         return np.transpose(joint, [kept.index(p) for p in context.block]) - evidence
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab.size,
-            "positions": self.positions,
-            "log_mass": [float(v) for v in self._log_mass],
-        }
-
 
 class PerturbedConditionalModel(ConditionalOracle):
     """Exact conditionals with seeded per-context logit noise of magnitude delta.
@@ -484,11 +474,6 @@ class PerturbedConditionalModel(ConditionalOracle):
     def log_rows(self, position: int, cls) -> np.ndarray:
         return log_normalize(self.base.log_rows(position, cls) + self.delta * self._offsets[position, cls])
 
-    def to_dict(self) -> dict:
-        out = self.base.to_dict()
-        out["perturbation"] = {"delta": self.delta, "seed": self.perturbation_seed}
-        return out
-
 
 @dataclass(frozen=True)
 class LogitTable:
@@ -504,10 +489,7 @@ class LogitTable:
     logits: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.positions <= MAX_POSITIONS):
-            raise SizeCapError(f"positions must be in 1..{MAX_POSITIONS}, got {self.positions}")
-        if self.vocab.size > MAX_VOCAB:
-            raise SizeCapError(f"vocab size must be <= {MAX_VOCAB}, got {self.vocab.size}")
+        _check_caps(self.vocab.size, self.positions)
         expected = (self.positions, context_class_count(self.positions, self.vocab.size), self.vocab.size)
         arr = np.array(self.logits, dtype=np.float64)
         if arr.shape != expected:
@@ -516,10 +498,6 @@ class LogitTable:
             raise ContractViolationError("logit table entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "logits", arr)
-
-    @property
-    def n_classes(self) -> int:
-        return context_class_count(self.positions, self.vocab.size)
 
     @classmethod
     def zeros(cls, vocab_size: int, positions: int) -> "LogitTable":
@@ -532,14 +510,6 @@ class LogitTable:
         return cls(Vocabulary(vocab_size), positions, scale * seeded_rng(seed).standard_normal(shape))
 
 
-def apply_logit_shift(table: LogitTable, shifts) -> LogitTable:
-    """Add one scalar per (position, context class) to every logit in that cell."""
-    arr = np.broadcast_to(np.asarray(shifts, dtype=np.float64), (table.positions, table.n_classes))
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolationError("logit shifts must be finite")
-    return LogitTable(table.vocab, table.positions, table.logits + arr[:, :, None])
-
-
 class LogitTableOracle(ConditionalOracle):
     """Oracle whose conditionals are softmaxes of a logit table's cells."""
 
@@ -549,75 +519,6 @@ class LogitTableOracle(ConditionalOracle):
 
     def log_rows(self, position: int, cls) -> np.ndarray:
         return log_normalize(self.table.logits[position, cls])
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab.size,
-            "positions": self.positions,
-            "logit_table": {"values": [float(v) for v in self.table.logits.reshape(-1)]},
-        }
-
-
-@dataclass(frozen=True)
-class ModelBundle:
-    """A loaded model file: the oracle to diagnose plus, when available, the
-    exact reference joint supplying p."""
-
-    oracle: ConditionalOracle
-    joint: TabularJointModel | None
-    model_id: str
-
-
-def model_from_dict(data: Mapping) -> ModelBundle:
-    """Build oracle + reference joint from the model JSON schema.
-
-    Schema: ``{vocab_size, positions, log_mass?: flat row-major array,
-    perturbation?: {delta, seed}, logit_table?: {values}, train_config?}``.
-    Row-major means the last position varies fastest.
-    """
-    known = {"vocab_size", "positions", "log_mass", "perturbation", "logit_table", "train_config"}
-    unknown = set(data) - known
-    if unknown:
-        raise DimensionError(f"unknown model fields: {sorted(unknown)}")
-    vocab_size = int(data["vocab_size"])
-    positions = int(data["positions"])
-    joint = None
-    if "log_mass" in data:
-        joint = TabularJointModel(vocab_size, positions, data["log_mass"])
-    if "logit_table" in data:
-        values = np.asarray(data["logit_table"]["values"], dtype=np.float64)
-        shape = (positions, context_class_count(positions, vocab_size), vocab_size)
-        table = LogitTable(Vocabulary(vocab_size), positions, values.reshape(shape))
-        oracle: ConditionalOracle = LogitTableOracle(table)
-    elif "perturbation" in data:
-        if joint is None:
-            raise DimensionError("perturbed model files need a log_mass table")
-        pert = data["perturbation"]
-        oracle = PerturbedConditionalModel(joint, float(pert["delta"]), int(pert["seed"]))
-    else:
-        if joint is None:
-            raise DimensionError("model file needs log_mass and/or logit_table")
-        oracle = joint
-    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id(oracle, joint))
-
-
-def model_id(oracle: ConditionalOracle, joint: TabularJointModel | None) -> str:
-    """Hash of a model's content, the same for a recipe and the file it saves to:
-    canonical JSON of the sizes and the perturbation, then the raw float64
-    bytes of the log-mass table and of the logit table where present."""
-    perturbation = None
-    if isinstance(oracle, PerturbedConditionalModel):
-        perturbation = {"delta": oracle.delta, "seed": oracle.perturbation_seed}
-    header = {"vocab_size": oracle.vocab.size, "positions": oracle.positions, "perturbation": perturbation}
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-    # the tables are C-contiguous, so the digest reads their buffers without a copy
-    if joint is not None:
-        digest.update(b"log_mass")
-        digest.update(joint.log_mass)
-    if isinstance(oracle, LogitTableOracle):
-        digest.update(b"logit_table")
-        digest.update(oracle.table.logits)
-    return digest.hexdigest()[:12]
 
 
 def plain_json(obj):
@@ -639,12 +540,99 @@ def plain_json(obj):
     return obj
 
 
+# ---------------------------------------------------------------------------
+# the model record and its file format: save_model writes it, model_from_dict reads it
+
+
+@dataclass(frozen=True)
+class ModelBundle:
+    """A model: the oracle to diagnose, the exact reference joint supplying p
+    when there is one, and a trained model's training provenance."""
+
+    oracle: ConditionalOracle
+    joint: TabularJointModel | None = None
+    train_config: Mapping | None = None
+
+    @functools.cached_property
+    def model_id(self) -> str:
+        return model_id(self.oracle, self.joint)
+
+
+def model_from_dict(data: Mapping) -> ModelBundle:
+    """The bundle a model file's JSON describes; :func:`save_model` writes it back.
+
+    Schema, in the file's key order: ``{vocab_size, positions, logit_table?:
+    {values}, log_mass?: flat row-major array, perturbation?: {delta, seed},
+    train_config?}``.  Row-major means the last position varies fastest.
+    """
+    if not isinstance(data, Mapping):
+        raise DimensionError("a model file must hold a JSON object")
+    if unknown := set(data) - {"vocab_size", "positions", "logit_table", "log_mass", "perturbation", "train_config"}:
+        raise DimensionError(f"unknown model fields: {sorted(unknown)}")
+    if missing := {"vocab_size", "positions"} - set(data):
+        raise DimensionError(f"missing model fields: {sorted(missing)}")
+    vocab_size, positions = int(data["vocab_size"]), int(data["positions"])
+    _check_caps(vocab_size, positions)
+    joint = None
+    if "log_mass" in data:
+        joint = TabularJointModel(vocab_size, positions, data["log_mass"])
+    if "logit_table" in data:
+        values = np.asarray(data["logit_table"]["values"], dtype=np.float64)
+        shape = (positions, context_class_count(positions, vocab_size), vocab_size)
+        table = LogitTable(Vocabulary(vocab_size), positions, values.reshape(shape))
+        oracle: ConditionalOracle = LogitTableOracle(table)
+    elif "perturbation" in data:
+        if joint is None:
+            raise DimensionError("perturbed model files need a log_mass table")
+        pert = data["perturbation"]
+        oracle = PerturbedConditionalModel(joint, float(pert["delta"]), int(pert["seed"]))
+    else:
+        if joint is None:
+            raise DimensionError("model file needs log_mass and/or logit_table")
+        oracle = joint
+    return ModelBundle(oracle, joint, data.get("train_config"))
+
+
+def _perturbation(oracle: ConditionalOracle) -> dict | None:
+    """The ``perturbation`` field of a perturbed model, else None."""
+    if isinstance(oracle, PerturbedConditionalModel):
+        return {"delta": oracle.delta, "seed": oracle.perturbation_seed}
+    return None
+
+
+def model_id(oracle: ConditionalOracle, joint: TabularJointModel | None) -> str:
+    """Hash of a model's content, the same for a recipe and the file it saves to:
+    canonical JSON of the sizes and the perturbation, then the raw float64
+    bytes of the log-mass table and of the logit table where present."""
+    header = {"vocab_size": oracle.vocab.size, "positions": oracle.positions, "perturbation": _perturbation(oracle)}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    # the tables are C-contiguous, so the digest reads their buffers without a copy
+    if joint is not None:
+        digest.update(b"log_mass")
+        digest.update(joint.log_mass)
+    if isinstance(oracle, LogitTableOracle):
+        digest.update(b"logit_table")
+        digest.update(oracle.table.logits)
+    return digest.hexdigest()[:12]
+
+
 def load_model(path) -> ModelBundle:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
 
 
-def save_model(model: ConditionalOracle, path) -> None:
+def save_model(bundle: ModelBundle, path) -> None:
+    """Write the bundle as a model file, the fields it holds in the schema's key
+    order, so ``save_model(load_model(f))`` gives back f's bytes."""
+    oracle, joint = bundle.oracle, bundle.joint
+    fields = {
+        "vocab_size": oracle.vocab.size,
+        "positions": oracle.positions,
+        "logit_table": {"values": oracle.table.logits.reshape(-1).tolist()} if isinstance(oracle, LogitTableOracle) else None,
+        "log_mass": None if joint is None else joint.log_mass.tolist(),
+        "perturbation": _perturbation(oracle),
+        "train_config": bundle.train_config,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=1)
+        json.dump({k: v for k, v in fields.items() if v is not None}, fh, indent=1)
         fh.write("\n")

@@ -23,7 +23,7 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import ModelBundle, PartialContext, PerturbedConditionalModel, model_from_dict, model_id, plain_json, seeded_rng
+from .core import ModelBundle, PartialContext, PerturbedConditionalModel, load_model, plain_json, seeded_rng
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -185,18 +185,15 @@ CSV_VIEWS = {
 
 
 def resolve_model(model_config: Mapping) -> ModelBundle:
+    """The model of a config's ``model`` section.  A model file that cannot be read or parsed is a
+    config error; one past the size caps raises SizeCapError, as the same recipe does."""
     if ("file" in model_config) == ("synthetic" in model_config):
         raise ConfigError("model needs exactly one of 'file' or 'synthetic'")
     if "file" in model_config:
         try:
-            with open(model_config["file"], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            return load_model(model_config["file"])
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:  # ValueError: JSON, shape, contract
             raise ConfigError(f"cannot load model file {model_config['file']}: {exc}") from exc
-        try:
-            return model_from_dict(data)
-        except Exception as exc:
-            raise ConfigError(f"bad model file {model_config['file']}: {exc}") from exc
     synth = dict(model_config["synthetic"])
     perturbation = synth.pop("perturbation", None)
     if "table" in synth:
@@ -205,7 +202,7 @@ def resolve_model(model_config: Mapping) -> ModelBundle:
     oracle = joint = generate_joint(spec)
     if perturbation is not None:
         oracle = PerturbedConditionalModel(joint, perturbation["delta"], perturbation["seed"])
-    return ModelBundle(oracle=oracle, joint=joint, model_id=model_id(oracle, joint))
+    return ModelBundle(oracle, joint)
 
 
 def resolve_contexts(contexts_config, bundle: ModelBundle, default_seed: int) -> list[PartialContext]:

@@ -132,22 +132,6 @@ def generate_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
         return TabularJointModel(vocab, m, np.log(table))
 
 
-def tc_ladder(positions: int, vocab_size: int, levels_total: int = 3) -> list[TabularJointModel]:
-    """All rungs of the ladder, lowest dependence first."""
-    return [
-        generate_joint(
-            SyntheticTaskSpec(
-                family=TC_LADDER,
-                positions=positions,
-                vocab_size=vocab_size,
-                level=level,
-                levels_total=levels_total,
-            )
-        )
-        for level in range(1, levels_total + 1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # circulation-square sampling shared by the penalty estimator and the trainer
 
@@ -322,22 +306,6 @@ def _covered_patterns(config: TrainConfig, position: int, positions: int) -> lis
     return [all_patterns[k] for k in sorted(picked)]
 
 
-class TrainedTabularOracle(LogitTableOracle):
-    """Logit-table oracle plus its training provenance and history."""
-
-    def __init__(self, table: LogitTable, config: TrainConfig, source_joint: TabularJointModel, history: dict):
-        super().__init__(table)
-        self.config = config
-        self.source_joint = source_joint
-        self.history = history
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["log_mass"] = [float(v) for v in self.source_joint.log_mass]
-        out["train_config"] = self.config.to_dict()
-        return out
-
-
 # squares drawn and indexed at once: a chunk holds at most this many, and at least one step;
 # larger chunks save little per step and hold more index arrays at once
 _CHUNK_SQUARES = 1024
@@ -352,8 +320,9 @@ def _square_steps(draw, rng: np.random.Generator, n: int, steps: int, column: np
         yield from _index_squares(column[pos, cls], tok, covered, vocab)
 
 
-def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabularOracle:
-    """Fit a logit table to the joint's conditionals on the covered contexts.
+def train_tabular(joint: TabularJointModel, config: TrainConfig) -> tuple[LogitTableOracle, dict]:
+    """Fit a logit table to the joint's conditionals on the covered contexts; return its
+    oracle and the run's history (loss, penalty and gradient max-norm per step).
 
     Full-batch gradient descent with a fixed learning rate; the per-context
     cross-entropy gradient is the analytic softmax residual, and the penalty
@@ -442,5 +411,4 @@ def train_tabular(joint: TabularJointModel, config: TrainConfig) -> TrainedTabul
             break
 
     table_rows[held] = cols.T
-    table = LogitTable(Vocabulary(vocab), positions, logits)
-    return TrainedTabularOracle(table=table, config=config, source_joint=joint, history=history)
+    return LogitTableOracle(LogitTable(Vocabulary(vocab), positions, logits)), history

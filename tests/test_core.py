@@ -16,6 +16,7 @@ from conftest import random_context, random_joint
 from curlgauge.core import (
     LogitTable,
     LogitTableOracle,
+    ModelBundle,
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
@@ -24,7 +25,6 @@ from curlgauge.core import (
     _column_logsumexp,
     _column_sum,
     _seed_key,
-    apply_logit_shift,
     class_strides,
     context_class_index,
     load_model,
@@ -88,7 +88,7 @@ class TestBayesConditional:
     def test_matches_brute_force_mass_ratio(self):
         joint = random_joint(5, positions=4, vocab=3)
         ctx = PartialContext(observed={0: 1, 3: 2}, block=(1,))
-        table = np.exp(joint.log_mass_nd)
+        table = np.exp(joint.log_mass.reshape((3,) * 4))
         num = table[1, :, :, 2][0, :].sum()
         den = table[1, :, :, 2].sum()
         assert joint.log_dist(1, ctx.observed)[0] == pytest.approx(math.log(num / den), abs=1e-12)
@@ -242,18 +242,22 @@ class TestPerturbedModel:
         assert wins >= 0.8 * trials
 
 
+def shifted(table: LogitTable, shifts) -> LogitTable:
+    """The table with one scalar per (position, context class) added to every logit of that cell."""
+    return LogitTable(table.vocab, table.positions, table.logits + np.asarray(shifts)[..., None])
+
+
 class TestLogitShift:
     def test_zero_shift_is_identity(self):
         table = LogitTable.random(3, 3, seed=4)
-        shifted = apply_logit_shift(table, 0.0)
-        assert np.array_equal(shifted.logits, table.logits)
+        assert np.array_equal(shifted(table, 0.0).logits, table.logits)
 
     def test_single_cell_shift_preserves_conditional(self):
         table = LogitTable.random(3, 3, seed=6)
-        shifts = np.zeros((3, table.n_classes))
+        shifts = np.zeros(table.logits.shape[:2])
         shifts[1, 5] = 3.7
         before = LogitTableOracle(table)
-        after = LogitTableOracle(apply_logit_shift(table, shifts))
+        after = LogitTableOracle(shifted(table, shifts))
         ctx = PartialContext({}, (0, 1, 2))
         for i in range(3):
             np.testing.assert_allclose(
@@ -262,9 +266,9 @@ class TestLogitShift:
 
     def test_curl_invariant_under_shift(self):
         table = LogitTable.random(3, 3, seed=14, scale=1.5)
-        shifts = 4.0 * np.random.default_rng(3).standard_normal((3, table.n_classes))
+        shifts = 4.0 * np.random.default_rng(3).standard_normal(table.logits.shape[:2])
         before = LogitTableOracle(table)
-        after = LogitTableOracle(apply_logit_shift(table, shifts))
+        after = LogitTableOracle(shifted(table, shifts))
         ctx = PartialContext({}, (0, 1, 2))
         for i, j in itertools.combinations(range(3), 2):
             for a, b in itertools.product(range(3), repeat=2):
@@ -273,16 +277,22 @@ class TestLogitShift:
                 assert abs(s1.value - s2.value) < 1e-10
 
     def test_non_finite_shift_rejected(self):
+        # a logit table rejects a non-finite logit, so a non-finite shift cannot make one
         table = LogitTable.random(3, 3, seed=2)
-        with pytest.raises(ContractViolationError):
-            apply_logit_shift(table, math.inf)
+        for value in (math.inf, -math.inf, math.nan):
+            logits = table.logits.copy()
+            logits[1, 4, 2] = value
+            with pytest.raises(ContractViolationError):
+                LogitTable(table.vocab, table.positions, logits)
+            with pytest.raises(ContractViolationError):
+                shifted(table, value)
 
 
 class TestModelFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         joint = random_joint(21, positions=3, vocab=3)
         path = tmp_path / "model.json"
-        save_model(joint, path)
+        save_model(ModelBundle(joint, joint), path)
         bundle = load_model(path)
         assert np.array_equal(bundle.joint.log_mass, joint.log_mass)
         assert bundle.oracle is bundle.joint
@@ -290,14 +300,14 @@ class TestModelFiles:
     def test_row_major_order_last_position_fastest(self):
         data = {"vocab_size": 2, "positions": 2, "log_mass": [math.log(p) for p in (0.4, 0.1, 0.2, 0.3)]}
         bundle = model_from_dict(data)
-        nd = np.exp(bundle.joint.log_mass_nd)
+        nd = np.exp(bundle.joint.log_mass.reshape(2, 2))
         np.testing.assert_allclose(nd, [[0.4, 0.1], [0.2, 0.3]], atol=1e-12)
 
     def test_perturbation_section(self, tmp_path):
         joint = random_joint(22)
         pert = PerturbedConditionalModel(joint, 0.25, 77)
         path = tmp_path / "pert.json"
-        save_model(pert, path)
+        save_model(ModelBundle(pert, joint), path)
         bundle = load_model(path)
         assert isinstance(bundle.oracle, PerturbedConditionalModel)
         assert bundle.oracle.delta == 0.25
@@ -349,7 +359,7 @@ def _brute_force_row(model, position: int, assigned: dict) -> np.ndarray:
         return logits - np.log(np.exp(logits).sum())
     joint = model.base if isinstance(model, PerturbedConditionalModel) else model
     idx = tuple(assigned.get(p, slice(None)) for p in range(model.positions))
-    sub = np.exp(joint.log_mass_nd)[idx]
+    sub = np.exp(joint.log_mass.reshape((model.vocab.size,) * model.positions))[idx]
     free = [p for p in range(model.positions) if p not in assigned]
     others = tuple(k for k, p in enumerate(free) if p != position)
     row = np.log(sub.sum(axis=others) / sub.sum())
@@ -393,7 +403,7 @@ def test_gathers_match_brute_force_and_single_rows(kind, seed, positions, vocab)
         assignment = dict(zip(ctx.block, values))
         assert table[values] == pseudo_joint_log_prob(model, PseudoJointSpec(ctx, order), assignment)
     if kind == "joint":
-        mass = np.exp(model.log_mass_nd)
+        mass = np.exp(model.log_mass.reshape((vocab,) * positions))
         idx = tuple(ctx.observed.get(p, slice(None)) for p in range(positions))
         free = [p for p in range(positions) if p not in ctx.observed]
         sub = mass[idx].sum(axis=tuple(k for k, p in enumerate(free) if p not in ctx.block))
@@ -402,30 +412,36 @@ def test_gathers_match_brute_force_and_single_rows(kind, seed, positions, vocab)
         assert np.abs(model.log_block_conditional(ctx) - expected).max() <= 1e-12
 
 
-def _trained_model(seed: int):
-    joint = random_joint(seed, positions=3, vocab=3)
-    config = TrainConfig(coverage=PREFIX_ONLY, steps=3, seed=seed, ecirc_weight=1.0, ecirc_samples=4)
-    return train_tabular(joint, config)
+def model_of_kind(kind: str, seed: int) -> ModelBundle:
+    """A bundle of each kind of model file: tabular, perturbed, logit-only or trained."""
+    if kind == "logit-only":
+        return ModelBundle(LogitTableOracle(LogitTable.random(3, 3, seed=seed, scale=1.5)))
+    if kind == "trained":
+        joint = random_joint(seed, positions=3, vocab=3)
+        config = TrainConfig(coverage=PREFIX_ONLY, steps=3, seed=seed, ecirc_weight=1.0, ecirc_samples=4)
+        return ModelBundle(train_tabular(joint, config)[0], joint, config.to_dict())
+    joint = TabularJointModel.from_probabilities(np.random.default_rng(seed).dirichlet(np.ones(27)).reshape(3, 3, 3))
+    return ModelBundle(joint if kind == "joint" else PerturbedConditionalModel(joint, 0.4, seed), joint)
 
 
 @settings(max_examples=120, deadline=None)
-@given(kind=st.sampled_from(["joint", "perturbed", "trained"]), seed=st.integers(0, 100_000))
+@given(kind=st.sampled_from(["joint", "perturbed", "logit-only", "trained"]), seed=st.integers(0, 100_000))
 def test_model_files_reload_to_the_same_bits(tmp_path_factory, kind, seed):
-    if kind == "trained":
-        model = _trained_model(seed)
-    else:
-        rng = np.random.default_rng(seed)
-        joint = TabularJointModel.from_probabilities(rng.dirichlet(np.ones(27)).reshape(3, 3, 3))
-        model = joint if kind == "joint" else PerturbedConditionalModel(joint, 0.4, seed)
+    model = model_of_kind(kind, seed)
     path = tmp_path_factory.mktemp("models") / "model.json"
     save_model(model, path)
     bundle = load_model(path)
-    reference = model.source_joint if kind == "trained" else getattr(model, "base", model)
-    assert np.array_equal(bundle.joint.log_mass, reference.log_mass)
+    assert bundle.model_id == model.model_id and bundle.train_config == model.train_config
+    assert (bundle.joint is None) == (model.joint is None)
     for i in range(3):
         for assigned in ({}, {(i + 1) % 3: 2}, {(i + 1) % 3: 0, (i + 2) % 3: 1}):
-            assert np.array_equal(bundle.oracle.log_dist(i, assigned), model.log_dist(i, assigned))
-            assert np.array_equal(bundle.joint.log_dist(i, assigned), reference.log_dist(i, assigned))
+            assert np.array_equal(bundle.oracle.log_dist(i, assigned), model.oracle.log_dist(i, assigned))
+            if model.joint is not None:
+                assert np.array_equal(bundle.joint.log_dist(i, assigned), model.joint.log_dist(i, assigned))
+    # loading a file and saving it again writes the file's own bytes
+    again = path.with_name("again.json")
+    save_model(bundle, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # key parts at the 32- and 64-bit word boundaries

@@ -115,7 +115,7 @@ def test_free_positions_marginalized_by_hand():
 
     joint = random_joint(30, positions=4, vocab=3)
     ctx = PartialContext(observed={0: 1}, block=(1, 3))
-    table = np.exp(joint.log_mass_nd)
+    table = np.exp(joint.log_mass.reshape((3,) * 4))
     p = table[1].sum(axis=1)
     p = p / p.sum()
     tc_manual = float(rel_entr(p, np.outer(p.sum(axis=1), p.sum(axis=0))).sum())

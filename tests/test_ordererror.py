@@ -13,7 +13,6 @@ from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
-    apply_logit_shift,
     derived_seed,
     kl,
     seeded_rng,
@@ -39,7 +38,7 @@ def prefix_trained_cases():
     cases = []
     for seed in range(N_DIRECTION_TRIALS):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=2, seed=9000 + seed, beta=1.0))
-        oracle = train_tabular(
+        oracle, _ = train_tabular(
             joint,
             TrainConfig(coverage="prefix-only", steps=400, learning_rate=1.5, seed=seed),
         )
@@ -87,7 +86,7 @@ class TestOrderCrossEntropy:
         oracle = PerturbedConditionalModel(joint, 0.5, 9)
         ctx = PartialContext(observed={0: 1}, block=(1, 3))
         profile = order_cross_entropy(oracle, joint, ctx, (3, 1))
-        table = np.exp(joint.log_mass_nd)
+        table = np.exp(joint.log_mass.reshape((3,) * 4))
         p = table[1].sum(axis=1)
         p = p / p.sum()
         manual = 0.0
@@ -168,9 +167,9 @@ class TestRankOrders:
         table = LogitTable.random(3, 3, seed=31, scale=1.0)
         joint = random_joint(11, positions=3, vocab=3)
         ctx = PartialContext({}, (0, 1, 2))
-        shifts = 2.5 * seeded_rng(32).standard_normal((3, table.n_classes))
+        shifts = 2.5 * seeded_rng(32).standard_normal(table.logits.shape[:2])
         before = rank_orders(LogitTableOracle(table), joint, ctx)
-        after = rank_orders(LogitTableOracle(apply_logit_shift(table, shifts)), joint, ctx)
+        after = rank_orders(LogitTableOracle(LogitTable(table.vocab, 3, table.logits + shifts[..., None])), joint, ctx)
         assert [p.order for p in before] == [p.order for p in after]
         for x, y in zip(before, after):
             assert abs(x.kl_total - y.kl_total) < 1e-10

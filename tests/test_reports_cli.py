@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import curlgauge
 from curlgauge.cli import main
+from curlgauge.core import LogitTable, LogitTableOracle, ModelBundle, load_model, save_model
 from curlgauge.errors import ConfigError
 from curlgauge.reports import SCHEMA, _write_csv, canonical_json, check_keys, config_hash, emit_plot_data, resolve_model
 
@@ -278,6 +279,32 @@ class TestCliExitCodes:
         write_config(tmp_path / "cfg.json", config)
         result = run_cli(["tc", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ('{"positions": 1, "log_mass": [0.0, 0.0]}', 2),  # missing field
+            ('{"vocab_size": 2, "positions": 1, "log_mass": [0.0, 0.0], "bogus": 1}', 2),  # unknown field
+            ("[2, 1]", 2),  # not an object
+            ('{"vocab_size": 2, "positions": 1, "log_mass": [NaN, 0.0]}', 2),
+            ('{"vocab_size": 2, "positions": 2, "logit_table": {"values": [0.0, 0.0, 0.0, 0.0, 0.0]}}', 2),  # 12 values
+            ('{"vocab_size": 1e400, "positions": 1, "log_mass": [0.0, 0.0]}', 2),
+            (json.dumps({"vocab_size": 2, "positions": 7, "log_mass": [0.0] * 128}), 3),  # past the caps
+            (json.dumps({"vocab_size": 9, "positions": 2, "logit_table": {"values": [0.0] * 5}}), 3),
+        ],
+        ids=["missing", "unknown", "array", "nan-log-mass", "logit-length", "huge-size", "over-cap", "over-cap-logits"],
+    )
+    def test_malformed_model_file_exits_with_one_line(self, tmp_path, text, code):
+        (tmp_path / "model.json").write_text(text, encoding="utf-8")
+        write_config(tmp_path / "cfg.json", {"model": {"file": str(tmp_path / "model.json")}})
+        result = CliRunner().invoke(
+            main, ["curl-scan", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == code
+        prefix = "config error: cannot load model file " if code == 2 else "size cap refusal: "
+        assert result.stderr.startswith(prefix)
+        assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
 
@@ -563,6 +590,23 @@ class TestArtifacts:
         assert result.exit_code == 0
         report = read_report(tmp_path / "out2" / "tc.json")
         assert report["sections"]["dependence"][0]["report"]["tc"] >= 0.0
+
+    @pytest.mark.parametrize("kind", ["tabular", "perturbed", "logit-only", "trained"])
+    def test_synth_gen_of_a_model_file_writes_its_bytes(self, tmp_path, kind):
+        if kind == "logit-only":
+            table = LogitTable.random(3, 3, seed=5, scale=1.5)
+            save_model(ModelBundle(LogitTableOracle(table)), tmp_path / "source.json")
+        else:
+            model = PERTURBED_MODEL if kind == "perturbed" else CHAIN_MODEL
+            command = "train" if kind == "trained" else "synth-gen"
+            train = {"train": {"coverage": "prefix-only", "steps": 20, "seed": 6}} if kind == "trained" else {}
+            write_config(tmp_path / "make.json", {"model": model, "model_out": "source.json", **train})
+            assert run_cli([command, "--config", "make.json", "--out", "."], tmp_path).exit_code == 0
+        write_config(tmp_path / "copy.json", {"model": {"file": str(tmp_path / "source.json")}, "model_out": "copy.json"})
+        assert run_cli(["synth-gen", "--config", "copy.json", "--out", "out"], tmp_path).exit_code == 0
+        assert (tmp_path / "out" / "copy.json").read_bytes() == (tmp_path / "source.json").read_bytes()
+        reported = read_report(tmp_path / "out" / "synth_gen.json")["model_id"]
+        assert reported == load_model(tmp_path / "out" / "copy.json").model_id
 
     @pytest.mark.parametrize("model", [CHAIN_MODEL, PERTURBED_MODEL], ids=["plain", "perturbed"])
     def test_recipe_and_its_file_share_the_model_id(self, tmp_path, model):

@@ -15,7 +15,6 @@ from curlgauge.core import (
     PartialContext,
     TabularJointModel,
     Vocabulary,
-    apply_logit_shift,
     model_id,
     seeded_rng,
 )
@@ -27,7 +26,6 @@ from curlgauge.synth import (
     EXCHANGEABLE_COMPONENTS,
     SyntheticTaskSpec,
     TrainConfig,
-    TrainedTabularOracle,
     _covered_patterns,
     _index_squares,
     _square_steps,
@@ -35,7 +33,6 @@ from curlgauge.synth import (
     generate_joint,
     penalty_batch,
     square_sampler,
-    tc_ladder,
     train_tabular,
 )
 
@@ -130,12 +127,16 @@ class TestGenerateJoint:
 
     def test_exchangeable_exactly_permutation_invariant(self):
         for positions, vocab in [(4, 3), (5, 4)]:
-            nd = generate_joint(SyntheticTaskSpec("exchangeable", positions=positions, vocab_size=vocab, seed=8)).log_mass_nd
+            joint = generate_joint(SyntheticTaskSpec("exchangeable", positions=positions, vocab_size=vocab, seed=8))
+            nd = joint.log_mass.reshape((vocab,) * positions)
             for perm in itertools.permutations(range(positions)):
                 assert np.array_equal(nd, np.transpose(nd, perm))
 
     def test_ladder_tc_strictly_increasing(self):
-        rungs = tc_ladder(3, 3, levels_total=3)
+        rungs = [
+            generate_joint(SyntheticTaskSpec("tc-ladder", positions=3, vocab_size=3, level=level, levels_total=3))
+            for level in (1, 2, 3)
+        ]
         tcs = [total_correlation(j, PartialContext({}, (0, 1, 2))) for j in rungs]
         assert tcs[0] < tcs[1] < tcs[2]
 
@@ -149,7 +150,7 @@ class TestGenerateJoint:
             "custom-table", positions=2, vocab_size=2, table=tuple(math.log(p) for p in (0.4, 0.1, 0.2, 0.3))
         )
         joint = generate_joint(spec)
-        assert np.exp(joint.log_mass_nd)[0, 0] == pytest.approx(0.4, abs=1e-12)
+        assert np.exp(joint.log_mass.reshape(2, 2))[0, 0] == pytest.approx(0.4, abs=1e-12)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -178,9 +179,10 @@ class TestEcircPenalty:
 
     def test_invariant_under_logit_shift(self):
         table = LogitTable.random(3, 3, seed=3, scale=1.2)
-        shifts = 2.0 * seeded_rng(4).standard_normal((3, table.n_classes))
+        shifts = 2.0 * seeded_rng(4).standard_normal(table.logits.shape[:2])
         before = ecirc_penalty(LogitTableOracle(table), ExhaustivePlan()).value
-        after = ecirc_penalty(LogitTableOracle(apply_logit_shift(table, shifts)), ExhaustivePlan()).value
+        shifted = LogitTable(table.vocab, 3, table.logits + shifts[..., None])
+        after = ecirc_penalty(LogitTableOracle(shifted), ExhaustivePlan()).value
         assert abs(before - after) < 1e-10
 
     def test_batch_gradient_matches_finite_differences(self):
@@ -204,7 +206,7 @@ class TestEcircPenalty:
 class TestTrainTabular:
     def test_full_coverage_recovers_exact_conditionals(self):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=3, seed=11, beta=0.8))
-        oracle = train_tabular(joint, TrainConfig(coverage="all-masks", steps=4000, learning_rate=1.5, seed=1))
+        oracle, _ = train_tabular(joint, TrainConfig(coverage="all-masks", steps=4000, learning_rate=1.5, seed=1))
         report = order_consistency_check(oracle, PartialContext({}, (0, 1, 2)))
         assert report.max_curl < 1e-3
         worst = 0.0
@@ -221,8 +223,8 @@ class TestTrainTabular:
     def test_identical_config_identical_history(self):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=2, seed=12, beta=1.0))
         cfg = TrainConfig(coverage="prefix-only", steps=100, learning_rate=1.0, seed=4, ecirc_weight=1.0, ecirc_samples=16)
-        a, b = train_tabular(joint, cfg), train_tabular(joint, cfg)
-        assert a.history["loss"] == b.history["loss"]
+        (a, a_history), (b, b_history) = train_tabular(joint, cfg), train_tabular(joint, cfg)
+        assert a_history["loss"] == b_history["loss"]
         assert np.array_equal(a.table.logits, b.table.logits)
 
     def test_divergence_raises_with_history(self):
@@ -237,30 +239,31 @@ class TestTrainTabular:
             TrainConfig(coverage="fraction")
         cfg = TrainConfig(coverage="fraction", coverage_fraction=0.5, steps=50)
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=2, seed=14, beta=0.5))
-        oracle = train_tabular(joint, cfg)
-        assert len(oracle.history["loss"]) == 50
+        _, history = train_tabular(joint, cfg)
+        assert len(history["loss"]) == 50
 
     def test_history_records_loss_and_penalty(self):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=2, seed=15, beta=1.0))
         cfg = TrainConfig(coverage="prefix-only", steps=200, learning_rate=1.0, seed=2, ecirc_weight=2.0, ecirc_samples=32)
-        oracle = train_tabular(joint, cfg)
-        assert oracle.history["penalty"][0] > oracle.history["penalty"][-1]
-        assert all(math.isfinite(v) for v in oracle.history["loss"])
+        _, history = train_tabular(joint, cfg)
+        assert history["penalty"][0] > history["penalty"][-1]
+        assert all(math.isfinite(v) for v in history["loss"])
 
     def test_trained_oracle_normalized_everywhere(self):
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=3, seed=16, beta=1.0))
-        oracle = train_tabular(joint, TrainConfig(coverage="prefix-only", steps=50, seed=3))
+        oracle, _ = train_tabular(joint, TrainConfig(coverage="prefix-only", steps=50, seed=3))
         ctx = PartialContext({}, (0, 1, 2))
         for i in range(3):
             assert abs(np.exp(oracle.log_dist(i, ctx.observed)).sum() - 1.0) < 1e-9
 
     def test_serialization_round_trip(self, tmp_path):
-        from curlgauge.core import load_model, save_model
+        from curlgauge.core import ModelBundle, load_model, save_model
 
         joint = generate_joint(SyntheticTaskSpec("chain", positions=3, vocab_size=2, seed=17, beta=0.7))
-        oracle = train_tabular(joint, TrainConfig(coverage="prefix-only", steps=60, seed=5))
+        config = TrainConfig(coverage="prefix-only", steps=60, seed=5)
+        oracle, _ = train_tabular(joint, config)
         path = tmp_path / "trained.json"
-        save_model(oracle, path)
+        save_model(ModelBundle(oracle, joint, config.to_dict()), path)
         bundle = load_model(path)
         assigned = {0: 1}
         assert np.array_equal(bundle.oracle.log_dist(1, assigned), oracle.log_dist(1, assigned))
@@ -306,7 +309,7 @@ def _dense_grad(logits, squares, block):
     return grad.T.reshape(logits.shape)
 
 
-def _train_reference(joint: TabularJointModel, config: TrainConfig) -> TrainedTabularOracle:
+def _train_reference(joint: TabularJointModel, config: TrainConfig) -> tuple[LogitTableOracle, dict]:
     """The dense trainer: every step gathers the covered cells by (position, class),
     scatters the cross-entropy gradient into a zero table with np.add.at, adds the
     penalty gradient and moves the whole table."""
@@ -348,7 +351,7 @@ def _train_reference(joint: TabularJointModel, config: TrainConfig) -> TrainedTa
             raise TrainingFailureError(f"logits became non-finite at step {len(history['loss'])}", history=history)
         if grad_norm < config.grad_tol:
             break
-    return TrainedTabularOracle(LogitTable(Vocabulary(vocab), positions, logits), config, joint, history)
+    return LogitTableOracle(LogitTable(Vocabulary(vocab), positions, logits)), history
 
 
 def _training_outcome(train, joint, config):
@@ -356,10 +359,10 @@ def _training_outcome(train, joint, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            oracle = train(joint, config)
+            oracle, history = train(joint, config)
         except TrainingFailureError as err:
             return "failed", str(err), repr(err.history)
-    return "trained", oracle.table.logits.tobytes(), repr(oracle.history)
+    return "trained", oracle.table.logits.tobytes(), repr(history)
 
 
 _COVERAGES = [{"coverage": "prefix-only"}, {"coverage": "all-masks"}, {"coverage": "fraction", "coverage_fraction": 0.4}]
