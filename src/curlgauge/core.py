@@ -312,8 +312,11 @@ class ConditionalOracle:
     """Abstract query surface: one normalized log conditional per (position, context class).
 
     Subclasses implement :meth:`log_rows`; every other query is a gather
-    through it.  Implementations are immutable after construction and keep
-    no cache, so concurrent read-only queries are safe.
+    through it.  Their conditionals are fixed at construction.  The one memo,
+    :class:`PerturbedConditionalModel`'s offset chunks, is written once per
+    chunk, with values that are a pure function of the chunk's key, before
+    the chunk is marked drawn; so concurrent queries are safe and every
+    answer is independent of the query order.
     """
 
     def __init__(self, vocab_size: int, positions: int):
@@ -453,25 +456,51 @@ class TabularJointModel(ConditionalOracle):
 class PerturbedConditionalModel(ConditionalOracle):
     """Exact conditionals with seeded per-context logit noise of magnitude delta.
 
-    One Gaussian offset vector is drawn per (position, visible-context class)
-    at construction, so identical (seed, delta) give bit-identical conditionals
-    regardless of query order.  ``delta = 0`` reproduces the base conditionals
-    exactly (after renormalization).
+    Each position's Gaussian offset rows are cut into chunks of
+    ``max(1, 4096 // V)`` consecutive context classes, and chunk ``c`` of
+    position ``i`` is the stream of ``seeded_rng(seed, i, c)``, drawn the
+    first time a query reads one of its rows.  So every offset is a pure
+    function of (seed, position, class, token), whatever the query order, and
+    a model is built without drawing: at the caps a bench job reads at most
+    135 of a position's 59,049 classes (a whole-block ``consistency`` or
+    ``order-error`` reads them all).  ``delta = 0`` reproduces the
+    base conditionals exactly (after renormalization).
     """
+
+    DRAW = "chunks-4096"  # the draw's name in a model file and its id
 
     def __init__(self, base: TabularJointModel, delta: float, perturbation_seed: int):
         if not (math.isfinite(delta) and delta >= 0):
             raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
+        if perturbation_seed < 0:
+            raise ContractViolationError(f"perturbation seed must be non-negative, got {perturbation_seed}")
         super().__init__(base.vocab.size, base.positions)
         self.base = base
         self.delta = float(delta)
         self.perturbation_seed = int(perturbation_seed)
-        shape = (self.positions, context_class_count(self.positions, self.vocab.size), self.vocab.size)
-        offsets = seeded_rng(self.perturbation_seed).standard_normal(shape)
-        offsets.flags.writeable = False
-        self._offsets = offsets
+        classes = context_class_count(self.positions, self.vocab.size)
+        self._chunk = max(1, 4096 // self.vocab.size)
+        self._offsets = np.empty((self.positions, classes, self.vocab.size))
+        self._drawn = np.zeros((self.positions, -(-classes // self._chunk)), dtype=bool)
+        self._complete = [False] * self.positions
+
+    def _draw(self, position: int, cls) -> None:
+        """Draw the chunks of ``cls`` that no query drew yet.  A chunk's bit is set only after its rows are
+        written, and two threads that draw one chunk write the same values, so a position is marked
+        complete only from its whole mask (a count of chunks left would be decremented by both)."""
+        drawn = self._drawn[position]
+        wanted = np.zeros_like(drawn)
+        wanted[np.asarray(cls) // self._chunk] = True
+        for c in np.flatnonzero(wanted & ~drawn).tolist():
+            rows = self._offsets[position, c * self._chunk : (c + 1) * self._chunk]
+            seeded_rng(self.perturbation_seed, position, c).standard_normal(out=rows)
+            drawn[c] = True
+        if drawn.all():
+            self._complete[position] = True
 
     def log_rows(self, position: int, cls) -> np.ndarray:
+        if not (self._complete[position] or self._drawn[position][cls // self._chunk].all()):
+            self._draw(position, cls)
         return log_normalize(self.base.log_rows(position, cls) + self.delta * self._offsets[position, cls])
 
 
@@ -562,8 +591,9 @@ def model_from_dict(data: Mapping) -> ModelBundle:
     """The bundle a model file's JSON describes; :func:`save_model` writes it back.
 
     Schema, in the file's key order: ``{vocab_size, positions, logit_table?:
-    {values}, log_mass?: flat row-major array, perturbation?: {delta, seed},
-    train_config?}``.  Row-major means the last position varies fastest.
+    {values}, log_mass?: flat row-major array, perturbation?: {delta, seed,
+    draw}, train_config?}``.  Row-major means the last position varies fastest.
+    Sizes and the perturbation seed are JSON integers.
     """
     if not isinstance(data, Mapping):
         raise DimensionError("a model file must hold a JSON object")
@@ -571,7 +601,7 @@ def model_from_dict(data: Mapping) -> ModelBundle:
         raise DimensionError(f"unknown model fields: {sorted(unknown)}")
     if missing := {"vocab_size", "positions"} - set(data):
         raise DimensionError(f"missing model fields: {sorted(missing)}")
-    vocab_size, positions = int(data["vocab_size"]), int(data["positions"])
+    vocab_size, positions = _json_int(data, "vocab_size"), _json_int(data, "positions")
     _check_caps(vocab_size, positions)
     joint = None
     if "log_mass" in data:
@@ -585,7 +615,18 @@ def model_from_dict(data: Mapping) -> ModelBundle:
         if joint is None:
             raise DimensionError("perturbed model files need a log_mass table")
         pert = data["perturbation"]
-        oracle = PerturbedConditionalModel(joint, float(pert["delta"]), int(pert["seed"]))
+        if not isinstance(pert, Mapping):
+            raise DimensionError("perturbation must be a JSON object")
+        if (draw := pert.get("draw")) != PerturbedConditionalModel.DRAW:
+            raise DimensionError(
+                f"perturbation draw is {draw!r}, not {PerturbedConditionalModel.DRAW!r}: the file's offsets were "
+                "drawn by an older version; re-run synth-gen to write it again"
+            )
+        if set(pert) != {"delta", "seed", "draw"}:
+            raise DimensionError(f"perturbation must hold exactly delta, seed and draw, got {sorted(pert)}")
+        if isinstance(delta := pert["delta"], bool) or not isinstance(delta, (int, float)):
+            raise DimensionError(f"perturbation delta must be a JSON number, got {delta!r}")
+        oracle = PerturbedConditionalModel(joint, float(delta), _json_int(pert, "seed"))
     else:
         if joint is None:
             raise DimensionError("model file needs log_mass and/or logit_table")
@@ -593,10 +634,17 @@ def model_from_dict(data: Mapping) -> ModelBundle:
     return ModelBundle(oracle, joint, data.get("train_config"))
 
 
+def _json_int(record: Mapping, key: str) -> int:
+    """A model file's integer field: a JSON integer, never a number that truncates to one."""
+    if isinstance(value := record[key], bool) or not isinstance(value, int):
+        raise DimensionError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _perturbation(oracle: ConditionalOracle) -> dict | None:
     """The ``perturbation`` field of a perturbed model, else None."""
     if isinstance(oracle, PerturbedConditionalModel):
-        return {"delta": oracle.delta, "seed": oracle.perturbation_seed}
+        return {"delta": oracle.delta, "seed": oracle.perturbation_seed, "draw": oracle.DRAW}
     return None
 
 

@@ -51,7 +51,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep to parse
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -192,7 +192,8 @@ def resolve_model(model_config: Mapping) -> ModelBundle:
     if "file" in model_config:
         try:
             return load_model(model_config["file"])
-        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:  # ValueError: JSON, shape, contract
+        # ValueError: JSON, shape, contract; RecursionError: JSON nested too deep to parse
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"cannot load model file {model_config['file']}: {exc}") from exc
     synth = dict(model_config["synthetic"])
     perturbation = synth.pop("perturbation", None)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,7 @@ from curlgauge.core import (
     plain_json,
     save_model,
     seed_states,
+    seeded_rng,
 )
 from curlgauge.decoding import draw_row, draw_rows, sample_commit
 from curlgauge.errors import ContractViolationError, DimensionError, SizeCapError
@@ -321,9 +323,9 @@ class TestModelFiles:
             "vocab_size": 2,
             "positions": 2,
             "log_mass": [-1.2, -1.4, -1.6, -1.4],
-            "perturbation": {"delta": 0.5, "seed": 3},
+            "perturbation": {"delta": 0.5, "seed": 3, "draw": "chunks-4096"},
         }
-        assert model_from_dict(data).model_id == "bb720a1dd4c0"
+        assert model_from_dict(data).model_id == "7077c2aa3952"
 
     def test_unknown_model_field_rejected(self):
         with pytest.raises(DimensionError):
@@ -340,6 +342,57 @@ def test_concurrent_queries_match_sequential():
         results = list(pool.map(lambda q: fresh.log_dist(q[0], q[1]).copy(), queries))
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+    # at the caps, 8 threads gather overlapping runs of classes of one position, each run spanning
+    # several offset chunks, switching often: a chunk marked drawn before its rows were written would show
+    joint = random_joint(32, positions=6, vocab=8)
+    queries = [(k % 2, np.arange(400 * k, 400 * k + 3000)) for k in range(8)]
+    expected = [PerturbedConditionalModel(joint, 0.3, 1).log_rows(i, cls) for i, cls in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(50):
+                fresh = PerturbedConditionalModel(joint, 0.3, 1)
+                for got, want in zip(pool.map(lambda q: fresh.log_rows(*q), queries, timeout=120), expected):
+                    assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), positions=st.integers(2, 5), vocab=st.integers(2, 8))
+def test_offsets_do_not_depend_on_query_order(seed, positions, vocab):
+    """Two fresh models give the same rows, one queried by scalar rows and then class arrays with repeats,
+    the other by shuffled whole positions in reverse; the scalar rows equal the draw's definition."""
+    joint = random_joint(seed, positions, vocab)
+    a, b = PerturbedConditionalModel(joint, 0.5, seed), PerturbedConditionalModel(joint, 0.5, seed)
+    rng, classes = np.random.default_rng(seed), (vocab + 1) ** (positions - 1)
+    scalar = []
+    for _ in range(20):
+        i = int(rng.integers(positions))
+        assigned = {p: int(rng.integers(vocab)) for p in range(positions) if p != i and rng.random() < 0.6}
+        scalar.append((i, context_class_index(i, assigned, positions, vocab), a.log_dist(i, assigned)))
+    queries = [(i, rng.integers(classes, size=classes // 2 + 5)) for i in rng.permutation(positions).tolist()]
+    got = [a.log_rows(i, cls) for i, cls in queries]
+    whole = {}
+    for i in reversed(range(positions)):
+        order = rng.permutation(classes)
+        whole[i] = np.empty((classes, vocab))
+        whole[i][order] = b.log_rows(i, order)
+    for (i, cls), rows in zip(queries, got):
+        assert np.array_equal(rows, whole[i][cls])
+    for i, cls, row in scalar:
+        assert np.array_equal(row, whole[i][cls])
+        assert np.array_equal(row, log_normalize(joint.log_rows(i, cls) + 0.5 * _offset_row(a, i, cls)))
+
+
+def test_whole_block_curl_scan_draws_few_offset_chunks():
+    # the scan reads 41 of a position's 59,049 classes; a class whose one assigned position weighs
+    # 9**3 or more has a 512-class chunk to itself, so 17 of the 116 chunks are drawn
+    model = PerturbedConditionalModel(random_joint(33, positions=6, vocab=8), 0.4, 5)
+    assert not model._drawn.any()
+    curl_scan_report(model, PartialContext({}, tuple(range(6))), model_id="m")
+    assert 0 < model._drawn.mean() < 0.15
 
 
 def _model_of_kind(kind: str, seed: int, positions: int, vocab: int):
@@ -349,6 +402,16 @@ def _model_of_kind(kind: str, seed: int, positions: int, vocab: int):
     if kind == "perturbed":
         return PerturbedConditionalModel(joint, 0.6, seed)
     return LogitTableOracle(LogitTable.random(vocab, positions, seed=seed, scale=1.5))
+
+
+def _offset_row(model: PerturbedConditionalModel, position: int, cls: int) -> np.ndarray:
+    """A perturbed model's offset row from the definition: chunk c of ``max(1, 4096 // V)`` classes of a
+    position is the stream of ``seeded_rng(seed, position, c)``, the last chunk a shorter one."""
+    vocab, classes = model.vocab.size, (model.vocab.size + 1) ** (model.positions - 1)
+    chunk = max(1, 4096 // vocab)
+    c = cls // chunk
+    rows = min(chunk, classes - c * chunk)
+    return seeded_rng(model.perturbation_seed, position, c).standard_normal((rows, vocab))[cls - c * chunk]
 
 
 def _brute_force_row(model, position: int, assigned: dict) -> np.ndarray:
@@ -364,7 +427,7 @@ def _brute_force_row(model, position: int, assigned: dict) -> np.ndarray:
     others = tuple(k for k, p in enumerate(free) if p != position)
     row = np.log(sub.sum(axis=others) / sub.sum())
     if isinstance(model, PerturbedConditionalModel):
-        row = row + model.delta * model._offsets[position, cls]
+        row = row + model.delta * _offset_row(model, position, cls)
         row = row - np.log(np.exp(row).sum())
     return row
 

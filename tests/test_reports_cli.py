@@ -292,8 +292,16 @@ class TestCliExitCodes:
             ('{"vocab_size": 1e400, "positions": 1, "log_mass": [0.0, 0.0]}', 2),
             (json.dumps({"vocab_size": 2, "positions": 7, "log_mass": [0.0] * 128}), 3),  # past the caps
             (json.dumps({"vocab_size": 9, "positions": 2, "logit_table": {"values": [0.0] * 5}}), 3),
+            ("[" * 100_000 + "]" * 100_000, 2),
+            ('{"vocab_size": 2, "positions": 2.9, "log_mass": [0.0, 0.0, 0.0, 0.0]}', 2),  # JSON integers only
+            ('{"vocab_size": 2.0, "positions": 2, "log_mass": [0.0, 0.0, 0.0, 0.0]}', 2),
+            ('{"vocab_size": true, "positions": 2, "log_mass": [0.0, 0.0]}', 2),
+            ('{"vocab_size": 2, "positions": 1, "log_mass": [0.0, 0.0], "perturbation": {"delta": 0.5, "seed": 2.5, '
+             '"draw": "chunks-4096"}}', 2),
+            ('{"vocab_size": 2, "positions": 1, "log_mass": [0.0, 0.0], "perturbation": {"delta": 0.5, "seed": 3}}', 2),
         ],
-        ids=["missing", "unknown", "array", "nan-log-mass", "logit-length", "huge-size", "over-cap", "over-cap-logits"],
+        ids=["missing", "unknown", "array", "nan-log-mass", "logit-length", "huge-size", "over-cap", "over-cap-logits",
+             "deeply-nested", "fractional-size", "float-size", "bool-size", "fractional-seed", "no-draw"],
     )
     def test_malformed_model_file_exits_with_one_line(self, tmp_path, text, code):
         (tmp_path / "model.json").write_text(text, encoding="utf-8")
@@ -304,6 +312,14 @@ class TestCliExitCodes:
         assert result.exit_code == code
         prefix = "config error: cannot load model file " if code == 2 else "size cap refusal: "
         assert result.stderr.startswith(prefix)
+        assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_exits_two_with_one_line(self, tmp_path):
+        (tmp_path / "cfg.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        result = CliRunner().invoke(main, ["tc", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: config file ")
         assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 

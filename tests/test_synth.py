@@ -98,6 +98,29 @@ def test_generated_joints_equal_the_full_table_formulas(family, positions, vocab
     assert model_id(joint, joint) == model_id(reference, reference)
 
 
+def test_exchangeable_joints_equal_the_np_unique_index():
+    """The level-wise count-vector index gives the bits of the np.unique index it replaced, at every size."""
+    for m, vocab in itertools.product(range(1, 7), range(2, 9)):
+        spec = SyntheticTaskSpec("exchangeable", positions=m, vocab_size=vocab, seed=m * 10 + vocab)
+        rng = seeded_rng(spec.seed, 2)
+        weights = np.exp(rng.standard_normal(EXCHANGEABLE_COMPONENTS))
+        weights /= weights.sum()
+        powers = (m + 1) ** np.arange(vocab)
+        distinct, inverse = np.unique(sum(powers.reshape((-1,) + (1,) * k) for k in range(m)), return_inverse=True)
+        counts = distinct // powers[:, None] % (m + 1)
+        table = np.zeros(len(distinct))
+        for c in range(EXCHANGEABLE_COMPONENTS):
+            comp = np.exp(rng.standard_normal(vocab))
+            comp /= comp.sum()
+            prod = np.ones(len(distinct))
+            for v in range(vocab):
+                prod = prod * np.power(comp[v], counts[v])
+            table = table + weights[c] * prod
+        with np.errstate(divide="ignore"):
+            old = TabularJointModel(vocab, m, np.log(table[inverse].reshape((vocab,) * m)))
+        assert generate_joint(spec).log_mass.tobytes() == old.log_mass.tobytes(), (m, vocab)
+
+
 @pytest.mark.parametrize("family", sorted(_REFERENCES))
 def test_synth_gen_model_files_equal_the_full_table_formulas(tmp_path, family):
     recipe = {"family": family, "positions": 6, "vocab_size": 5, "seed": 12, "beta": 0.8}
