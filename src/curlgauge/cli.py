@@ -40,6 +40,8 @@ from .errors import (
 )
 from .ordererror import rank_orders, stratify_contexts
 from .pseudojoint import (
+    DEFAULT_CONSISTENCY_TOL,
+    DEFAULT_NORMALIZER_EPSILON,
     ExhaustivePlan,
     MonteCarloPlan,
     curl_scan_report,
@@ -155,7 +157,7 @@ def _command(name: str):
 def curl_scan(config, seed, bundle, contexts, out_dir):
     """Scan circulation over contexts; summary stats plus per-square samples."""
     plan = _plan_from_config(config.get("plan"), seed)
-    epsilon = _positive_number(config.get("epsilon", 1e-6), "epsilon")
+    epsilon = _positive_number(config.get("epsilon", DEFAULT_NORMALIZER_EPSILON), "epsilon")
     entries = [
         {"context_id": cid, "report": curl_scan_report(bundle.oracle, context, plan, epsilon, model_id=bundle.model_id)}
         for cid, context in enumerate(contexts)
@@ -266,7 +268,7 @@ def train(config, seed, bundle, contexts, out_dir):
 @_command("consistency")
 def consistency(config, seed, bundle, contexts, out_dir):
     """Brute-force order-consistency verdicts per context."""
-    tol = _positive_number(config.get("tol", 1e-8), "tol")
+    tol = _positive_number(config.get("tol", DEFAULT_CONSISTENCY_TOL), "tol")
     entries = [
         {"context_id": cid, "report": order_consistency_check(bundle.oracle, context, tol).to_dict()}
         for cid, context in enumerate(contexts)

@@ -202,6 +202,12 @@ def stable_uniform(*parts: int) -> float:
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
+    """A generator keyed by the 32-bit words of ``parts`` (see ``_seed_key``).  SeedSequence
+    zero-pads a key shorter than its 4-word pool, so keys that differ by trailing zero words
+    draw one stream: a ``chain`` recipe with seed s (``seeded_rng(s, 1)``) and chunk 0 of
+    position 1 of a perturbation with seed s (``seeded_rng(s, 1, 0)``) both pad to
+    [s, 1, 0, 0], so that chunk's offsets are the chain's normals; ``exchangeable``
+    (``seeded_rng(s, 2)``) meets position 2 the same way."""
     return np.random.default_rng(np.random.SeedSequence(_seed_key(*parts)))
 
 

@@ -136,21 +136,35 @@ def step_table(oracle: ConditionalOracle, observed: Mapping[int, int], axes: Seq
     return np.swapaxes(oracle.log_rows(pos, grid), axes.index(pos), -1)[..., 0]
 
 
-def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order: Sequence[int], visible=()) -> np.ndarray:
+def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order: Sequence[int]) -> np.ndarray:
     """Log sequential product for every block assignment.
 
     Axes follow the block tuple's order (not the resolution order), so tables
-    for different orders of the same block are directly comparable.  Each
-    ``visible`` position (neither observed nor in the block) adds a leading
-    axis that every conditional sees at each of its tokens.
+    for different orders of the same block are directly comparable.
     """
     spec = PseudoJointSpec(context, tuple(order))
-    axes = tuple(visible) + context.block
     oracle._validate_context(context)
-    table = np.zeros((oracle.vocab.size,) * len(axes))
+    table = np.zeros((oracle.vocab.size,) * len(context.block))
     for m, pos in enumerate(spec.order):
-        table += step_table(oracle, context.observed, axes, pos, set(visible) | set(spec.order[:m]))
+        table += step_table(oracle, context.observed, context.block, pos, spec.order[:m])
     return table
+
+
+class StepLattice:
+    """The steps log q(pos | observed, given) of a context's block, for every position and
+    every set ``given`` of other block positions: ``lattice[pos, given]`` is ``step_table``
+    over the block's axes, gathered on first use and kept for the lattice's life."""
+
+    def __init__(self, oracle: ConditionalOracle, context: PartialContext):
+        oracle._validate_context(context)
+        self.oracle, self.context, self._steps = oracle, context, {}
+
+    def __getitem__(self, step) -> np.ndarray:
+        pos, given = step
+        key = (pos, frozenset(given))
+        if key not in self._steps:
+            self._steps[key] = step_table(self.oracle, self.context.observed, self.context.block, pos, given)
+        return self._steps[key]
 
 
 def curl_local(
@@ -226,12 +240,19 @@ class _PairRecord:
     residual: float
 
 
-def _pair_circulation(oracle: ConditionalOracle, observed: Mapping[int, int], visible, i: int, j: int, epsilon: float):
-    """The record of the group (visible, i, j); its circulation is checked against the two
-    pair-order tables."""
-    pair_context = PartialContext(observed=observed, block=(i, j))
-    ij, ji = (pseudo_joint_table(oracle, pair_context, order, visible) for order in ((i, j), (j, i)))
-    terms = _pair_terms(oracle, observed, visible, i, j)
+def _pair_circulation(lattice: StepLattice, visible, i: int, j: int, epsilon: float):
+    """The record of the group (visible, i, j) of the lattice's block; its circulation is checked
+    against the two pair-order tables, which are summed from the lattice's steps."""
+    given = set(visible)
+    kept = [p for p in lattice.context.block if p in given or p in (i, j)]
+    shape, axes = (lattice.oracle.vocab.size,) * len(kept), [kept.index(p) for p in (*visible, i, j)]
+    # each summed from 0.0, as pseudo_joint_table sums, then moved to (visible, i, j) axes as a
+    # C-order copy, the layout of its tables
+    ij, ji = (
+        np.ascontiguousarray((0.0 + lattice[a, given] + lattice[b, given | {a}]).reshape(shape).transpose(axes))
+        for a, b in ((i, j), (j, i))
+    )
+    terms = _pair_terms(lattice.oracle, lattice.context.observed, visible, i, j)
     t0, t1, t2, t3 = terms
     value = (t0 + t1) - (t2 + t3)
     residual = float(np.abs(value - (ij - ji).reshape(value.shape)).max())
@@ -283,15 +304,6 @@ def _square_groups(context: PartialContext) -> Iterator[tuple[tuple[int, ...], i
                 yield visible, i, j
 
 
-def _subset_scans(oracle: ConditionalOracle, context: PartialContext, epsilon: float):
-    """Per visible subset, its pairs and the ``[values, pair, a, b]`` arrays of circulation and
-    normalised circulation; flattened and joined, they list the squares in enumeration order."""
-    for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
-        pairs = [(i, j) for _, i, j in groups]
-        records = [_pair_circulation(oracle, context.observed, visible, i, j, epsilon) for i, j in pairs]
-        yield visible, pairs, np.stack([r.value for r in records], axis=1), np.stack([r.normalized for r in records], axis=1)
-
-
 def _block_pairs(context: PartialContext) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(context.block), 2))
 
@@ -311,7 +323,8 @@ def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsil
     else:
         rng = seeded_rng(plan.seed)
         k, a, b = np.array([(rng.integers(len(pairs)), rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n)]).T
-    records = [_pair_circulation(oracle, context.observed, (), i, j, epsilon) for i, j in pairs]
+    lattice = StepLattice(oracle, context)
+    records = [_pair_circulation(lattice, (), i, j, epsilon) for i, j in pairs]
     value, normalized = (np.concatenate([getattr(r, name) for r in records]) for name in ("value", "normalized"))
     return k, a, b, value[k, a, b], normalized[k, a, b], records
 
@@ -332,7 +345,7 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
     if mode != "exact" and not isinstance(mode, MonteCarloPlan):
         raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
-    record = _pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)
+    record = _pair_circulation(StepLattice(oracle, context), (), i, j, DEFAULT_NORMALIZER_EPSILON)
     swap_kl = _swap_kls(record)[0]
     return Estimate(value=swap_kl, mode="exact") if mode == "exact" else _swap_kl_draws(record, mode)
 
@@ -340,9 +353,9 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
 def order_gap_entries(oracle: ConditionalOracle, context: PartialContext, plan: MonteCarloPlan | None) -> list[dict]:
     """Per block pair (i < j), KL(q_ij || q_ji), KL(q_ji || q_ij) and, given a plan, the
     Monte Carlo estimate of the first, all read from the pair's one record."""
-    entries = []
+    entries, lattice = [], StepLattice(oracle, context)
     for i, j in _block_pairs(context):
-        record = _pair_circulation(oracle, context.observed, (), i, j, DEFAULT_NORMALIZER_EPSILON)
+        record = _pair_circulation(lattice, (), i, j, DEFAULT_NORMALIZER_EPSILON)
         kl_ij, kl_ji = _swap_kls(record)
         entry = {"i": i, "j": j, "kl_ij": kl_ij, "kl_ji": kl_ji}
         if plan is not None:
@@ -459,7 +472,8 @@ def swap_decomposition(
         i_r, j_r = current[k - 1], current[k]
         prefix = tuple(current[: k - 1])
         observed = {**context.observed, **{p: assignment[p] for p in prefix}}
-        record = _pair_circulation(oracle, observed, (), i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
+        lattice = StepLattice(oracle, PartialContext(observed, (i_r, j_r)))
+        record = _pair_circulation(lattice, (), i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
         value = float(record.value.reshape(vocab, vocab)[assignment[i_r], assignment[j_r]])
         terms.append(SwapTerm(i=i_r, j=j_r, a=assignment[i_r], b=assignment[j_r], prefix=prefix, value=value))
         current[k - 1], current[k] = current[k], current[k - 1]
@@ -496,21 +510,22 @@ def order_consistency_check(
     context: PartialContext,
     tol: float = DEFAULT_CONSISTENCY_TOL,
 ) -> ConsistencyReport:
-    """Brute-force order consistency on a block, two independent ways.
+    """Brute-force order consistency on a block, two independent ways, both read from one
+    ``StepLattice`` of the block.
 
     (a) take the largest gap, over every assignment, between the largest and
     smallest sequential product of all permutations; (b) enumerate every
     reachable square (visible subset of the block, position pair, token pair)
     and take the largest absolute circulation.  The block is consistent iff
-    both maxima fall below tol; the two verdicts must agree, and the first
-    violating square in enumeration order is reported as the witness.
+    both maxima fall below tol; each verdict is reported on its own, and the
+    first violating square in enumeration order is reported as the witness.
     """
     block = context.block
     n = len(block)
     vocab = oracle.vocab.size
     if n < 2:
         raise ContractViolationError("consistency check needs a block with at least two positions")
-    oracle._validate_context(context)
+    lattice = StepLattice(oracle, context)
 
     # largest and smallest log product over the orders of each resolved set (block
     # axes, length 1 where unresolved), each order extended by its last position;
@@ -520,16 +535,20 @@ def order_consistency_check(
         for resolved in itertools.combinations(block, size):
             for pos in resolved:
                 rest = tuple(p for p in resolved if p != pos)
-                step = step_table(oracle, context.observed, block, pos, rest)
+                step = lattice[pos, rest]
                 high[resolved] = np.maximum(high.get(resolved, -np.inf), high[rest] + step)
                 low[resolved] = np.minimum(low.get(resolved, np.inf), low[rest] + step)
     max_order_gap = float((high[block] - low[block]).max())
+    del high, low  # at m=6, V=8 the 8.5 MB they hold would add to the lattice's 23 MB at the scan's peak
 
+    # per visible subset, the [values, pair, a, b] circulation of its squares in enumeration order
     max_curl = 0.0
     witness: CurlSample | None = None
     squares = 0
-    for visible, pairs, value, _ in _subset_scans(oracle, context, DEFAULT_NORMALIZER_EPSILON):
-        magnitude = np.abs(value)
+    for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
+        pairs = [(i, j) for _, i, j in groups]
+        records = [_pair_circulation(lattice, visible, i, j, DEFAULT_NORMALIZER_EPSILON) for i, j in pairs]
+        magnitude = np.abs(np.stack([r.value for r in records], axis=1))
         squares += magnitude.size
         subset_max = float(magnitude.max())
         max_curl = max(max_curl, subset_max)

@@ -32,22 +32,13 @@ from .core import (
     PartialContext,
     TabularJointModel,
     Vocabulary,
-    ConditionalOracle,
     _column_logsumexp,
     _column_sum,
     class_strides,
     seeded_rng,
 )
 from .errors import ContractViolationError, TrainingFailureError
-from .pseudojoint import (
-    DEFAULT_NORMALIZER_EPSILON,
-    ExhaustivePlan,
-    MonteCarloPlan,
-    Estimate,
-    _mean_estimate,
-    _square_groups,
-    _subset_scans,
-)
+from .pseudojoint import DEFAULT_NORMALIZER_EPSILON, _square_groups
 
 CHAIN = "chain"
 EXCHANGEABLE = "exchangeable"
@@ -140,7 +131,7 @@ def generate_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
 
 
 # ---------------------------------------------------------------------------
-# circulation-square sampling shared by the penalty estimator and the trainer
+# circulation-square sampling for the trainer's penalty
 
 
 def square_sampler(positions: int, vocab: int):
@@ -224,29 +215,6 @@ def penalty_batch(cols: np.ndarray, squares: Squares) -> tuple[float, np.ndarray
     cell_grads = dlq.reshape(1, -1) * (squares.chosen - np.exp(log_rows))
     grad = np.bincount(squares.bins, cell_grads.reshape(-1), cols.shape[0] * len(squares.touched))
     return float(ratio @ ratio) / n, grad.reshape(cols.shape[0], -1)
-
-
-def ecirc_penalty(oracle: ConditionalOracle, plan=ExhaustivePlan(), epsilon: float = DEFAULT_NORMALIZER_EPSILON) -> Estimate:
-    """Mean squared normalized circulation over visible-context squares.
-
-    Exhaustive mode enumerates every (visible subset, values, pair, tokens)
-    square; the Monte Carlo mode samples them uniformly.
-    """
-    positions, vocab = oracle.positions, oracle.vocab.size
-    if isinstance(plan, ExhaustivePlan):
-        scans = _subset_scans(oracle, PartialContext({}, tuple(range(positions))), epsilon)
-        values = np.concatenate([normalized.reshape(-1) ** 2 for *_, normalized in scans])
-    elif isinstance(plan, MonteCarloPlan):
-        pos, cls, tok = square_sampler(positions, vocab)(seeded_rng(plan.seed), plan.n)
-        lq = np.empty(pos.shape)
-        for p in range(positions):
-            at = pos == p
-            lq[at] = np.take_along_axis(oracle.log_rows(p, cls[at]), tok[at][:, None], axis=1)[:, 0]
-        t0, t1, t2, t3 = lq.T
-        values = (np.abs((t0 + t1) - (t2 + t3)) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)) ** 2
-    else:
-        raise ContractViolationError(f"unknown sampling plan {plan!r}")
-    return _mean_estimate(values, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_context, random_joint, random_oracle
 from curlgauge import pseudojoint
@@ -37,7 +37,6 @@ from curlgauge.pseudojoint import (
     random_walk_path,
     swap_decomposition,
 )
-from curlgauge.synth import ecirc_penalty
 
 
 class StubOracle(ConditionalOracle):
@@ -207,8 +206,8 @@ class TestEcircAbs:
         joint = random_joint(16, positions=3, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 16)
         ctx = PartialContext({}, (0, 1, 2))
-        for est in (ecirc_abs(oracle, ctx, MonteCarloPlan(seed=1, n=1)), ecirc_penalty(oracle, MonteCarloPlan(seed=1, n=1))):
-            assert (est.stderr, est.n) == (None, 1)
+        est = ecirc_abs(oracle, ctx, MonteCarloPlan(seed=1, n=1))
+        assert (est.stderr, est.n) == (None, 1)
         assert order_swap_kl(oracle, ctx, 0, 1, mode=MonteCarloPlan(seed=1, n=1)).stderr is None
 
 
@@ -302,7 +301,7 @@ class TestSwapPaths:
         # compensated sum (the builtin sum from Python 3.12) would give 1.0
         values = iter([1e16, 1.0, -1e16])
 
-        def record(oracle, observed, visible, i, j, epsilon):
+        def record(lattice, visible, i, j, epsilon):
             return SimpleNamespace(value=np.full((3,) * (len(visible) + 2), next(values)))
 
         monkeypatch.setattr(pseudojoint, "_pair_circulation", record)
@@ -400,16 +399,64 @@ def test_curl_scan_report_shape():
 
 
 def test_curl_scan_gathers_each_block_pair_once(monkeypatch):
+    counts = _count_gathers(monkeypatch)
+    oracle = PerturbedConditionalModel(random_joint(27, positions=6, vocab=3), 0.4, 27)
+    curl_scan_report(oracle, PartialContext({}, tuple(range(6))), model_id="test")
+    # one lattice: each of the 6 positions given nothing and given each of the 5 others
+    assert counts == {"_pair_terms": 15, "step_table": 36}
+
+
+def _count_gathers(monkeypatch) -> Counter:
+    """Count the calls of the step gather and of the pair-term gather from here on."""
     counts = Counter()
-    for name in ("_pair_terms", "pseudo_joint_table"):
+    for name in ("_pair_terms", "step_table"):
         def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
             counts[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(pseudojoint, name, counted)
-    oracle = PerturbedConditionalModel(random_joint(27, positions=6, vocab=3), 0.4, 27)
-    curl_scan_report(oracle, PartialContext({}, tuple(range(6))), model_id="test")
-    assert counts == {"_pair_terms": 15, "pseudo_joint_table": 30}
+    return counts
+
+
+def test_consistency_gathers_each_lattice_step_once(monkeypatch):
+    counts = _count_gathers(monkeypatch)
+    for positions in (2, 4, 5):
+        counts.clear()
+        oracle = PerturbedConditionalModel(random_joint(28, positions=positions, vocab=2), 0.4, 28)
+        order_consistency_check(oracle, PartialContext({}, tuple(range(positions))[::-1]))
+        # per visible subset size s: C(m, s) subsets of C(m - s, 2) pairs each
+        groups = sum(math.comb(positions, s) * math.comb(positions - s, 2) for s in range(positions - 1))
+        assert counts == {"step_table": positions * 2 ** (positions - 1), "_pair_terms": groups}, positions
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["tabular", "perturbed", "logit-table"]),
+    seed=st.integers(0, 10_000),
+    positions=st.integers(2, 5),
+    vocab=st.integers(2, 4),
+    data=st.data(),
+)
+def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, vocab, data):
+    joint = random_joint(seed, positions, vocab)
+    oracle = {
+        "tabular": joint,
+        "perturbed": PerturbedConditionalModel(joint, 0.4, seed),
+        "logit-table": LogitTableOracle(LogitTable.random(vocab, positions, seed)),
+    }[kind]
+    ctx = random_context(seed, joint)
+    # the lattice's axes follow the block tuple, which need not be sorted
+    ctx = PartialContext(ctx.observed, tuple(data.draw(st.permutations(ctx.block))))
+    visible = tuple(sorted(data.draw(st.sets(st.sampled_from(ctx.block), max_size=len(ctx.block) - 2))))
+    rest = [p for p in ctx.block if p not in visible]
+    lattice = pseudojoint.StepLattice(oracle, ctx)
+    for i, j in data.draw(st.permutations(list(itertools.permutations(rest, 2))))[:3]:
+        record = pseudojoint._pair_circulation(lattice, visible, i, j, 1e-6)
+        assert record.ij.flags.c_contiguous and record.ji.flags.c_contiguous
+        for values in itertools.product(range(vocab), repeat=len(visible)):
+            pair = PartialContext({**ctx.observed, **dict(zip(visible, values))}, (i, j))
+            assert np.array_equal(record.ij[values], pseudo_joint_table(oracle, pair, (i, j)))
+            assert np.array_equal(record.ji[values], pseudo_joint_table(oracle, pair, (j, i)))
 
 
 def test_monte_carlo_plan_draws_pair_then_a_then_b():
@@ -433,11 +480,10 @@ def test_monte_carlo_plan_draws_pair_then_a_then_b():
 
 
 def _scalar_consistency_scan(oracle, context, tol):
-    """Reference square loop: one curl_local call per reachable square; also
-    returns every square's squared normalized circulation, in scan order."""
+    """Reference square loop: one curl_local call per reachable square."""
     block = sorted(context.block)
     vocab = oracle.vocab.size
-    max_curl, witness, squares, penalties = 0.0, None, 0, []
+    max_curl, witness, squares = 0.0, None, 0
     for size in range(len(block) - 1):
         for visible in itertools.combinations(block, size):
             rest = [p for p in block if p not in visible]
@@ -451,12 +497,9 @@ def _scalar_consistency_scan(oracle, context, tol):
                             squares += 1
                             sample = curl_local(oracle, ctx, i, j, a, b)
                             max_curl = max(max_curl, abs(sample.value))
-                            # x * x, the correctly rounded square numpy's array ** 2 computes
-                            # (a scalar ** 2 goes through pow, which is not correctly rounded)
-                            penalties.append(sample.normalized_value * sample.normalized_value)
                             if witness is None and abs(sample.value) >= tol:
                                 witness = sample
-    return max_curl, squares, witness, np.array(penalties)
+    return max_curl, squares, witness
 
 
 class TestSquareEngineMatchesScalarReference:
@@ -468,7 +511,6 @@ class TestSquareEngineMatchesScalarReference:
         vocab=st.integers(2, 4),
         tol=st.sampled_from([1e-8, 0.05, 0.3, 10.0]),
     )
-    @example(kind="logit-table", seed=4748, positions=4, vocab=2, tol=0.05)  # a square whose x**2 is 1 ULP off x*x
     def test_grid_scans_equal_curl_local(self, kind, seed, positions, vocab, tol):
         joint = random_joint(seed, positions, vocab)
         if kind == "perturbed":
@@ -487,14 +529,10 @@ class TestSquareEngineMatchesScalarReference:
         tables = np.stack([pseudo_joint_table(oracle, ctx, perm) for perm in itertools.permutations(ctx.block)])
         assert report.max_order_gap == float((tables.max(axis=0) - tables.min(axis=0)).max())
         assert report.permutations_checked == len(tables)
-        max_curl, squares, witness, _ = _scalar_consistency_scan(oracle, ctx, tol)
+        max_curl, squares, witness = _scalar_consistency_scan(oracle, ctx, tol)
         assert report.max_curl == max_curl
         assert report.squares_checked == squares
         assert report.witness == witness
-
-        all_free = PartialContext({}, tuple(range(positions)))
-        penalties = _scalar_consistency_scan(oracle, all_free, tol)[3]
-        assert ecirc_penalty(oracle, ExhaustivePlan()).value == penalties.mean()
 
     def test_fault_in_one_term_trips_both_identities(self, monkeypatch):
         exact_terms = pseudojoint._pair_terms

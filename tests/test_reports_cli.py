@@ -674,7 +674,7 @@ class TestArtifacts:
         from curlgauge import pseudojoint
 
         counts = Counter()
-        for name in ("_pair_terms", "pseudo_joint_table"):
+        for name in ("_pair_terms", "step_table"):
             def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
                 counts[_name] += 1
                 return _fn(*args)
@@ -684,7 +684,8 @@ class TestArtifacts:
         contexts = {"explicit": [{"observed": {"1": 2, "4": 0}, "block": [0, 2, 3, 5]}]}
         write_config(tmp_path / "cfg.json", {"model": model, "contexts": contexts, "monte_carlo": {"n": 20, "seed": 3}})
         assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
-        assert counts == {"_pair_terms": 6, "pseudo_joint_table": 12}
+        # one lattice: each of the 4 positions given nothing and given each of the 3 others
+        assert counts == {"_pair_terms": 6, "step_table": 16}
 
     def test_order_error_ranks_all_orders_of_six_positions(self, tmp_path):
         from curlgauge.core import PartialContext, kl, tie_key

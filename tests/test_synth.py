@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from curlgauge.core import (
 )
 from curlgauge.dependence import total_correlation
 from curlgauge.errors import ContractViolationError, TrainingFailureError
-from curlgauge.pseudojoint import DEFAULT_NORMALIZER_EPSILON, ExhaustivePlan, MonteCarloPlan, order_consistency_check
+from curlgauge.pseudojoint import DEFAULT_NORMALIZER_EPSILON, curl_local, order_consistency_check
 from curlgauge.synth import (
     _CHUNK_SQUARES,
     EXCHANGEABLE_COMPONENTS,
@@ -29,7 +30,6 @@ from curlgauge.synth import (
     _covered_patterns,
     _index_squares,
     _square_steps,
-    ecirc_penalty,
     generate_joint,
     penalty_batch,
     square_sampler,
@@ -185,27 +185,21 @@ class TestGenerateJoint:
 
 
 class TestEcircPenalty:
+    """The trainer's squared-normalized-circulation penalty, ``penalty_batch``."""
+
     def test_exact_oracle_is_zero(self):
-        joint = random_joint(1, positions=3, vocab=3)
-        assert ecirc_penalty(joint, ExhaustivePlan()).value < 1e-12
-
-    def test_monte_carlo_agrees_with_exhaustive(self):
-        from curlgauge.core import PerturbedConditionalModel
-
-        # at (3, 3) every visible pattern holds 27 squares, so only the other sizes
-        # tell a uniform square draw from one that draws each pattern equally often
-        for positions, vocab in [(3, 3), (3, 2), (4, 2), (4, 3)]:
-            oracle = PerturbedConditionalModel(random_joint(2, positions=positions, vocab=vocab), 0.6, 5)
-            exact = ecirc_penalty(oracle, ExhaustivePlan()).value
-            mc = ecirc_penalty(oracle, MonteCarloPlan(seed=9, n=100_000))
-            assert abs(mc.value - exact) <= 4 * mc.stderr + 1e-12, (positions, vocab)
+        positions, vocab = 3, 3
+        joint = random_joint(1, positions=positions, vocab=vocab)
+        logits = np.stack([joint.log_rows(p, np.arange((vocab + 1) ** (positions - 1))) for p in range(positions)])
+        squares = _indexed(logits, *square_sampler(positions, vocab)(seeded_rng(1), 200))
+        assert penalty_batch(_table_columns(logits), squares)[0] < 1e-12
 
     def test_invariant_under_logit_shift(self):
         table = LogitTable.random(3, 3, seed=3, scale=1.2)
         shifts = 2.0 * seeded_rng(4).standard_normal(table.logits.shape[:2])
-        before = ecirc_penalty(LogitTableOracle(table), ExhaustivePlan()).value
-        shifted = LogitTable(table.vocab, 3, table.logits + shifts[..., None])
-        after = ecirc_penalty(LogitTableOracle(shifted), ExhaustivePlan()).value
+        squares = _indexed(table.logits, *square_sampler(3, 3)(seeded_rng(5), 200))
+        before = penalty_batch(_table_columns(table.logits), squares)[0]
+        after = penalty_batch(_table_columns(table.logits + shifts[..., None]), squares)[0]
         assert abs(before - after) < 1e-10
 
     def test_batch_gradient_matches_finite_differences(self):
@@ -463,10 +457,45 @@ def test_chunked_square_draws_equal_the_per_step_draws():
             assert np.array_equal(squares.bins, (np.arange(vocab)[:, None] * len(touched) + np.searchsorted(touched, rows)).reshape(-1))
         # the chunks drew exactly the per-step draws, and nothing more
         assert chunked_rng.integers(2**62) == want_rng.integers(2**62)
-        # the one-step call of ecirc_penalty scores the first step of a chunk
-        oracle = LogitTableOracle(LogitTable.random(vocab, positions, seed=n, scale=1.5))
-        pos, cls, tok = (a[0] for a in draw(seeded_rng(3), n, 3))
-        lq = np.array([[oracle.log_rows(p, np.array([c]))[0, t] for p, c, t in zip(*square)] for square in zip(pos, cls, tok)])
-        t0, t1, t2, t3 = lq.T
-        values = (np.abs((t0 + t1) - (t2 + t3)) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + DEFAULT_NORMALIZER_EPSILON)) ** 2
-        assert ecirc_penalty(oracle, MonteCarloPlan(seed=3, n=n)).value == float(np.mean(values))
+
+
+def _visible_of(position: int, cls: int, positions: int, vocab: int) -> dict:
+    """The assignment whose context class, seen from ``position``, is ``cls``."""
+    others = [p for p in range(positions) if p != position]
+    digits = [cls // (vocab + 1) ** (len(others) - 1 - k) % (vocab + 1) for k in range(len(others))]
+    return {p: d - 1 for p, d in zip(others, digits) if d}
+
+
+def test_square_sampler_draws_read_the_terms_of_their_square():
+    for positions, vocab in [(2, 2), (3, 3), (4, 2), (5, 4)]:
+        oracle = LogitTableOracle(LogitTable.random(vocab, positions, seed=positions * vocab))
+        for pos, cls, tok in zip(*square_sampler(positions, vocab)(seeded_rng(positions, vocab), 60)):
+            i, j, a, b = int(pos[0]), int(pos[1]), int(tok[0]), int(tok[1])
+            visible = _visible_of(i, int(cls[0]), positions, vocab)
+            ctx = PartialContext(visible, tuple(p for p in range(positions) if p not in visible))
+            read = tuple(float(oracle.log_rows(int(p), int(c))[t]) for p, c, t in zip(pos, cls, tok))
+            assert read == curl_local(oracle, ctx, i, j, a, b).terms, (positions, vocab)
+
+
+def test_square_sampler_weights_each_group_by_its_squares():
+    # a group (visible subset, i, j) holds V**len(visible) * V**2 squares, so a uniform square
+    # draws it with share V**len(visible) / total; each count must lie within 5 binomial sigmas
+    n = 20_000
+    for positions, vocab in [(3, 2), (4, 2), (4, 3)]:
+        groups = {
+            (visible, i, j): vocab ** len(visible)
+            for size in range(positions - 1)
+            for visible in itertools.combinations(range(positions), size)
+            for i, j in itertools.combinations([p for p in range(positions) if p not in visible], 2)
+        }
+        total = sum(groups.values())
+        for seed in range(3):
+            pos, cls, _ = square_sampler(positions, vocab)(seeded_rng(seed, positions, vocab), n)
+            counts = Counter(
+                (tuple(sorted(_visible_of(int(p[0]), int(c[0]), positions, vocab))), int(p[0]), int(p[1]))
+                for p, c in zip(pos, cls)
+            )
+            assert set(counts) <= set(groups)
+            for group, weight in groups.items():
+                share = weight / total
+                assert abs(counts[group] - n * share) <= 5 * math.sqrt(n * share * (1 - share)), (positions, vocab, seed, group)
