@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 configuration error (malformed JSON, non-finite
 number literals, unknown or missing fields, values of the wrong kind, values
 a library call rejects as out of contract, a custom table of the wrong size,
-a model file that cannot be read or parsed), 3 enumeration-cap refusal, 4
-training failure, 5 failed identity check.  The whole config is checked
-against its schema before any computation; reports are written only after
-the whole computation succeeds, atomically, so failed runs leave no partial
-artifacts.
+a model file that cannot be read or parsed, an ``--out`` that cannot be
+written), 3 enumeration-cap refusal, 4 training failure, 5 failed identity
+check.  The whole config is checked against its schema before any
+computation; reports are written only after the whole computation succeeds,
+atomically, so failed runs leave no partial artifacts.
 """
 
 from __future__ import annotations
@@ -95,6 +95,14 @@ def _run(command: str, config_path, seed_override, out_dir, fmt, body) -> None:
         bundle = resolve_model(config["model"])
         contexts = resolve_contexts(config.get("contexts"), bundle, seed)
         sections = body(config, seed, bundle, contexts, out_dir)
+        report = build_report(command, raw, seed, bundle.model_id, sections, started)
+        base = command.replace("-", "_")
+        paths = [write_report_json(report, os.path.join(out_dir, f"{base}.json"))]
+        if fmt == "json+csv":
+            paths.extend(emit_plot_data(report, out_dir, base))
+    except OSError as exc:
+        click.echo(f"config error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", err=True)
+        sys.exit(2)
     except (ConfigError, ContractViolationError, DimensionError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -107,11 +115,6 @@ def _run(command: str, config_path, seed_override, out_dir, fmt, body) -> None:
     except IdentityCheckError as exc:
         click.echo(f"identity check failed: {exc}", err=True)
         sys.exit(5)
-    report = build_report(command, raw, seed, bundle.model_id, sections, started)
-    base = command.replace("-", "_")
-    paths = [write_report_json(report, os.path.join(out_dir, f"{base}.json"))]
-    if fmt == "json+csv":
-        paths.extend(emit_plot_data(report, out_dir, base))
     for path in paths:
         click.echo(path)
 

@@ -613,6 +613,8 @@ def model_from_dict(data: Mapping) -> ModelBundle:
     if "log_mass" in data:
         joint = TabularJointModel(vocab_size, positions, data["log_mass"])
     if "logit_table" in data:
+        if not isinstance(data["logit_table"], Mapping) or set(data["logit_table"]) != {"values"}:
+            raise DimensionError("logit_table must be a JSON object holding exactly values")
         values = np.asarray(data["logit_table"]["values"], dtype=np.float64)
         shape = (positions, context_class_count(positions, vocab_size), vocab_size)
         table = LogitTable(Vocabulary(vocab_size), positions, values.reshape(shape))

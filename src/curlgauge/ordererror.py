@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl, tie_key
 from .errors import ContractViolationError, IdentityCheckError
-from .pseudojoint import PseudoJointSpec, step_table
+from .pseudojoint import PseudoJointSpec, StepLattice, step_table
 
 _IDENTITY_TOL = 1e-10
 
@@ -101,11 +101,12 @@ def rank_orders(
     Ties are decided on a 1e-12 grid so floating-point noise cannot shuffle
     mathematically equal orders.
 
-    Each step (position, conditioning set) is gathered once, on first use, with its
-    expected conditional KL and the oracle's expected entropy.  An order's table adds
-    its cached steps in resolution order, as ``pseudo_joint_table`` does, so it keeps
-    its bits.  Per order, asserts cross_entropy = conditional_entropy + kl_total and
-    kl_total = the left-to-right sum of its step KLs, both to 1e-10.
+    Every step (position, conditioning set) the candidates use is read from one
+    ``StepLattice`` of the context, and its expected conditional KL and the oracle's
+    expected entropy are taken once.  An order's table is the lattice's ``order_table``,
+    so it keeps the bits of ``pseudo_joint_table``.  Per order, asserts cross_entropy =
+    conditional_entropy + kl_total and kl_total = the left-to-right sum of its step KLs,
+    both to 1e-10.
     """
     block = context.block
     orders = [PseudoJointSpec(context, o).order for o in (itertools.permutations(block) if orders is None else orders)]
@@ -114,39 +115,28 @@ def rank_orders(
     if len(set(orders)) < len(orders):
         raise ContractViolationError(f"candidate orders must be distinct, got {len(orders) - len(set(orders))} repeats")
     log_p = joint.log_block_conditional(context)
-    oracle._validate_context(context)
+    lattice = StepLattice(oracle, context)
     p = np.exp(log_p)
     conditional_entropy = float(entropy(log_p))
     flat_p, flat_log_p, scratch = p.reshape(-1), log_p.reshape(-1), np.empty(p.size)
 
-    steps: dict = {}
-
-    def step(pos: int, given: tuple[int, ...]):
-        """The oracle's step table, expected KL and expected entropy, one row per value of
-        ``given`` weighted by its mass under the true block conditional."""
-        key = (pos, frozenset(given))
-        if key not in steps:
-            q_table = step_table(oracle, context.observed, block, pos, given)
-            log_p_step, log_q_step = (
-                np.swapaxes(t[..., None], block.index(pos), -1)
-                for t in (step_table(joint, context.observed, block, pos, given), q_table)
-            )
-            weight = p.sum(axis=tuple(k for k, pp in enumerate(block) if pp not in given), keepdims=True)
-            step_kl = float((weight * kl(log_p_step, log_q_step, axis=-1)).sum())
-            # a C-order copy, so every order table summed from the steps is in C order, the
-            # summation order of a pseudo_joint_table; at m=6, V=8 the 720 tables are also
-            # summed in about half the time they take from the strided views
-            steps[key] = np.ascontiguousarray(q_table), step_kl, float((weight * entropy(log_q_step, axis=-1)).sum())
-        return steps[key]
+    expected = {}
+    for pos, given in dict.fromkeys((pos, frozenset(order[:m])) for order in orders for m, pos in enumerate(order)):
+        # one row per value of given, weighted by its mass under p; both sums run over C-contiguous
+        # rows, tokens last, the gathered rows' layout (a strided token axis may add in another order)
+        log_p_step, log_q_step = (
+            np.ascontiguousarray(np.swapaxes(t[..., None], block.index(pos), -1))
+            for t in (step_table(joint, context.observed, block, pos, given), lattice[pos, given])
+        )
+        weight = p.sum(axis=tuple(k for k, q in enumerate(block) if q not in given), keepdims=True)
+        step_kl, step_entropy = weight * kl(log_p_step, log_q_step, axis=-1), weight * entropy(log_q_step, axis=-1)
+        expected[pos, given] = float(step_kl.sum()), float(step_entropy.sum())
 
     profiles = []
     for order in orders:
-        log_q = np.zeros(())
-        for m, pos in enumerate(order):
-            log_q = log_q + step(pos, order[:m])[0]
-        cross_entropy, kl_total = _table_scores(flat_p, flat_log_p, log_q, scratch)
+        cross_entropy, kl_total = _table_scores(flat_p, flat_log_p, lattice.order_table(order), scratch)
         records = tuple(
-            StepRecord(pos, order[:m], *step(pos, order[:m])[1:], _is_prefix_like(pos, order[:m], block))
+            StepRecord(pos, order[:m], *expected[pos, frozenset(order[:m])], _is_prefix_like(pos, order[:m], block))
             for m, pos in enumerate(order)
         )
         per_step = tuple(s.kl for s in records)

@@ -153,7 +153,8 @@ def pseudo_joint_table(oracle: ConditionalOracle, context: PartialContext, order
 class StepLattice:
     """The steps log q(pos | observed, given) of a context's block, for every position and
     every set ``given`` of other block positions: ``lattice[pos, given]`` is ``step_table``
-    over the block's axes, gathered on first use and kept for the lattice's life."""
+    over the block's axes as a C-order copy (which frees the rows the view holds), gathered
+    on first use and kept for the lattice's life, so every table summed from it is C-order."""
 
     def __init__(self, oracle: ConditionalOracle, context: PartialContext):
         oracle._validate_context(context)
@@ -163,8 +164,18 @@ class StepLattice:
         pos, given = step
         key = (pos, frozenset(given))
         if key not in self._steps:
-            self._steps[key] = step_table(self.oracle, self.context.observed, self.context.block, pos, given)
+            table = step_table(self.oracle, self.context.observed, self.context.block, pos, given)
+            self._steps[key] = np.ascontiguousarray(table)
         return self._steps[key]
+
+    def order_table(self, order: Sequence[int], given=()) -> np.ndarray:
+        """The log product of ``order``'s steps after the positions ``given``: added to 0.0 in
+        resolution order, as ``pseudo_joint_table`` adds, with V on the axes of ``given`` and
+        ``order`` and length 1 elsewhere."""
+        table, given = np.zeros(()), set(given)
+        for pos in order:
+            table, given = table + self[pos, given], given | {pos}
+        return table
 
 
 def curl_local(
@@ -242,15 +253,13 @@ class _PairRecord:
 
 def _pair_circulation(lattice: StepLattice, visible, i: int, j: int, epsilon: float):
     """The record of the group (visible, i, j) of the lattice's block; its circulation is checked
-    against the two pair-order tables, which are summed from the lattice's steps."""
-    given = set(visible)
-    kept = [p for p in lattice.context.block if p in given or p in (i, j)]
+    against the two pair-order tables, the lattice's order tables of (i, j) and (j, i) after
+    ``visible``, each moved to (visible, i, j) axes as a C-order copy."""
+    kept = [p for p in lattice.context.block if p in visible or p in (i, j)]
     shape, axes = (lattice.oracle.vocab.size,) * len(kept), [kept.index(p) for p in (*visible, i, j)]
-    # each summed from 0.0, as pseudo_joint_table sums, then moved to (visible, i, j) axes as a
-    # C-order copy, the layout of its tables
     ij, ji = (
-        np.ascontiguousarray((0.0 + lattice[a, given] + lattice[b, given | {a}]).reshape(shape).transpose(axes))
-        for a, b in ((i, j), (j, i))
+        np.ascontiguousarray(lattice.order_table(pair, visible).reshape(shape).transpose(axes))
+        for pair in ((i, j), (j, i))
     )
     terms = _pair_terms(lattice.oracle, lattice.context.observed, visible, i, j)
     t0, t1, t2, t3 = terms

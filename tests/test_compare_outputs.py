@@ -1,0 +1,48 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_path = list(sys.path)
+_spec.loader.exec_module(compare_outputs)
+sys.path[:] = _path  # the tool puts bench/, src/ and tests/ first for its job runner; no test here needs them
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    return root
+
+
+def _report(meta: dict, **sections) -> bytes:
+    return json.dumps({"command": "tc", "sections": sections, "meta": meta}, indent=1).encode()
+
+
+def test_differences_ignore_meta_and_list_every_other_change(tmp_path):
+    parent = _tree(tmp_path / "parent", {
+        "job/same.json": _report({"duration_s": 0.1}, dependence=[1.0]),
+        "job/meta.json": _report({"duration_s": 0.1}, dependence=[1.0]),
+        "job/body.json": _report({"duration_s": 0.1}, dependence=[1.0]),
+        "job/rows.csv": b"a,b\n1,2\n",
+        "job/parent_only.csv": b"a\n",
+        "exit_codes.json": b'{"job": 0}\n',
+    })
+    change = _tree(tmp_path / "change", {
+        "job/same.json": _report({"duration_s": 0.1}, dependence=[1.0]),
+        "job/meta.json": _report({"duration_s": 9.9, "started_at": "later"}, dependence=[1.0]),
+        "job/body.json": _report({"duration_s": 0.1}, dependence=[1.0000000000000002]),
+        "job/rows.csv": b"a,b\n1,3\n",
+        "job/change_only.json": b"{}\n",
+        "exit_codes.json": b'{"job": 0}\n',
+    })
+    assert compare_outputs.differences(parent, change) == [
+        "differs: job/body.json",
+        "only in change: job/change_only.json",
+        "only in parent: job/parent_only.csv",
+        "differs: job/rows.csv",
+    ]
+    assert compare_outputs.differences(parent, parent) == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_context, random_joint, random_oracle
-from curlgauge import ordererror
+from curlgauge import ordererror, pseudojoint
 from curlgauge.core import (
     LogitTable,
     LogitTableOracle,
@@ -189,7 +189,11 @@ class TestStepLattice:
             rng = seeded_rng(seed, 61)
             m, vocab = int(rng.integers(2, 6)), int(rng.integers(2, 5))
             joint = random_joint(derived_seed(seed, 62), m, vocab)
-            oracle = joint if seed % 3 == 0 else PerturbedConditionalModel(joint, 0.5, derived_seed(seed, 63))
+            oracle = (
+                joint,
+                PerturbedConditionalModel(joint, 0.5, derived_seed(seed, 63)),
+                LogitTableOracle(LogitTable.random(vocab, m, derived_seed(seed, 66))),
+            )[seed % 3]
             block = tuple(rng.permutation(m)[: int(rng.integers(2, m + 1))].tolist())  # often unsorted
             observed = {p: int(rng.integers(vocab)) for p in range(m) if p not in block and rng.random() < 0.6}
             ctx = PartialContext(observed, block)
@@ -214,13 +218,19 @@ class TestStepLattice:
                     assert step.entropy == float((weight * -kl(log_q_rows, 0.0, axis=-1)).sum())
 
     def test_each_step_is_gathered_once(self, monkeypatch):
-        # m * 2^(m-1) steps for the oracle and as many for the joint, shared by all m! orders
-        calls = []
-        monkeypatch.setattr(ordererror, "step_table", lambda *args: calls.append(args[0]) or step_table(*args))
+        # m * 2^(m-1) oracle steps, all through the lattice, and as many transient joint steps,
+        # shared by all m! orders
+        calls = {pseudojoint: [], ordererror: []}
+        for module, gathered in calls.items():
+            def counted(*args, _calls=gathered):
+                _calls.append(args[0])
+                return step_table(*args)
+
+            monkeypatch.setattr(module, "step_table", counted)
         joint = random_joint(15, positions=4, vocab=2)
         oracle = PerturbedConditionalModel(joint, 0.4, 5)
         assert len(rank_orders(oracle, joint, PartialContext({}, (0, 1, 2, 3)))) == 24
-        assert calls.count(oracle) == calls.count(joint) == 4 * 2**3
+        assert calls[pseudojoint] == [oracle] * 4 * 2**3 and calls[ordererror] == [joint] * 4 * 2**3
 
 
 class TestPrefixTrainingDirection:

@@ -457,6 +457,17 @@ def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, voc
             pair = PartialContext({**ctx.observed, **dict(zip(visible, values))}, (i, j))
             assert np.array_equal(record.ij[values], pseudo_joint_table(oracle, pair, (i, j)))
             assert np.array_equal(record.ji[values], pseudo_joint_table(oracle, pair, (j, i)))
+    # an order of the positions outside a random set given: at each value of given, the order
+    # table has the bits of the reference table of the context with those values observed
+    given = tuple(data.draw(st.sets(st.sampled_from(ctx.block), max_size=len(ctx.block) - 1)))
+    order = tuple(data.draw(st.permutations([p for p in ctx.block if p not in given])))
+    table = lattice.order_table(order, given)
+    rest = tuple(p for p in ctx.block if p not in given)
+    for values in itertools.product(range(vocab), repeat=len(given)):
+        at = tuple(values[given.index(p)] if p in given else slice(None) for p in ctx.block)
+        reference = pseudo_joint_table(oracle, PartialContext({**ctx.observed, **dict(zip(given, values))}, rest), order)
+        assert table[at].tobytes() == reference.tobytes()
+    assert all(step.flags.c_contiguous for step in lattice._steps.values())
 
 
 def test_monte_carlo_plan_draws_pair_then_a_then_b():

@@ -289,6 +289,7 @@ class TestCliExitCodes:
             ("[2, 1]", 2),  # not an object
             ('{"vocab_size": 2, "positions": 1, "log_mass": [NaN, 0.0]}', 2),
             ('{"vocab_size": 2, "positions": 2, "logit_table": {"values": [0.0, 0.0, 0.0, 0.0, 0.0]}}', 2),  # 12 values
+            (json.dumps({"vocab_size": 2, "positions": 1, "logit_table": {"values": [0.0, 0.0], "extra": 1}}), 2),
             ('{"vocab_size": 1e400, "positions": 1, "log_mass": [0.0, 0.0]}', 2),
             (json.dumps({"vocab_size": 2, "positions": 7, "log_mass": [0.0] * 128}), 3),  # past the caps
             (json.dumps({"vocab_size": 9, "positions": 2, "logit_table": {"values": [0.0] * 5}}), 3),
@@ -300,8 +301,8 @@ class TestCliExitCodes:
              '"draw": "chunks-4096"}}', 2),
             ('{"vocab_size": 2, "positions": 1, "log_mass": [0.0, 0.0], "perturbation": {"delta": 0.5, "seed": 3}}', 2),
         ],
-        ids=["missing", "unknown", "array", "nan-log-mass", "logit-length", "huge-size", "over-cap", "over-cap-logits",
-             "deeply-nested", "fractional-size", "float-size", "bool-size", "fractional-seed", "no-draw"],
+        ids=["missing", "unknown", "array", "nan-log-mass", "logit-length", "logit-extra-key", "huge-size", "over-cap",
+             "over-cap-logits", "deeply-nested", "fractional-size", "float-size", "bool-size", "fractional-seed", "no-draw"],
     )
     def test_malformed_model_file_exits_with_one_line(self, tmp_path, text, code):
         (tmp_path / "model.json").write_text(text, encoding="utf-8")
@@ -314,6 +315,17 @@ class TestCliExitCodes:
         assert result.stderr.startswith(prefix)
         assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["tc", "synth-gen"])
+    def test_out_that_is_a_file_exits_two_with_one_line(self, tmp_path, command):
+        # tc fails only when it writes its report, synth-gen when it makes --out for its model
+        (tmp_path / "out").write_text("kept\n", encoding="utf-8")
+        write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL})
+        result = CliRunner().invoke(main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"config error: cannot write {tmp_path / 'out'}")
+        assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "kept\n"
 
     def test_deeply_nested_config_exits_two_with_one_line(self, tmp_path):
         (tmp_path / "cfg.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

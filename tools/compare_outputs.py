@@ -77,7 +77,7 @@ def run_side(checkout: Path, run_dir: Path, seeds: list[int], result_dir: Path) 
     run_dir.mkdir(parents=True)
     jobs_file = run_dir / "jobs.json"
     jobs_file.write_text(json.dumps(write_jobs(run_dir, seeds)))
-    env = {k: v for k, v in os.environ.items() if k not in ("CURLGAUGE_THREADS", "PYTHONPATH")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, str(checkout / "src"), str(jobs_file)],
