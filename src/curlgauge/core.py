@@ -46,10 +46,14 @@ TIE_GRID = 1e-12
 _COLUMN_ROWS = 48
 
 
-def tie_key(value: float):
-    """The cell of ``value`` on the tie grid, as an int (a value too large to scale stays as it is)."""
-    cell = value / TIE_GRID
-    return round(cell) if math.isfinite(cell) else cell
+def tie_key(value):
+    """The cell of a scalar or array ``value`` on the tie grid: rounded half to even, ±inf kept."""
+    return np.rint(np.divide(value, TIE_GRID))
+
+
+def _sum_in_order(values):
+    """Floats or arrays added to 0.0 left to right: from Python 3.12 the builtin ``sum`` of floats is compensated."""
+    return functools.reduce(lambda total, value: total + value, values, 0.0)
 
 
 def _columns(arr: np.ndarray):

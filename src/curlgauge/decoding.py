@@ -26,21 +26,22 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    TIE_GRID,
     ConditionalOracle,
     PartialContext,
     TabularJointModel,
     _seed_key,
+    _sum_in_order,
     derived_seed,
     kl,
     seed_states,
     seeded_rng,
+    tie_key,
     uniform_of,
 )
 from .dependence import kl_vs_marginal_product, total_correlation
 from .errors import ContractViolationError, DegenerateComparisonError
 from .ordererror import local_estimation_error
-from .pseudojoint import ExhaustivePlan, _pair_terms, ecirc_abs
+from .pseudojoint import ExhaustivePlan, ecirc_abs
 
 ARGMAX = "argmax-commit"
 SAMPLE = "sample-commit"
@@ -241,8 +242,7 @@ def conflict_score(
     if len(block) == 2:
         return ConflictScore(0.0, {}, tuple(pairs))
     values = {(i, j): commutator(oracle, row, block, operator, i, j, draws) for i, j in pairs}
-    *_, total = itertools.accumulate(values.values(), initial=0.0)
-    return ConflictScore(total, values, ())
+    return ConflictScore(_sum_in_order(values.values()), values, ())
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,11 @@ def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, 
     """Dependence proxy from the oracle alone: mean over both resolution orders
     of the mutual information of the order-induced pair product; a float for
     one token row, one value per row of ``(runs, positions)`` rows."""
-    t0, t1, t2, t3 = _pair_terms(oracle, row, (), i, j)
-    q_ij = np.exp(t0) * np.exp(t1)
-    q_ji = np.exp(t2) * np.exp(t3)
+    rows = np.atleast_2d(row)
+    # q_j(b | i=a) and q_i(a | j=b) over (rows, a, b), both in C order
+    j_after_i = np.exp(oracle.log_rows(j, oracle.class_grid(j, rows, [i])))
+    i_after_j = np.ascontiguousarray(np.exp(oracle.log_rows(i, oracle.class_grid(i, rows, [j]))).swapaxes(1, 2))
+    q_ij, q_ji = _conditionals(oracle, rows, i)[:, :, None] * j_after_i, _conditionals(oracle, rows, j)[:, None] * i_after_j
     value = 0.5 * (kl_vs_marginal_product(q_ij, batch=1) + kl_vs_marginal_product(q_ji, batch=1))
     return value if np.ndim(row) == 2 else float(value[0])
 
@@ -312,7 +314,7 @@ def _conflict_aware_chosen(oracle, rows, draws, conf, widths, scheduler: Schedul
             # cumsum adds each candidate's pair terms left to right, in combinations order
             score = score + scheduler.lam_conflict * conflict[state_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
             score = score + scheduler.lam_dependence * dependence[row_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
-        chosen[runs[:, None], members[np.rint(score / TIE_GRID).argmin(axis=1)]] = True
+        chosen[runs[:, None], members[tie_key(score).argmin(axis=1)]] = True
     return chosen
 
 
@@ -391,8 +393,7 @@ def run_scheduler(
         open_ = rows[:, block] < 0
         probs = np.stack([_conditionals(oracle, rows, p) for p in block], axis=1)
         conf = probs.max(axis=-1)
-        # tie_key of each confidence, negated so the most confident sorts first
-        conf_key = -np.rint(conf / TIE_GRID)
+        conf_key = -tie_key(conf)  # negated: the most confident sorts first
         round_key = np.where(by_confidence[live], conf_key, key[live])
         order = np.argsort(np.where(open_, round_key, np.inf), axis=1, kind="stable")
         chosen = open_ & (np.argsort(order, axis=1) < widths[live, None])
@@ -500,6 +501,8 @@ def stress_test(
     """
     if not contexts:
         raise ContractViolationError("stress test needs at least one context")
+    if not schedulers:
+        raise ContractViolationError("stress test needs at least one scheduler")
     if runs < 1:
         raise ContractViolationError(f"stress test needs at least one run per cell, got {runs}")
     widths = [int(w) for w in widths]

@@ -10,12 +10,11 @@ All quantities are exact enumerations in nats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl
+from .core import ConditionalOracle, PartialContext, TabularJointModel, _sum_in_order, entropy, kl
 from .errors import IdentityCheckError
 
 _FORM_AGREEMENT_TOL = 1e-10
@@ -106,9 +105,7 @@ class DependenceReport:
 
     @property
     def sum_pairwise_cmi(self) -> float:
-        # left to right: from Python 3.12 the builtin sum of floats is compensated
-        *_, total = itertools.accumulate(self.pairwise_cmi.values(), initial=0.0)
-        return float(total)
+        return float(_sum_in_order(self.pairwise_cmi.values()))
 
     def to_dict(self) -> dict:
         return {

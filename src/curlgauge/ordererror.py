@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel, entropy, kl, tie_key
+from .core import ConditionalOracle, PartialContext, TabularJointModel, _sum_in_order, entropy, kl, tie_key
 from .errors import ContractViolationError, IdentityCheckError
 from .pseudojoint import PseudoJointSpec, StepLattice, step_table
 
@@ -145,8 +145,7 @@ def rank_orders(
                 f"cross-entropy identity failed: H {conditional_entropy!r} + KL {kl_total!r} "
                 f"vs CE {cross_entropy!r}"
             )
-        # left to right: from Python 3.12 the builtin sum of floats is compensated
-        *_, step_sum = itertools.accumulate(per_step, initial=0.0)
+        step_sum = _sum_in_order(per_step)
         if abs(kl_total - step_sum) > _IDENTITY_TOL:
             raise IdentityCheckError(f"per-step KL decomposition failed: total {kl_total!r} vs sum {step_sum!r}")
         profiles.append(

@@ -11,6 +11,9 @@ These functions measure how much those products disagree across orders:
   local circulation terms along a path of adjacent transpositions;
 * ``order_consistency_check`` — brute-force verdict: all permutations agree
   on all assignments iff every reachable square is circulation-free.
+
+Scans read every square from one ``StepLattice`` of the block and check each visible
+subset's largest circulation against reference ``pseudo_joint_table``s gathered apart.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import TIE_GRID, ConditionalOracle, PartialContext, kl, seeded_rng
+from .core import TIE_GRID, ConditionalOracle, PartialContext, _sum_in_order, kl, seeded_rng
 from .errors import ContractViolationError, IdentityCheckError
 
 DEFAULT_NORMALIZER_EPSILON = 1e-6
 DEFAULT_CONSISTENCY_TOL = 1e-8
 
-# Circulation grids are checked against the independently computed pair-order products, and
+# A circulation grid is checked against the pair-order products gathered without the lattice, and
 # the order-swap KL against the circulation's expectation; disagreement beyond this means a bug.
 _CROSSCHECK_TOL = 1e-12
 
@@ -220,57 +223,56 @@ def curl_local(
     )
 
 
-def _pair_terms(oracle: ConditionalOracle, observed: Mapping[int, int], visible: Sequence[int], i: int, j: int):
-    """The four log-conditional terms of every square on positions (i, j) with a
-    leading axis over the row-major values v of the ``visible`` positions, S_v being
-    ``observed`` plus those values: ``t0[v, a, 0] = log q_i(a|S_v)``,
-    ``t1[v, a, b] = log q_j(b|S_v, i=a)``, ``t2[v, 0, b] = log q_j(b|S_v)`` and
-    ``t3[v, a, b] = log q_i(a|S_v, j=b)``.  Costs four gathers.  ``observed`` may
-    also be token rows (see ``class_grid``); v then runs over rows, then values."""
-    vocab, free = oracle.vocab.size, list(visible)
-    t0 = oracle.log_rows(i, oracle.class_grid(i, observed, free)).reshape(-1, vocab, 1)
-    t1 = oracle.log_rows(j, oracle.class_grid(j, observed, free + [i])).reshape(-1, vocab, vocab)
-    t2 = oracle.log_rows(j, oracle.class_grid(j, observed, free)).reshape(-1, 1, vocab)
-    t3 = oracle.log_rows(i, oracle.class_grid(i, observed, free + [j])).reshape(-1, vocab, vocab)
-    # copied into C order: tables built from t3 stay C-contiguous, which fixes
-    # the summation order of reductions over them
-    return t0, t1, t2, np.ascontiguousarray(t3.swapaxes(1, 2))
-
-
 @dataclass(frozen=True)
 class _PairRecord:
-    """One square group (visible, i, j), gathered once: the four ``_pair_terms``, the i-first and
-    j-first pair-order tables (axes: visible, then i, j), the ``[values, a, b]`` circulation and
-    normalised circulation, and the largest gap between circulation and the tables' log-ratio."""
+    """One square group (visible, i, j): the four terms q(i | S), q(j | S, i), q(j | S) and
+    q(i | S, j) as views of the lattice's steps, the i-first and j-first pair-order tables, all on
+    (visible, i, j) axes, and the C-order ``[values, a, b]`` circulation and normalised circulation."""
 
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     ij: np.ndarray
     ji: np.ndarray
     value: np.ndarray
     normalized: np.ndarray
-    residual: float
 
 
-def _pair_circulation(lattice: StepLattice, visible, i: int, j: int, epsilon: float):
-    """The record of the group (visible, i, j) of the lattice's block; its circulation is checked
-    against the two pair-order tables, the lattice's order tables of (i, j) and (j, i) after
-    ``visible``, each moved to (visible, i, j) axes as a C-order copy."""
-    kept = [p for p in lattice.context.block if p in visible or p in (i, j)]
-    shape, axes = (lattice.oracle.vocab.size,) * len(kept), [kept.index(p) for p in (*visible, i, j)]
-    ij, ji = (
-        np.ascontiguousarray(lattice.order_table(pair, visible).reshape(shape).transpose(axes))
-        for pair in ((i, j), (j, i))
-    )
-    terms = _pair_terms(lattice.oracle, lattice.context.observed, visible, i, j)
-    t0, t1, t2, t3 = terms
+def _pair_circulation(lattice: StepLattice, visible, i: int, j: int, epsilon: float) -> _PairRecord:
+    """The record of the group (visible, i, j) of the lattice's block.  The terms are the steps
+    ``lattice[i, S]``, ``lattice[j, S + i]``, ``lattice[j, S]`` and ``lattice[i, S + j]`` (S the
+    visible positions) and the tables the lattice's order tables of (i, j) and (j, i) after S,
+    each moved to (visible, i, j) axes; the tables are copied in C order."""
+    block, vocab = lattice.context.block, lattice.oracle.vocab.size
+    kept = [p for p in block if p in visible or p in (i, j)]
+    axes = [kept.index(p) for p in (*visible, i, j)]
+    moved = lambda table: table.reshape([n for p, n in zip(block, table.shape) if p in kept]).transpose(axes)  # noqa: E731
+    ij, ji = (np.ascontiguousarray(moved(lattice.order_table(pair, visible))) for pair in ((i, j), (j, i)))
+    steps = ((i, visible), (j, (*visible, i)), (j, visible), (i, (*visible, j)))
+    terms = t0, t1, t2, t3 = tuple(moved(lattice[step]) for step in steps)
     value = (t0 + t1) - (t2 + t3)
-    residual = float(np.abs(value - (ij - ji).reshape(value.shape)).max())
-    if residual > _CROSSCHECK_TOL:
-        raise IdentityCheckError(
-            f"circulation cross-check failed: four-term values differ from the product log-ratio by {residual!r}"
-        )
     normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)
-    return _PairRecord(terms, ij, ji, value, normalized, residual)
+    value, normalized = (np.ascontiguousarray(grid.reshape(-1, vocab, vocab)) for grid in (value, normalized))
+    return _PairRecord(terms, ij, ji, value, normalized)
+
+
+def _subset_records(lattice: StepLattice, visible, pairs, epsilon: float) -> list[_PairRecord]:
+    """The records of the groups (visible, i, j) for the given pairs.  The V x V circulation grid
+    that holds their largest |circulation| is checked against the reference pair tables, gathered
+    without the lattice with the visible values observed: one independent check per subset."""
+    records = [_pair_circulation(lattice, visible, i, j, epsilon) for i, j in pairs]
+    if not records:
+        return records
+    peaks = np.stack([np.abs(r.value).max(axis=(1, 2)) for r in records], axis=1)
+    v, k = np.unravel_index(int(peaks.argmax()), peaks.shape)
+    values, (i, j) = np.unravel_index(v, (lattice.oracle.vocab.size,) * len(visible)), pairs[k]
+    observed = {**lattice.context.observed, **{p: int(t) for p, t in zip(visible, values)}}
+    pair = PartialContext(observed, (i, j), lattice.context.time)
+    reference = pseudo_joint_table(lattice.oracle, pair, (i, j)) - pseudo_joint_table(lattice.oracle, pair, (j, i))
+    gap = float(np.abs(records[k].value[v] - reference).max())
+    if gap > _CROSSCHECK_TOL:
+        raise IdentityCheckError(
+            f"circulation cross-check failed: four-term values differ from the reference product log-ratio by {gap!r}"
+        )
+    return records
 
 
 def _swap_kls(record: _PairRecord) -> tuple[float, float]:
@@ -294,7 +296,7 @@ def _swap_kls(record: _PairRecord) -> tuple[float, float]:
 def _swap_kl_draws(record: _PairRecord, plan: MonteCarloPlan) -> Estimate:
     """Monte Carlo KL(q_ij || q_ji): the mean circulation of a record with no visible positions
     over (a, b) drawn from q_ij, a then b from one uniform pair each."""
-    t0, t1 = record.terms[0][0, :, 0], record.terms[1][0]
+    t0, t1 = record.terms[0][:, 0], record.terms[1]
     vocab = len(t0)
     u = seeded_rng(plan.seed).random((plan.n, 2))
     # a count of cdf entries <= u is a right-sided search
@@ -332,8 +334,7 @@ def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsil
     else:
         rng = seeded_rng(plan.seed)
         k, a, b = np.array([(rng.integers(len(pairs)), rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n)]).T
-    lattice = StepLattice(oracle, context)
-    records = [_pair_circulation(lattice, (), i, j, epsilon) for i, j in pairs]
+    records = _subset_records(StepLattice(oracle, context), (), pairs, epsilon)
     value, normalized = (np.concatenate([getattr(r, name) for r in records]) for name in ("value", "normalized"))
     return k, a, b, value[k, a, b], normalized[k, a, b], records
 
@@ -354,7 +355,7 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
     if mode != "exact" and not isinstance(mode, MonteCarloPlan):
         raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
-    record = _pair_circulation(StepLattice(oracle, context), (), i, j, DEFAULT_NORMALIZER_EPSILON)
+    (record,) = _subset_records(StepLattice(oracle, context), (), [(i, j)], DEFAULT_NORMALIZER_EPSILON)
     swap_kl = _swap_kls(record)[0]
     return Estimate(value=swap_kl, mode="exact") if mode == "exact" else _swap_kl_draws(record, mode)
 
@@ -362,9 +363,9 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
 def order_gap_entries(oracle: ConditionalOracle, context: PartialContext, plan: MonteCarloPlan | None) -> list[dict]:
     """Per block pair (i < j), KL(q_ij || q_ji), KL(q_ji || q_ij) and, given a plan, the
     Monte Carlo estimate of the first, all read from the pair's one record."""
-    entries, lattice = [], StepLattice(oracle, context)
-    for i, j in _block_pairs(context):
-        record = _pair_circulation(lattice, (), i, j, DEFAULT_NORMALIZER_EPSILON)
+    entries, pairs = [], _block_pairs(context)
+    records = _subset_records(StepLattice(oracle, context), (), pairs, DEFAULT_NORMALIZER_EPSILON)
+    for (i, j), record in zip(pairs, records):
         kl_ij, kl_ji = _swap_kls(record)
         entry = {"i": i, "j": j, "kl_ij": kl_ij, "kl_ji": kl_ji}
         if plan is not None:
@@ -462,7 +463,7 @@ def swap_decomposition(
 
     Each swap contributes the circulation of the swapped pair evaluated at
     the context extended by the assignment values of the slots before it: the
-    V x V record of the pair with those values observed.  The residual against
+    ``curl_local`` of the pair with those values observed.  The residual against
     the independently computed endpoint gap is returned and should sit at
     floating-point noise.
     """
@@ -480,19 +481,15 @@ def swap_decomposition(
     for k in path.steps:
         i_r, j_r = current[k - 1], current[k]
         prefix = tuple(current[: k - 1])
-        observed = {**context.observed, **{p: assignment[p] for p in prefix}}
-        lattice = StepLattice(oracle, PartialContext(observed, (i_r, j_r)))
-        record = _pair_circulation(lattice, (), i_r, j_r, DEFAULT_NORMALIZER_EPSILON)
-        value = float(record.value.reshape(vocab, vocab)[assignment[i_r], assignment[j_r]])
+        pair = PartialContext({**context.observed, **{p: assignment[p] for p in prefix}}, (i_r, j_r), context.time)
+        value = curl_local(oracle, pair, i_r, j_r, assignment[i_r], assignment[j_r]).value
         terms.append(SwapTerm(i=i_r, j=j_r, a=assignment[i_r], b=assignment[j_r], prefix=prefix, value=value))
         current[k - 1], current[k] = current[k], current[k - 1]
 
     lp_start = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.start), assignment)
     lp_end = pseudo_joint_log_prob(oracle, PseudoJointSpec(context, path.end), assignment)
     log_gap = lp_start - lp_end
-    # left to right: from Python 3.12 the builtin sum of floats is compensated
-    *_, swap_sum = itertools.accumulate((t.value for t in terms), initial=0.0)
-    residual = log_gap - swap_sum
+    residual = log_gap - _sum_in_order(t.value for t in terms)
     return SwapDecomposition(terms=tuple(terms), log_gap=log_gap, residual=residual)
 
 
@@ -529,9 +526,8 @@ def order_consistency_check(
     both maxima fall below tol; each verdict is reported on its own, and the
     first violating square in enumeration order is reported as the witness.
     """
-    block = context.block
+    block, vocab = context.block, oracle.vocab.size
     n = len(block)
-    vocab = oracle.vocab.size
     if n < 2:
         raise ContractViolationError("consistency check needs a block with at least two positions")
     lattice = StepLattice(oracle, context)
@@ -556,7 +552,7 @@ def order_consistency_check(
     squares = 0
     for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
         pairs = [(i, j) for _, i, j in groups]
-        records = [_pair_circulation(lattice, visible, i, j, DEFAULT_NORMALIZER_EPSILON) for i, j in pairs]
+        records = _subset_records(lattice, visible, pairs, DEFAULT_NORMALIZER_EPSILON)
         magnitude = np.abs(np.stack([r.value for r in records], axis=1))
         squares += magnitude.size
         subset_max = float(magnitude.max())
@@ -568,8 +564,7 @@ def order_consistency_check(
             square_context = PartialContext(observed, tuple(p for p in block if p not in observed), context.time)
             witness = curl_local(oracle, square_context, *pairs[k], int(a), int(b))
 
-    gap_ok = max_order_gap < tol
-    curl_ok = max_curl < tol
+    gap_ok, curl_ok = max_order_gap < tol, max_curl < tol
     return ConsistencyReport(
         consistent=gap_ok and curl_ok,
         max_order_gap=max_order_gap,

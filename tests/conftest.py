@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curlgauge import pseudojoint
 from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
@@ -34,6 +35,18 @@ def random_oracle(seed: int, joint: TabularJointModel, delta: float | None = Non
     if delta is None:
         return joint
     return PerturbedConditionalModel(joint, delta, derived_seed(seed, 103))
+
+
+def fault_one_lattice_step(monkeypatch):
+    """Add 1e-9 to every StepLattice's step q(1 | 0), the term t1 of each square on (0, 1) with
+    nothing else visible; the reference pair tables are gathered without the lattice."""
+    exact_step = pseudojoint.StepLattice.__getitem__
+
+    def faulty_step(lattice, step):
+        table = exact_step(lattice, step)
+        return table + 1e-9 if (step[0], set(step[1])) == (1, {0}) else table
+
+    monkeypatch.setattr(pseudojoint.StepLattice, "__getitem__", faulty_step)
 
 
 def mixed_cases(n: int, base_seed: int, max_positions: int = 4, max_vocab: int = 4):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_context, random_joint, random_oracle
+from conftest import fault_one_lattice_step, random_context, random_joint, random_oracle
 from curlgauge import pseudojoint
 from curlgauge.core import (
     ConditionalOracle,
@@ -301,10 +301,10 @@ class TestSwapPaths:
         # compensated sum (the builtin sum from Python 3.12) would give 1.0
         values = iter([1e16, 1.0, -1e16])
 
-        def record(lattice, visible, i, j, epsilon):
-            return SimpleNamespace(value=np.full((3,) * (len(visible) + 2), next(values)))
+        def circulation(oracle, context, i, j, a, b):
+            return SimpleNamespace(value=next(values))
 
-        monkeypatch.setattr(pseudojoint, "_pair_circulation", record)
+        monkeypatch.setattr(pseudojoint, "curl_local", circulation)
         joint = random_joint(22, positions=3, vocab=3)
         path = SwapPath(start=(0, 1, 2), end=(1, 0, 2), steps=(1, 2, 2))
         out = swap_decomposition(joint, PartialContext({}, (0, 1, 2)), path, {0: 1, 1: 0, 2: 2})
@@ -313,9 +313,9 @@ class TestSwapPaths:
 
     def test_out_of_range_token_rejected_before_any_gather(self, monkeypatch):
         def no_gather(*args):
-            raise AssertionError("a grid was gathered for an out-of-range token")
+            raise AssertionError("a square was gathered for an out-of-range token")
 
-        monkeypatch.setattr(pseudojoint, "_pair_terms", no_gather)
+        monkeypatch.setattr(pseudojoint, "curl_local", no_gather)
         joint = random_joint(23, positions=3, vocab=3)
         path = SwapPath(start=(0, 1, 2), end=(0, 2, 1), steps=(2,))  # the swap's prefix is (0,)
         for tok in (-1, 3):
@@ -399,34 +399,36 @@ def test_curl_scan_report_shape():
 
 
 def test_curl_scan_gathers_each_block_pair_once(monkeypatch):
-    counts = _count_gathers(monkeypatch)
     oracle = PerturbedConditionalModel(random_joint(27, positions=6, vocab=3), 0.4, 27)
+    counts = _count_gathers(monkeypatch, oracle)
     curl_scan_report(oracle, PartialContext({}, tuple(range(6))), model_id="test")
-    # one lattice: each of the 6 positions given nothing and given each of the 5 others
-    assert counts == {"_pair_terms": 15, "step_table": 36}
+    # one lattice: each of the 6 positions given nothing and given each of the 5 others;
+    # then the reference check's two pair tables of two steps each
+    assert counts["log_rows"] == 36 + 4
 
 
-def _count_gathers(monkeypatch) -> Counter:
-    """Count the calls of the step gather and of the pair-term gather from here on."""
-    counts = Counter()
-    for name in ("_pair_terms", "step_table"):
-        def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
-            counts[_name] += 1
-            return _fn(*args)
+def _count_gathers(monkeypatch, oracle) -> Counter:
+    """Count the oracle's row gathers from here on."""
+    counts, gather = Counter(), oracle.log_rows
 
-        monkeypatch.setattr(pseudojoint, name, counted)
+    def counted(*args):
+        counts["log_rows"] += 1
+        return gather(*args)
+
+    monkeypatch.setattr(oracle, "log_rows", counted)
     return counts
 
 
 def test_consistency_gathers_each_lattice_step_once(monkeypatch):
-    counts = _count_gathers(monkeypatch)
     for positions in (2, 4, 5):
-        counts.clear()
         oracle = PerturbedConditionalModel(random_joint(28, positions=positions, vocab=2), 0.4, 28)
-        order_consistency_check(oracle, PartialContext({}, tuple(range(positions))[::-1]))
-        # per visible subset size s: C(m, s) subsets of C(m - s, 2) pairs each
-        groups = sum(math.comb(positions, s) * math.comb(positions - s, 2) for s in range(positions - 1))
-        assert counts == {"step_table": positions * 2 ** (positions - 1), "_pair_terms": groups}, positions
+        counts = _count_gathers(monkeypatch, oracle)
+        report = order_consistency_check(oracle, PartialContext({}, tuple(range(positions))[::-1]))
+        # the m 2^(m-1) lattice steps, four reference gathers for each visible subset that leaves
+        # a pair (2^m - m - 1 of them), and the eight of the witness's curl_local
+        assert report.witness is not None
+        steps, subsets = positions * 2 ** (positions - 1), 2**positions - positions - 1
+        assert counts["log_rows"] == steps + 4 * subsets + 8, positions
 
 
 @settings(max_examples=120, deadline=None)
@@ -457,6 +459,22 @@ def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, voc
             pair = PartialContext({**ctx.observed, **dict(zip(visible, values))}, (i, j))
             assert np.array_equal(record.ij[values], pseudo_joint_table(oracle, pair, (i, j)))
             assert np.array_equal(record.ji[values], pseudo_joint_table(oracle, pair, (j, i)))
+        # the four terms as four gathers of their own, leading axis over the visible values:
+        # the record's terms are views of its lattice steps with these values
+        free, obs = list(visible), ctx.observed
+        t0 = oracle.log_rows(i, oracle.class_grid(i, obs, free)).reshape(-1, vocab, 1)
+        t1 = oracle.log_rows(j, oracle.class_grid(j, obs, free + [i])).reshape(-1, vocab, vocab)
+        t2 = oracle.log_rows(j, oracle.class_grid(j, obs, free)).reshape(-1, 1, vocab)
+        t3 = oracle.log_rows(i, oracle.class_grid(i, obs, free + [j])).reshape(-1, vocab, vocab).swapaxes(1, 2)
+        for term, reference, step in zip(record.terms, (t0, t1, t2, t3), ((i, ()), (j, (i,)), (j, ()), (i, (j,)))):
+            assert np.array_equal(term.reshape(reference.shape), reference)
+            assert np.shares_memory(term, lattice[step[0], visible + step[1]])
+        value = (t0 + t1) - (t2 + t3)
+        normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + 1e-6)
+        assert np.array_equal(record.value, value) and record.value.flags.c_contiguous
+        assert np.array_equal(record.normalized, normalized) and record.normalized.flags.c_contiguous
+        assert np.array_equal(record.ij.reshape(value.shape), t0 + t1)
+        assert np.array_equal(record.ji.reshape(value.shape), t2 + t3)
     # an order of the positions outside a random set given: at each value of given, the order
     # table has the bits of the reference table of the context with those values observed
     given = tuple(data.draw(st.sets(st.sampled_from(ctx.block), max_size=len(ctx.block) - 1)))
@@ -546,13 +564,7 @@ class TestSquareEngineMatchesScalarReference:
         assert report.witness == witness
 
     def test_fault_in_one_term_trips_both_identities(self, monkeypatch):
-        exact_terms = pseudojoint._pair_terms
-
-        def faulty_terms(*args):
-            t0, t1, t2, t3 = exact_terms(*args)
-            return t0, t1 + 1e-9, t2, t3
-
-        monkeypatch.setattr(pseudojoint, "_pair_terms", faulty_terms)
+        fault_one_lattice_step(monkeypatch)
         joint = random_joint(32, positions=3, vocab=3)
         ctx = PartialContext({}, (0, 1, 2))
         with pytest.raises(RuntimeError, match="circulation cross-check"):
@@ -562,6 +574,28 @@ class TestSquareEngineMatchesScalarReference:
         # order_swap_kl reads a pair record, whose circulation check fires before the KL check
         with pytest.raises(RuntimeError, match="circulation cross-check"):
             order_swap_kl(joint, ctx, 0, 1)
+
+    def test_reference_check_reads_the_grid_of_the_largest_circulation(self):
+        # block (0, 1, 2, 3) with 0 visible: three pairs over the 3 values of position 0
+        oracle = PerturbedConditionalModel(random_joint(30, positions=4, vocab=3), 0.4, 30)
+        ctx, visible, pairs = PartialContext({}, (0, 1, 2, 3)), (0,), [(1, 2), (1, 3), (2, 3)]
+        records = pseudojoint._subset_records(pseudojoint.StepLattice(oracle, ctx), visible, pairs, 1e-6)
+        peaks = np.array([np.abs(r.value).max(axis=(1, 2)) for r in records])
+        k, v = np.unravel_index(peaks.argmax(), peaks.shape)
+        assert (k, v) == (2, 1)
+
+        def records_with_fault(pair, value):
+            # q(i | 0, j) is read by the pair (i, j) alone among this subset's records
+            i, j = pairs[pair]
+            lattice = pseudojoint.StepLattice(oracle, ctx)
+            lattice[i, (0, j)][value] += 1e-9
+            return pseudojoint._subset_records(lattice, visible, pairs, 1e-6)
+
+        with pytest.raises(RuntimeError, match="circulation cross-check"):
+            records_with_fault(k, v)
+        # a fault away from the largest |circulation| is not seen: the declared cost of one check per subset
+        records_with_fault(k, 0)
+        records_with_fault(0, v)
 
     def test_fault_in_the_kl_trips_only_the_swap_kl_check(self, monkeypatch):
         exact_kl = pseudojoint.kl

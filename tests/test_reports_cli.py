@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import curlgauge
+from conftest import fault_one_lattice_step
 from curlgauge.cli import main
 from curlgauge.core import LogitTable, LogitTableOracle, ModelBundle, load_model, save_model
 from curlgauge.errors import ConfigError
@@ -196,6 +197,7 @@ class TestCliExitCodes:
             ("synth-gen", {"model_out": "synth_gen.json"}),
             ("train", {"model_out": "train.json"}),
             ("train", {"model_out": "train_train_history.csv"}),
+            ("stress", {"stress": {"widths": [1, 2], "schedulers": [], "runs": 2}}),
         ],
     )
     def test_malformed_numeric_field_exits_two(self, tmp_path, command, fields):
@@ -229,15 +231,7 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_failed_identity_check_exits_five(self, tmp_path, monkeypatch):
-        from curlgauge import pseudojoint
-
-        exact_terms = pseudojoint._pair_terms
-
-        def faulty_terms(*args):
-            t0, t1, t2, t3 = exact_terms(*args)
-            return t0, t1 + 1e-9, t2, t3
-
-        monkeypatch.setattr(pseudojoint, "_pair_terms", faulty_terms)
+        fault_one_lattice_step(monkeypatch)
         write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1})
         result = CliRunner().invoke(
             main, ["consistency", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
@@ -565,15 +559,16 @@ class TestArtifacts:
             assert len(sections) == 1 and (list(sections) == ["synth_gen"]) == (not headers), command
 
     def test_header_only_files(self, tmp_path):
-        # one-position blocks have no commutator pairs; width 1 alone has no degradation to correlate
+        # one-position blocks have no commutator or order-gap pairs; width 1 alone has no degradation to correlate
         contexts = {"explicit": [{"observed": {"0": 1, "1": 0}, "block": [2]}, {"observed": {}, "block": [1]}]}
         write_config(tmp_path / "comm.json", {"model": PERTURBED_MODEL, "seed": 2, "contexts": contexts})
-        assert run_cli(["commutator", "--config", "comm.json", "--out", "out"], tmp_path).exit_code == 0
+        for command in ("commutator", "order-gap"):
+            assert run_cli([command, "--config", "comm.json", "--out", "out"], tmp_path).exit_code == 0, command
         stress = {"widths": [1], "schedulers": [{"kind": "left-to-right"}], "runs": 4}
         write_config(tmp_path / "stress.json", {"model": PERTURBED_MODEL, "seed": 2, "stress": stress})
         assert run_cli(["stress", "--config", "stress.json", "--out", "out"], tmp_path).exit_code == 0
-        for name in ("commutator_commutator.csv", "stress_stress_correlations.csv"):
-            command = name.split("_")[0]
+        files = {"commutator": "commutator_commutator.csv", "order-gap": "order_gap_order_gap.csv", "stress": "stress_stress_correlations.csv"}
+        for command, name in files.items():
             assert (tmp_path / "out" / name).read_text(encoding="utf-8") == CSV_HEADERS[command][name] + "\n"
         assert len((tmp_path / "out" / "stress_stress.csv").read_text(encoding="utf-8").splitlines()) == 2
 
@@ -683,21 +678,22 @@ class TestArtifacts:
         assert gaps and [(e["mc_n"], e["mc_stderr"]) for e in gaps] == [(1, None)] * len(gaps)
 
     def test_order_gap_gathers_each_block_pair_once(self, tmp_path, monkeypatch):
-        from curlgauge import pseudojoint
+        from curlgauge.core import PerturbedConditionalModel
 
-        counts = Counter()
-        for name in ("_pair_terms", "step_table"):
-            def counted(*args, _name=name, _fn=getattr(pseudojoint, name)):
-                counts[_name] += 1
-                return _fn(*args)
+        counts, gather = Counter(), PerturbedConditionalModel.log_rows
 
-            monkeypatch.setattr(pseudojoint, name, counted)
+        def counted(*args):
+            counts["log_rows"] += 1
+            return gather(*args)
+
+        monkeypatch.setattr(PerturbedConditionalModel, "log_rows", counted)
         model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 6}}
         contexts = {"explicit": [{"observed": {"1": 2, "4": 0}, "block": [0, 2, 3, 5]}]}
         write_config(tmp_path / "cfg.json", {"model": model, "contexts": contexts, "monte_carlo": {"n": 20, "seed": 3}})
         assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
-        # one lattice: each of the 4 positions given nothing and given each of the 3 others
-        assert counts == {"_pair_terms": 6, "step_table": 16}
+        # one lattice: each of the 4 positions given nothing and given each of the 3 others;
+        # then the reference check's two pair tables of two steps each
+        assert counts["log_rows"] == 16 + 4
 
     def test_order_error_ranks_all_orders_of_six_positions(self, tmp_path):
         from curlgauge.core import PartialContext, kl, tie_key
