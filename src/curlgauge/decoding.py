@@ -118,7 +118,7 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the 2-D array ``keys``, and each row's index among them."""
     index: dict[tuple, int] = {}
     inverse = np.array([index.setdefault(key, len(index)) for key in map(tuple, keys.tolist())])
-    return np.array(list(index), dtype=keys.dtype).reshape(len(index), -1), inverse
+    return np.array(list(index), dtype=keys.dtype).reshape(len(index), keys.shape[1]), inverse
 
 
 def _decide(probs: np.ndarray, operator: UpdateOperator, uniforms) -> np.ndarray:
@@ -163,50 +163,70 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 0.5 * (kl(log_p, log_m, axis=-1) + kl(log_q, log_m, axis=-1)))
 
 
-def _predictive_product(oracle: ConditionalOracle, rows: np.ndarray, coords: Sequence[int]) -> np.ndarray:
-    """Product of per-coordinate conditionals over `coords`, exact, for each
-    token row of ``rows``: shaped ``(runs,) + (V,) * len(coords)``.
-
-    Coordinates already committed in a row enter as point masses at
-    their committed token, so predictive objects from paths with different
-    commit sets stay comparable on a common coordinate space.
-    """
-    vocab = oracle.vocab.size
-    probs = np.ones((len(rows),) + (vocab,) * len(coords))
-    for axis, pos in enumerate(coords):
-        token = rows[:, pos, None]
-        vec = np.where(token >= 0, token == np.arange(vocab), _conditionals(oracle, rows, pos))
-        shape = [len(rows)] + [1] * len(coords)
-        shape[axis + 1] = vocab
-        probs = probs * vec.reshape(shape)
-    return probs
+# the most predictive-product cells, both paths together, that one chunk of a commutator's rows holds
+_CHUNK_CELLS = 2**20
 
 
 def commutator(
-    oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, i: int, j: int, draws=None
-) -> float | np.ndarray:
-    """Root Jensen-Shannon divergence between the predictive products over the
-    open ``block`` after committing i then j versus j then i under the operator;
-    both paths read the same per-position ``draws``.  ``row`` is one token row
-    (giving a float) or ``(runs, positions)`` rows with that open block (giving
-    one value per run), and ``draws`` one draw row or one per run."""
-    if i == j or i not in block or j not in block:
-        raise ContractViolationError(f"positions {i}, {j} must be distinct unresolved positions")
-    if len(block) == 2:
+    oracle: ConditionalOracle, row: np.ndarray, block: Sequence[int], operator: UpdateOperator, pairs, draws=None
+) -> np.ndarray:
+    """Root Jensen-Shannon divergence, for each pair (i, j) of ``pairs``, between
+    the predictive products over the open ``block`` after committing i then j
+    versus j then i under the operator; both paths read the same per-position
+    ``draws``.  ``row`` is one token row (giving one value per pair) or
+    ``(runs, positions)`` rows with that open block (giving ``(runs, pairs)``
+    values), and ``draws`` one draw row or one per run.
+
+    A predictive product multiplies the conditionals of the coordinates left
+    open on either path, in position order; a coordinate committed on one path
+    enters it as a point mass at its token.  Each position's first commit is one
+    update shared by every pair that starts there, and its second commit one
+    update over every path that ends there."""
+    pairs = list(pairs)
+    for i, j in pairs:
+        if i == j or i not in block or j not in block:
+            raise ContractViolationError(f"positions {i}, {j} must be distinct unresolved positions")
+    if len(block) == 2 and pairs:
         raise DegenerateComparisonError(
             "committing both positions would leave no unresolved coordinate to compare; enlarge the block"
         )
-    rows, block = np.atleast_2d(row), sorted(block)
-    row_ij = apply_update(oracle, apply_update(oracle, rows, operator, i, draws), operator, j, draws)
-    row_ji = apply_update(oracle, apply_update(oracle, rows, operator, j, draws), operator, i, draws)
+    rows, block, vocab = np.atleast_2d(row), np.array(sorted(block)), oracle.vocab.size
+    draws = None if draws is None else np.broadcast_to(draws, rows.shape)
+    paths = [path for i, j in pairs for path in ((i, j), (j, i))]  # pair k's i-then-j path is 2k
+    first = {p: apply_update(oracle, rows, operator, p, draws) for p in dict.fromkeys(p for p, _ in paths)}
+    ends = np.empty((len(paths),) + rows.shape, dtype=rows.dtype)
+    for q in dict.fromkeys(q for _, q in paths):
+        at = [t for t, path in enumerate(paths) if path[1] == q]
+        stacked = np.concatenate([first[paths[t][0]] for t in at])
+        tiled = None if draws is None else np.tile(draws, (len(at), 1))
+        ends[at] = apply_update(oracle, stacked, operator, q, tiled).reshape(len(at), *rows.shape)
+    # (runs × pairs, positions) end states of the two paths, run-major
+    ij, ji = (ends[s::2].swapaxes(0, 1).reshape(-1, rows.shape[1]) for s in (0, 1))
     # the coordinates left open on either path; only a threshold no-op makes them differ between rows
-    open_sets, set_of = _distinct_rows((row_ij[:, block] < 0) | (row_ji[:, block] < 0))
-    value = np.empty(len(rows))
-    for k, open_set in enumerate(open_sets):
-        sel, coords = set_of == k, list(itertools.compress(block, open_set))
-        pred = _predictive_product(oracle, np.concatenate([row_ij[sel], row_ji[sel]]), coords)
-        value[sel] = np.sqrt(js_divergence(pred[: len(pred) // 2], pred[len(pred) // 2 :]))
-    return value if np.ndim(row) == 2 else float(value[0])
+    open_ = (ij[:, block] < 0) | (ji[:, block] < 0)
+    counts, value = open_.sum(axis=1), np.empty(len(ij))
+    for k in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == k)
+        both = np.concatenate([ij[sel], ji[sel]])
+        coords = np.tile(block[np.nonzero(open_[sel])[1].reshape(-1, k)], (2, 1))
+        tokens, vecs = np.take_along_axis(both, coords, axis=1), np.empty(coords.shape + (vocab,))
+        for p in np.unique(coords).tolist():
+            at, axis = np.nonzero(coords == p)
+            vecs[at, axis] = _conditionals(oracle, both[at], p)
+        vecs = np.where(tokens[..., None] >= 0, tokens[..., None] == np.arange(vocab), vecs)
+        # each coordinate's factor on its own axis of the (rows,) + (V,) * k product, multiplied in
+        # position order from the first factor (1.0 times it is itself)
+        factors = [vecs[:, a].reshape((-1,) + (1,) * a + (vocab,) + (1,) * (k - a - 1)) for a in range(k)]
+        n, step = len(sel), max(1, _CHUNK_CELLS // (2 * vocab**k))
+        for lo in range(0, n, step):
+            hi, products = min(lo + step, n), []
+            for part in (slice(lo, hi), slice(n + lo, n + hi)):
+                probs = factors[0][part]
+                for factor in factors[1:]:
+                    probs = probs * factor[part]
+                products.append(np.ascontiguousarray(probs))
+            value[sel[lo:hi]] = np.sqrt(js_divergence(*products))
+    return value.reshape(len(rows), len(pairs)) if np.ndim(row) == 2 else value
 
 
 @dataclass(frozen=True)
@@ -241,7 +261,8 @@ def conflict_score(
     pairs = list(itertools.combinations(candidate, 2))
     if len(block) == 2:
         return ConflictScore(0.0, {}, tuple(pairs))
-    values = {(i, j): commutator(oracle, row, block, operator, i, j, draws) for i, j in pairs}
+    values = commutator(oracle, row, block, operator, pairs, draws)
+    values = dict(zip(pairs, values.tolist() if np.ndim(row) == 1 else list(values.T)))
     return ConflictScore(_sum_in_order(values.values()), values, ())
 
 
@@ -273,48 +294,73 @@ class SchedulerSpec:
                 raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
-def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, i: int, j: int) -> float | np.ndarray:
-    """Dependence proxy from the oracle alone: mean over both resolution orders
-    of the mutual information of the order-induced pair product; a float for
-    one token row, one value per row of ``(runs, positions)`` rows."""
-    rows = np.atleast_2d(row)
-    # q_j(b | i=a) and q_i(a | j=b) over (rows, a, b), both in C order
-    j_after_i = np.exp(oracle.log_rows(j, oracle.class_grid(j, rows, [i])))
-    i_after_j = np.ascontiguousarray(np.exp(oracle.log_rows(i, oracle.class_grid(i, rows, [j]))).swapaxes(1, 2))
-    q_ij, q_ji = _conditionals(oracle, rows, i)[:, :, None] * j_after_i, _conditionals(oracle, rows, j)[:, None] * i_after_j
+def _oracle_pair_dependence(oracle: ConditionalOracle, row: np.ndarray, pairs) -> np.ndarray:
+    """Dependence proxy from the oracle alone, for each pair (i, j) of ``pairs``:
+    mean over both resolution orders of the mutual information of the
+    order-induced pair product; one value per pair for one token row,
+    ``(runs, pairs)`` values for ``(runs, positions)`` rows."""
+    rows, pairs, vocab = np.atleast_2d(row), list(pairs), oracle.vocab.size
+    positions = dict.fromkeys(itertools.chain(*pairs))
+    partners = {s: list(dict.fromkeys(f for pair in pairs if s in pair for f in pair if f != s)) for s in positions}
+    # q_s(b | f=a) over (rows, partners f of s, a, b): one gather per second position s
+    grids = {s: np.stack([oracle.class_grid(s, rows, [f]) for f in fs], 1) for s, fs in partners.items()}
+    after = {s: np.exp(oracle.log_rows(s, grid)) for s, grid in grids.items()}
+    cond = {p: _conditionals(oracle, rows, p) for p in positions}
+
+    def products(order):  # q_f(a) q_s(b | f=a) over (rows × pairs, a, b) for each (f, s) of order
+        terms = [cond[f][:, :, None] * after[s][:, partners[s].index(f)] for f, s in order]
+        return np.stack(terms, 1).reshape(-1, vocab, vocab)
+
+    # both orders' products with a the token at i and b at j, in C order, as a KL's sums read them
+    q_ij, q_ji = products(pairs), np.ascontiguousarray(products([(j, i) for i, j in pairs]).swapaxes(1, 2))
     value = 0.5 * (kl_vs_marginal_product(q_ij, batch=1) + kl_vs_marginal_product(q_ji, batch=1))
-    return value if np.ndim(row) == 2 else float(value[0])
+    return value.reshape(len(rows), len(pairs)) if np.ndim(row) == 2 else value
 
 
 def _conflict_aware_chosen(oracle, rows, draws, conf, widths, scheduler: SchedulerSpec, operator, block) -> np.ndarray:
-    """Mask over ``block`` of each run's lowest-scoring conflict-aware candidate
-    (``conf``: each position's max-probability).  Runs with the same open positions
-    and width share candidates and are scored as ``(runs, candidates)`` arrays: one
-    commutator call per pair and group, one dependence per pair and distinct row,
-    pair terms added left to right.  A run takes its first lowest candidate on the tie grid."""
+    """Mask over ``block`` of each run's first lowest-scoring conflict-aware candidate on
+    the tie grid (``conf``: each position's max-probability).  A width-1 run, whose
+    candidates are its open positions, and a run with one candidate compare no pair.
+    The other runs with the same open positions are scored across their widths: one
+    commutator call over every pair some width's candidates hold and each distinct
+    (token row, draw row) state, one dependence call over those pairs and each distinct
+    token row; a width's ``(runs, candidates)`` scores add their pair terms left to right."""
     open_ = rows[:, block] < 0
-    chosen = np.zeros_like(open_)
-    keys, group_of = _distinct_rows(np.column_stack([open_, np.minimum(widths, open_.sum(axis=1))]))
-    for g, (*open_set, w) in enumerate(keys.tolist()):
-        runs, unresolved = np.flatnonzero(group_of == g), list(itertools.compress(block, open_set))
+    counts = open_.sum(axis=1)
+    widths = np.minimum(widths, counts)
+    first = tie_key(np.where(open_, scheduler.lam_confidence * -conf, np.inf)).argmin(axis=1)
+    single = (widths == 1)[:, None] & (np.arange(len(block)) == first[:, None])
+    chosen = np.where((widths == counts)[:, None], open_, single)
+    paired = np.flatnonzero((widths > 1) & (widths < counts))
+    open_sets, set_of = _distinct_rows(open_[paired])
+    for s, open_set in enumerate(open_sets.tolist()):
+        runs, unresolved = paired[set_of == s], list(itertools.compress(block, open_set))
+        run_widths = sorted(set(widths[runs].tolist()))
         if scheduler.block_search == "subsets":
-            candidates = list(itertools.combinations(unresolved, w))
+            candidates = {w: list(itertools.combinations(unresolved, w)) for w in run_widths}
         else:
-            candidates = [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)]
-        members = np.searchsorted(block, candidates)
-        score = scheduler.lam_confidence * -conf[runs][:, members].mean(axis=-1)
-        if w >= 2 and len(candidates) > 1:  # (two open positions give one candidate, and nothing to compare)
-            pairs = list(dict.fromkeys(pair for cand in candidates for pair in itertools.combinations(cand, 2)))
-            cand_pairs = [[pairs.index(pair) for pair in itertools.combinations(cand, 2)] for cand in candidates]
-            distinct, row_of = _distinct_rows(rows[runs])
-            # without draws the commutator, like the dependence, reads the row alone
-            states, state_draws, state_of = (distinct, None, row_of) if draws is None else (rows[runs], draws[runs], ...)
-            conflict = np.stack([commutator(oracle, states, unresolved, operator, i, j, state_draws) for i, j in pairs], 1)
-            dependence = np.stack([_oracle_pair_dependence(oracle, distinct, i, j) for i, j in pairs], 1)
+            candidates = {w: [tuple(unresolved[k : k + w]) for k in range(len(unresolved) - w + 1)] for w in run_widths}
+        pairs = [pair for cands in candidates.values() for cand in cands for pair in itertools.combinations(cand, 2)]
+        pairs = list(dict.fromkeys(pairs))
+        distinct, row_of = _distinct_rows(rows[runs])
+        # without draws the commutator, like the dependence, reads the row alone; draw rows are
+        # keyed on their bits, since their NaNs outside the block never compare equal
+        if draws is None:
+            states, state_draws, state_of = distinct, None, row_of
+        else:
+            keys, state_of = _distinct_rows(np.column_stack([rows[runs], draws[runs].view(np.int64)]))
+            states, state_draws = keys[:, : rows.shape[1]], keys[:, rows.shape[1] :].view(np.float64)
+        conflict = commutator(oracle, states, unresolved, operator, pairs, state_draws)[state_of]
+        dependence = _oracle_pair_dependence(oracle, distinct, pairs)[row_of]
+        for w, cands in candidates.items():
+            at = np.flatnonzero(widths[runs] == w)
+            members = np.searchsorted(block, cands)
+            cand_pairs = [[pairs.index(pair) for pair in itertools.combinations(cand, 2)] for cand in cands]
+            score = scheduler.lam_confidence * -conf[runs[at]][:, members].mean(axis=-1)
             # cumsum adds each candidate's pair terms left to right, in combinations order
-            score = score + scheduler.lam_conflict * conflict[state_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
-            score = score + scheduler.lam_dependence * dependence[row_of][:, cand_pairs].cumsum(axis=-1)[..., -1]
-        chosen[runs[:, None], members[tie_key(score).argmin(axis=1)]] = True
+            score = score + scheduler.lam_conflict * conflict[at][:, cand_pairs].cumsum(axis=-1)[..., -1]
+            score = score + scheduler.lam_dependence * dependence[at][:, cand_pairs].cumsum(axis=-1)[..., -1]
+            chosen[runs[at, None], members[tie_key(score).argmin(axis=1)]] = True
     return chosen
 
 

@@ -219,8 +219,8 @@ def test_criterion_7_logit_shift_invariance():
 
             row = context_row(ctx, positions)
             draws = draw_row(sample_commit(), derived_seed(7000, k, 1), positions, ctx.block)
-            c1 = commutator(before, row, ctx.block, sample_commit(), 0, 1, draws)
-            c2 = commutator(after, row, ctx.block, sample_commit(), 0, 1, draws)
+            (c1,) = commutator(before, row, ctx.block, sample_commit(), [(0, 1)], draws)
+            (c2,) = commutator(after, row, ctx.block, sample_commit(), [(0, 1)], draws)
             assert abs(c1 - c2) < 1e-10
 
 

@@ -11,6 +11,8 @@ from conftest import random_context, random_joint
 from curlgauge import decoding
 from curlgauge.core import (
     ConditionalOracle,
+    LogitTable,
+    LogitTableOracle,
     PartialContext,
     PerturbedConditionalModel,
     TabularJointModel,
@@ -29,12 +31,14 @@ from curlgauge.decoding import (
     conflict_score,
     context_row,
     draw_row,
+    js_divergence,
     run_scheduler,
     sample_commit,
     spearman_rank,
     stress_test,
     threshold_commit,
 )
+from curlgauge.dependence import kl_vs_marginal_product
 from curlgauge.errors import ContractViolationError, DegenerateComparisonError
 from curlgauge.synth import SyntheticTaskSpec, generate_joint
 
@@ -131,14 +135,14 @@ class TestApplyUpdate:
 class TestCommutator:
     def test_independent_joint_commutes(self):
         joint = independent_joint(1, positions=4, vocab=3)
-        value = commutator(joint, open_row(4), (0, 1, 2, 3), argmax_commit(), 0, 2)
+        (value,) = commutator(joint, open_row(4), (0, 1, 2, 3), argmax_commit(), [(0, 2)])
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         joint = random_joint(2, positions=3, vocab=3, scale=1.5)
         row, block = open_row(3), (0, 1, 2)
         operator = argmax_commit()
-        value = commutator(joint, row, block, operator, 0, 1)
+        (value,) = commutator(joint, row, block, operator, [(0, 1)])
         # independent reconstruction of both paths
         s_ij = apply_update(joint, apply_update(joint, row, operator, 0), operator, 1)
         s_ji = apply_update(joint, apply_update(joint, row, operator, 1), operator, 0)
@@ -157,21 +161,83 @@ class TestCommutator:
         joint = random_joint(3, positions=3, vocab=3)
         oracle = PerturbedConditionalModel(joint, 0.5, 4)
         draws = draw_row(sample_commit(), 9, 3, (0, 1, 2))
-        fwd = commutator(oracle, open_row(3), (0, 1, 2), sample_commit(), 0, 1, draws)
-        rev = commutator(oracle, open_row(3), (0, 1, 2), sample_commit(), 1, 0, draws)
+        fwd, rev = commutator(oracle, open_row(3), (0, 1, 2), sample_commit(), [(0, 1), (1, 0)], draws)
         assert abs(fwd - rev) < 1e-15
 
     def test_value_within_js_bounds(self):
         for seed in range(10):
             joint = random_joint(950 + seed, positions=3, vocab=3)
             oracle = PerturbedConditionalModel(joint, 1.0, seed)
-            value = commutator(oracle, open_row(3), (0, 1, 2), argmax_commit(), 0, 1)
+            (value,) = commutator(oracle, open_row(3), (0, 1, 2), argmax_commit(), [(0, 1)])
             assert 0.0 <= value <= math.sqrt(math.log(2)) + 1e-12
 
     def test_degenerate_comparison_rejected(self):
         joint = random_joint(4, positions=2, vocab=3)
         with pytest.raises(DegenerateComparisonError):
-            commutator(joint, open_row(2), (0, 1), argmax_commit(), 0, 1)
+            commutator(joint, open_row(2), (0, 1), argmax_commit(), [(0, 1)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["tabular", "perturbed", "logit-table"]),
+        operator=st.sampled_from([argmax_commit(), sample_commit(), *map(threshold_commit, (0.0, 0.4, 1.0))]),
+        seed=st.integers(0, 10_000),
+        positions=st.integers(3, 6),
+        vocab=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_pair_lists_equal_the_per_pair_reference(self, kind, operator, seed, positions, vocab, data):
+        joint = random_joint(seed, positions, vocab, scale=2.0)
+        oracle = {
+            "tabular": joint,
+            "perturbed": PerturbedConditionalModel(joint, 1.0, seed),
+            "logit-table": LogitTableOracle(LogitTable.random(vocab, positions, seed, scale=2.0)),
+        }[kind]
+        rng = seeded_rng(seed, 8)
+        block = sorted(data.draw(st.sets(st.integers(0, positions - 1), min_size=3)))
+        # each position outside the block holds a token or is left neither observed nor in the block
+        rows = rng.integers(-1, vocab, size=(data.draw(st.integers(1, 6)), positions))
+        rows[:, block] = -1
+        draws = rng.random(rows.shape) if operator == sample_commit() else None
+        if len(rows) == 1 and data.draw(st.booleans()):
+            rows, draws = rows[0], None if draws is None else draws[0]
+        pairs = data.draw(st.permutations(list(itertools.permutations(block, 2))))[: data.draw(st.integers(1, 8))]
+
+        def reference_commutator(row, draw, i, j):
+            ends = [
+                apply_update(oracle, apply_update(oracle, row, operator, a, draw), operator, b, draw)
+                for a, b in ((i, j), (j, i))
+            ]
+            coords = [p for p in block if min(end[p] for end in ends) < 0]
+            products = []
+            for end in ends:
+                probs = np.ones((1,) + (vocab,) * len(coords))
+                for axis, p in enumerate(coords):
+                    cond = np.exp(oracle.log_rows(p, (end + 1) @ oracle.strides[p]))
+                    vec = np.eye(vocab)[end[p]] if end[p] >= 0 else cond
+                    probs = probs * vec.reshape((1,) * (axis + 1) + (vocab,) + (1,) * (len(coords) - axis - 1))
+                products.append(probs)
+            return float(np.sqrt(js_divergence(*products))[0])
+
+        def reference_dependence(row, i, j):
+            cond_i, cond_j = (np.exp(oracle.log_rows(p, (row + 1) @ oracle.strides[p])) for p in (i, j))
+            j_after_i = np.exp(oracle.log_rows(j, oracle.class_grid(j, row, [i])))
+            i_after_j = np.exp(oracle.log_rows(i, oracle.class_grid(i, row, [j]))).T
+            q_ij, q_ji = cond_i[:, None] * j_after_i, np.ascontiguousarray(cond_j[None, :] * i_after_j)
+            return 0.5 * (kl_vs_marginal_product(q_ij) + kl_vs_marginal_product(q_ji))
+
+        table = np.atleast_2d(rows)
+        draw_table = [None] * len(table) if draws is None else np.atleast_2d(draws)
+        expected = [[reference_commutator(row, draw, i, j) for i, j in pairs] for row, draw in zip(table, draw_table)]
+        dependence = [[reference_dependence(row, i, j) for i, j in pairs] for row in table]
+        for order in (pairs, pairs[::-1]):
+            for chunk_cells in (decoding._CHUNK_CELLS, 1):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(decoding, "_CHUNK_CELLS", chunk_cells)
+                    values = commutator(oracle, rows, block, operator, order, draws)
+                assert values.shape == (len(table), len(order)) if np.ndim(rows) == 2 else (len(order),)
+                assert np.atleast_2d(values).tolist() == [[row[pairs.index(p)] for p in order] for row in expected]
+            values = _oracle_pair_dependence(oracle, rows, order)
+            assert np.atleast_2d(values).tolist() == [[row[pairs.index(p)] for p in order] for row in dependence]
 
 
 class TestConflictScore:
@@ -185,7 +251,7 @@ class TestConflictScore:
         oracle = PerturbedConditionalModel(joint, 0.5, 2)
         row, block = open_row(4), (0, 1, 2, 3)
         score = conflict_score(oracle, row, block, argmax_commit(), (1, 2))
-        single = commutator(oracle, row, block, argmax_commit(), 1, 2)
+        (single,) = commutator(oracle, row, block, argmax_commit(), [(1, 2)])
         assert score.value == single
         assert not score.skipped_pairs
 
@@ -371,7 +437,7 @@ class TestRunScheduler:
                 value += lam_conflict * conflict_score(oracle, row, block, operator, cand, draws).value
                 dependence = 0.0
                 for i, j in itertools.combinations(cand, 2):
-                    dependence += _oracle_pair_dependence(oracle, row, i, j)
+                    dependence += _oracle_pair_dependence(oracle, row, [(i, j)])[0]
                 value += lam_dependence * dependence
             return value
 
@@ -401,6 +467,30 @@ class TestRunScheduler:
             gathers.append(len(calls))
         assert gathers[0] == gathers[1]
 
+    def test_widths_share_each_round_one_state(self, monkeypatch):
+        # four seeds at widths 2 and 3: in round one each seed's runs share their token row and
+        # draw row, so one commutator call scores the four states over both widths' pairs
+        oracle = PerturbedConditionalModel(random_joint(41, positions=5, vocab=3), 1.0, 41)
+        ctx, sched, operator = PartialContext({2: 1}, (0, 1, 3, 4)), SchedulerSpec("conflict-aware"), sample_commit()
+        seeds, widths = [derived_seed(41, r) for r in range(4)] * 2, [2] * 4 + [3] * 4
+        calls = []
+
+        def recording(oracle, rows, block, operator, pairs, draws=None, _fn=decoding.commutator):
+            calls.append((rows, draws, pairs))
+            return _fn(oracle, rows, block, operator, pairs, draws)
+
+        monkeypatch.setattr(decoding, "commutator", recording)
+        batch = run_scheduler(oracle, ctx, seeds, sched, operator, widths)
+        rows, draws, pairs = calls[0]
+        assert np.array_equal(rows, np.tile(context_row(ctx, 5), (4, 1)))
+        assert np.array_equal(draws, decoding.draw_rows(operator, seeds[:4], 5, ctx.block), equal_nan=True)
+        assert pairs == [(0, 1), (1, 3), (3, 4), (0, 3), (1, 4)]
+        for rows, draws, _ in calls:  # no call scores a state twice
+            assert len({(r.tobytes(), d.tobytes()) for r, d in zip(rows, draws)}) == len(rows)
+        for width in (2, 3):
+            alone = run_scheduler(oracle, ctx, seeds[:4], sched, operator, width).tokens
+            assert np.array_equal(batch.tokens[np.equal(widths, width)], alone)
+
 
 class TestBatchInvariance:
     @settings(max_examples=200, deadline=None)
@@ -424,10 +514,11 @@ class TestBatchInvariance:
         i, j = rng.choice(block, size=2, replace=False).tolist()
         updated = apply_update(oracle, rows, operator, i, batch_draws)
         assert all(np.array_equal(updated[r], apply_update(oracle, rows[r], operator, i, draws[r])) for r in range(3))
-        values = commutator(oracle, rows, block, operator, i, j, batch_draws)
-        assert values.tolist() == [commutator(oracle, rows[r], block, operator, i, j, draws[r]) for r in range(3)]
-        dependence = _oracle_pair_dependence(oracle, rows, i, j)
-        assert dependence.tolist() == [_oracle_pair_dependence(oracle, rows[r], i, j) for r in range(3)]
+        values = commutator(oracle, rows, block, operator, [(i, j)], batch_draws)
+        alone = [commutator(oracle, rows[r], block, operator, [(i, j)], draws[r]).tolist() for r in range(3)]
+        assert values.tolist() == alone
+        dependence = _oracle_pair_dependence(oracle, rows, [(i, j)])
+        assert dependence.tolist() == [_oracle_pair_dependence(oracle, rows[r], [(i, j)]).tolist() for r in range(3)]
 
 
 class TestStress:

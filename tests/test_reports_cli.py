@@ -726,16 +726,16 @@ class TestArtifacts:
 
         scored, updates = Counter(), Counter()
 
-        def counted_commutator(oracle, row, block, *args, _fn=decoding.commutator):
-            scored[tuple(block)] += 1
-            return _fn(oracle, row, block, *args)
+        def counted_commutator(oracle, row, block, operator, pairs, draws=None, _fn=decoding.commutator):
+            scored.update({tuple(block): len(pairs)})
+            return _fn(oracle, row, block, operator, pairs, draws)
 
         def counted_update(*args, _fn=decoding.apply_update):
             updates["apply_update"] += 1
             return _fn(*args)
 
         monkeypatch.setattr(decoding, "commutator", counted_commutator)
-        # a commutator makes four updates, so no call may bypass the counter
+        # every update is a commutator's, so no call may bypass the counter
         monkeypatch.setattr(decoding, "apply_update", counted_update)
         model = {"synthetic": {**PERTURBED_MODEL["synthetic"], "positions": 4}}
         blocks = [[0, 1, 2], [1, 2, 3], [0, 1, 2, 3], [2, 3]]
@@ -743,7 +743,8 @@ class TestArtifacts:
         write_config(tmp_path / "cfg.json", {"model": model, "seed": 2, "contexts": contexts})
         assert run_cli(["commutator", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
         assert scored == {(0, 1, 2): 3, (1, 2, 3): 3, (0, 1, 2, 3): 6}
-        assert updates["apply_update"] == 4 * sum(scored.values())
+        # one first commit and one second commit at each block position: 3, 3 and 4 positions
+        assert updates["apply_update"] == 2 * (3 + 3 + 4)
         section = read_report(tmp_path / "out" / "commutator.json")["sections"]["commutator"]
         assert [(e["context_id"], e["i"], e["j"]) for e in section["pairs"]] == [
             (cid, i, j) for cid, b in enumerate(blocks[:3]) for i, j in itertools.combinations(b, 2)
@@ -793,9 +794,16 @@ class TestReproducibility:
         assert b["seed"] == 2
 
 
-def test_cli_import_does_not_load_scipy_stats(tmp_path):
+def child_env() -> dict:
+    """Environment of a child interpreter that imports this checkout's package: under
+    ``python -B`` it writes no bytecode into the source tree either."""
     src = str(Path(curlgauge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**env, "PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else env
+
+
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    env = child_env()
     code = "import sys, curlgauge.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
     # nor does a stress job, which reports Spearman correlations
@@ -815,8 +823,7 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
 
 
 def test_order_error_run_does_not_load_numpy_ma(tmp_path):
-    src = str(Path(curlgauge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = child_env()
     write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 2})
     code = (
         "import sys, curlgauge.cli\n"
