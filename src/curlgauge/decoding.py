@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -487,7 +487,7 @@ class StressReport:
     skipped_conflict_pairs: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "rows": [row.to_dict() for row in self.rows], "operator": self.operator.to_dict()}
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

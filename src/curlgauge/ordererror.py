@@ -1,11 +1,14 @@
 """Order-specific evaluation error: which resolution orders an oracle prefers.
 
 For a resolution order over the block, the exact cumulative cross-entropy of
-the oracle's sequential product under the reference joint splits into the
-block's conditional entropy plus a KL, and that KL further splits into one
-expected conditional KL per resolution step.  Both identities are computed
-from independent enumerations and asserted here.  Expectations are exact
-(no held-out sampling): the reference joint supplies the true distribution.
+the oracle's sequential product under the reference joint, and its KL from the
+joint, are each a sum of one expected term per resolution step: an edge
+(position, conditioning set) of the block's subset lattice, shared by every
+order that takes it.  Their difference is the block's conditional entropy by
+the chain rule, asserted per order against the full block table; the edge sums
+of the head and last-ranked orders are asserted against their sequential
+products gathered apart.  Expectations are exact (no held-out sampling): the
+reference joint supplies the true distribution.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .core import ConditionalOracle, PartialContext, TabularJointModel, _sum_in_order, entropy, kl, tie_key
 from .errors import ContractViolationError, IdentityCheckError
-from .pseudojoint import PseudoJointSpec, StepLattice, step_table
+from .pseudojoint import PseudoJointSpec, StepLattice, pseudo_joint_table, step_table
 
 _IDENTITY_TOL = 1e-10
 
@@ -67,7 +70,7 @@ def order_cross_entropy(
     order: Sequence[int],
 ) -> OrderErrorProfile:
     """Exact order-specific error profile under the reference joint: the one-order
-    call of `rank_orders`, which asserts both identities."""
+    call of `rank_orders`, whose one order gets both the chain-rule and the table check."""
     return rank_orders(oracle, joint, context, [order])[0]
 
 
@@ -78,16 +81,6 @@ def local_estimation_error(
     if position in context.observed:
         raise ContractViolationError(f"position {position} is already observed")
     return float(kl(joint.log_dist(position, context.observed), oracle.log_dist(position, context.observed)))
-
-
-def _table_scores(flat_p, flat_log_p, log_q, scratch) -> tuple[float, float]:
-    """An order table's cross-entropy and KL against the block conditional p, each summed
-    over every cell in C order, the order of ``core.kl``'s sum.  The joint floors every log
-    mass at -50, so p > 0 in every cell and ``kl``'s p > 0 mask changes nothing; the
-    products go to ``scratch``, so no order allocates a full-size temporary."""
-    flat_q = log_q.reshape(-1)
-    cross_entropy = -float(np.multiply(flat_p, flat_q, out=scratch).sum())
-    return cross_entropy, float(np.multiply(flat_p, np.subtract(flat_log_p, flat_q, out=scratch), out=scratch).sum())
 
 
 def rank_orders(
@@ -101,12 +94,14 @@ def rank_orders(
     Ties are decided on a 1e-12 grid so floating-point noise cannot shuffle
     mathematically equal orders.
 
-    Every step (position, conditioning set) the candidates use is read from one
-    ``StepLattice`` of the context, and its expected conditional KL and the oracle's
-    expected entropy are taken once.  An order's table is the lattice's ``order_table``,
-    so it keeps the bits of ``pseudo_joint_table``.  Per order, asserts cross_entropy =
-    conditional_entropy + kl_total and kl_total = the left-to-right sum of its step KLs,
-    both to 1e-10.
+    Every edge (position, conditioning set) the candidates use is read from one
+    ``StepLattice`` of the context and a transient gather of the joint's step, and
+    its expected conditional KL, the oracle's expected entropy and the expected
+    cross-entropy E_p[-log q] are taken once.  An order's kl_total and cross_entropy
+    are the left-to-right sums of its edge values; no order builds its table.  Per
+    order, asserts the chain rule cross_entropy - kl_total = conditional_entropy (of
+    the full block table); per scan, asserts the head and last-ranked orders' sums
+    against ``pseudo_joint_table``, gathered without the lattice.  Both to 1e-10.
     """
     block = context.block
     orders = [PseudoJointSpec(context, o).order for o in (itertools.permutations(block) if orders is None else orders)]
@@ -118,40 +113,44 @@ def rank_orders(
     lattice = StepLattice(oracle, context)
     p = np.exp(log_p)
     conditional_entropy = float(entropy(log_p))
-    flat_p, flat_log_p, scratch = p.reshape(-1), log_p.reshape(-1), np.empty(p.size)
 
-    expected = {}
+    edges = {}
     for pos, given in dict.fromkeys((pos, frozenset(order[:m])) for order in orders for m, pos in enumerate(order)):
-        # one row per value of given, weighted by its mass under p; both sums run over C-contiguous
-        # rows, tokens last, the gathered rows' layout (a strided token axis may add in another order)
+        # one row per value of given, weighted by its mass under p (> 0: the joint floors log masses at -50);
+        # the sums run over C-contiguous rows, tokens last, the gathered rows' layout (a strided token
+        # axis may add in another order)
         log_p_step, log_q_step = (
             np.ascontiguousarray(np.swapaxes(t[..., None], block.index(pos), -1))
             for t in (step_table(joint, context.observed, block, pos, given), lattice[pos, given])
         )
         weight = p.sum(axis=tuple(k for k, q in enumerate(block) if q not in given), keepdims=True)
-        step_kl, step_entropy = weight * kl(log_p_step, log_q_step, axis=-1), weight * entropy(log_q_step, axis=-1)
-        expected[pos, given] = float(step_kl.sum()), float(step_entropy.sum())
+        rows = kl(log_p_step, log_q_step, -1), entropy(log_q_step, -1), -(np.exp(log_p_step) * log_q_step).sum(-1)
+        edges[pos, given] = tuple(float((weight * t).sum()) for t in rows)  # KL, oracle entropy, cross-entropy
+    del lattice  # each step is read once: free them all before the reference tables are built
 
     profiles = []
     for order in orders:
-        cross_entropy, kl_total = _table_scores(flat_p, flat_log_p, lattice.order_table(order), scratch)
-        records = tuple(
-            StepRecord(pos, order[:m], *expected[pos, frozenset(order[:m])], _is_prefix_like(pos, order[:m], block))
-            for m, pos in enumerate(order)
-        )
+        path = [(pos, order[:m], *edges[pos, frozenset(order[:m])]) for m, pos in enumerate(order)]
+        records = tuple(StepRecord(*step[:4], _is_prefix_like(*step[:2], block)) for step in path)
         per_step = tuple(s.kl for s in records)
+        kl_total, cross_entropy = _sum_in_order(per_step), _sum_in_order(step[-1] for step in path)
         if abs(cross_entropy - conditional_entropy - kl_total) > _IDENTITY_TOL:
             raise IdentityCheckError(
                 f"cross-entropy identity failed: H {conditional_entropy!r} + KL {kl_total!r} "
                 f"vs CE {cross_entropy!r}"
             )
-        step_sum = _sum_in_order(per_step)
-        if abs(kl_total - step_sum) > _IDENTITY_TOL:
-            raise IdentityCheckError(f"per-step KL decomposition failed: total {kl_total!r} vs sum {step_sum!r}")
         profiles.append(
             OrderErrorProfile(order, cross_entropy, conditional_entropy, kl_total, per_step, records, stratify_steps(records))
         )
-    return sorted(profiles, key=lambda prof: (tie_key(prof.kl_total), prof.order))
+    profiles.sort(key=lambda prof: (tie_key(prof.kl_total), prof.order))
+    for prof in {prof.order: prof for prof in (profiles[0], profiles[-1])}.values():
+        reference = pseudo_joint_table(oracle, context, prof.order)
+        gap = max(abs(prof.kl_total - kl(log_p, reference)), abs(prof.cross_entropy + (p * reference).sum()))
+        if gap > _IDENTITY_TOL:
+            raise IdentityCheckError(
+                f"order table check failed: order {prof.order}'s edge sums differ from its table's by {float(gap)!r}"
+            )
+    return profiles
 
 
 def _median(values: Sequence[float]) -> float:

@@ -37,14 +37,16 @@ def random_oracle(seed: int, joint: TabularJointModel, delta: float | None = Non
     return PerturbedConditionalModel(joint, delta, derived_seed(seed, 103))
 
 
-def fault_one_lattice_step(monkeypatch):
-    """Add 1e-9 to every StepLattice's step q(1 | 0), the term t1 of each square on (0, 1) with
-    nothing else visible; the reference pair tables are gathered without the lattice."""
+def fault_lattice_steps(monkeypatch, position=1, given=(0,)):
+    """Add 1e-9 to every StepLattice's step q(position | given), or to each step of ``position`` when
+    ``given`` is None.  The default q(1 | 0) is the term t1 of each square on (0, 1) with nothing else
+    visible; the reference tables are gathered without the lattice."""
     exact_step = pseudojoint.StepLattice.__getitem__
 
     def faulty_step(lattice, step):
         table = exact_step(lattice, step)
-        return table + 1e-9 if (step[0], set(step[1])) == (1, {0}) else table
+        faulty = step[0] == position and (given is None or set(step[1]) == set(given))
+        return table + 1e-9 if faulty else table
 
     monkeypatch.setattr(pseudojoint.StepLattice, "__getitem__", faulty_step)
 

@@ -46,3 +46,18 @@ def test_differences_ignore_meta_and_list_every_other_change(tmp_path):
         "differs: job/rows.csv",
     ]
     assert compare_outputs.differences(parent, parent) == []
+
+
+def test_leaf_differences_name_each_field_and_its_largest_change():
+    rows = [{"kl": 0.5, "order": [0, 1]}, {"kl": 0.25, "order": [1, 0]}]
+    parent = _report({"duration_s": 0.1}, rows=rows, note="a")
+    moved = [{"kl": 0.5 + 2**-52, "order": [1, 0]}, {"kl": 0.25 - 2**-50, "order": [0, 1]}]
+    change = _report({"duration_s": 9.9}, rows=moved, note="b", extra=1)
+    assert compare_outputs.leaf_differences(parent, change) == [
+        "sections.rows[*].kl: 2 differing, largest |difference| 8.88e-16",
+        "sections.rows[*].order[*]: 4 differing, largest |difference| 1",
+        "sections.note: 1 differing",
+        "sections.extra: 1 differing",
+    ]
+    assert compare_outputs.leaf_differences(parent, _report({"duration_s": 2.0}, rows=rows, note="a")) == []
+    assert compare_outputs.leaf_differences(b"a,b\n1,2\n", b"a,b\n1,3\n") == []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -18,6 +19,7 @@ from curlgauge.core import (
     TabularJointModel,
     _seed_key,
     derived_seed,
+    plain_json,
     seed_states,
     seeded_rng,
     tie_key,
@@ -40,6 +42,7 @@ from curlgauge.decoding import (
 )
 from curlgauge.dependence import kl_vs_marginal_product
 from curlgauge.errors import ContractViolationError, DegenerateComparisonError
+from curlgauge.reports import canonical_json
 from curlgauge.synth import SyntheticTaskSpec, generate_joint
 
 
@@ -545,6 +548,14 @@ class TestStress:
         # runs x |block| per (context, scheduler), plus |block| per context for the conflict predictor
         assert len(drawn) == sum((len(scheds) * runs + 1) * len(c.block) for c in contexts)
         assert len(set(drawn)) == len(drawn)
+
+    def test_report_dict_is_the_field_walk(self):
+        # rows and operator serialise through their own to_dict, with the JSON of a deep copy
+        joint = random_joint(19, positions=3, vocab=3)
+        report = stress_test(PerturbedConditionalModel(joint, 0.5, 9), joint, [PartialContext({}, (0, 1, 2))],
+                             widths=[1, 2], schedulers=[SchedulerSpec("confidence")], operator=threshold_commit(0.4),
+                             runs=3, seed=6)
+        assert canonical_json(plain_json(report.to_dict())) == canonical_json(plain_json(dataclasses.asdict(report)))
 
     def test_one_decode_call_per_context(self, monkeypatch):
         batches = []

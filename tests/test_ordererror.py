@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_context, random_joint, random_oracle
+from conftest import fault_lattice_steps, random_context, random_joint, random_oracle
 from curlgauge import ordererror, pseudojoint
 from curlgauge.core import (
     LogitTable,
@@ -17,7 +18,7 @@ from curlgauge.core import (
     kl,
     seeded_rng,
 )
-from curlgauge.errors import ContractViolationError
+from curlgauge.errors import ContractViolationError, IdentityCheckError
 from curlgauge.ordererror import (
     StepRecord,
     local_estimation_error,
@@ -176,50 +177,84 @@ class TestRankOrders:
 
 
 class TestStepLattice:
-    def test_every_order_equals_its_pseudo_joint_table(self, monkeypatch):
-        # the full-table scores read each order's lattice table, in candidate order
-        tables, scores = [], ordererror._table_scores
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["tabular", "perturbed", "logit-table"]))
+    def test_every_order_equals_its_pseudo_joint_table(self, seed, kind):
+        # kl_total and cross_entropy are edge sums, so they meet each order's full-table scores to rounding
+        rng = seeded_rng(seed, 61)
+        m, vocab = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        joint = random_joint(derived_seed(seed, 62), m, vocab)
+        oracle = {
+            "tabular": joint,
+            "perturbed": PerturbedConditionalModel(joint, 0.5, derived_seed(seed, 63)),
+            "logit-table": LogitTableOracle(LogitTable.random(vocab, m, derived_seed(seed, 66))),
+        }[kind]
+        block = tuple(rng.permutation(m)[: int(rng.integers(2, m + 1))].tolist())  # often unsorted
+        observed = {p: int(rng.integers(vocab)) for p in range(m) if p not in block and rng.random() < 0.6}
+        ctx = PartialContext(observed, block)
+        profiles = rank_orders(oracle, joint, ctx)
+        assert sorted(prof.order for prof in profiles) == sorted(itertools.permutations(block))
+        log_p = joint.log_block_conditional(ctx)
+        p = np.exp(log_p)
+        for profile in profiles:
+            order = profile.order
+            reference = pseudo_joint_table(oracle, ctx, order)
+            assert abs(profile.kl_total - float(kl(log_p, reference))) <= 1e-12
+            assert abs(profile.cross_entropy - float(-(p * reference).sum())) <= 1e-12
+            for k, (pos, step) in enumerate(zip(order, profile.steps)):
+                # one gather per step, rows weighted by the prefix's mass under p
+                free = [q if q in order[:k] else None for q in block]
+                weight = p.sum(axis=tuple(a for a, q in enumerate(free) if q is None), keepdims=True)
+                grid = joint.class_grid(pos, observed, free)
+                log_p_rows, log_q_rows = joint.log_rows(pos, grid), oracle.log_rows(pos, grid)
+                assert step.kl == float((weight * kl(log_p_rows, log_q_rows, axis=-1)).sum())
+                assert step.entropy == float((weight * -kl(log_q_rows, 0.0, axis=-1)).sum())
 
-        def spy(flat_p, flat_log_p, log_q, scratch):
-            tables.append(log_q)
-            return scores(flat_p, flat_log_p, log_q, scratch)
+    def test_all_orders_build_two_reference_tables_and_no_order_table(self, monkeypatch):
+        # at the caps: 720 orders scored from the edges, the head and the last-ranked one rebuilt apart
+        built, reference_table = [], ordererror.pseudo_joint_table
 
-        monkeypatch.setattr(ordererror, "_table_scores", spy)
-        for seed in range(60):
-            rng = seeded_rng(seed, 61)
-            m, vocab = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-            joint = random_joint(derived_seed(seed, 62), m, vocab)
-            oracle = (
-                joint,
-                PerturbedConditionalModel(joint, 0.5, derived_seed(seed, 63)),
-                LogitTableOracle(LogitTable.random(vocab, m, derived_seed(seed, 66))),
-            )[seed % 3]
-            block = tuple(rng.permutation(m)[: int(rng.integers(2, m + 1))].tolist())  # often unsorted
-            observed = {p: int(rng.integers(vocab)) for p in range(m) if p not in block and rng.random() < 0.6}
-            ctx = PartialContext(observed, block)
-            tables.clear()
-            profiles = {prof.order: prof for prof in rank_orders(oracle, joint, ctx)}
-            assert len(tables) == len(profiles) == math.factorial(len(block))
-            log_p = joint.log_block_conditional(ctx)
-            p = np.exp(log_p)
-            for order, table in zip(itertools.permutations(block), tables):
-                reference = pseudo_joint_table(oracle, ctx, order)
-                assert table.flags.c_contiguous and table.tobytes() == reference.tobytes()
-                profile = profiles[order]
-                assert profile.cross_entropy == float(-(p * reference)[p > 0].sum())
-                assert profile.kl_total == float(kl(log_p, reference))
-                for k, (pos, step) in enumerate(zip(order, profile.steps)):
-                    # one gather per step, rows weighted by the prefix's mass under p
-                    free = [q if q in order[:k] else None for q in block]
-                    weight = p.sum(axis=tuple(a for a, q in enumerate(free) if q is None), keepdims=True)
-                    grid = joint.class_grid(pos, observed, free)
-                    log_p_rows, log_q_rows = joint.log_rows(pos, grid), oracle.log_rows(pos, grid)
-                    assert step.kl == float((weight * kl(log_p_rows, log_q_rows, axis=-1)).sum())
-                    assert step.entropy == float((weight * -kl(log_q_rows, 0.0, axis=-1)).sum())
+        def counted(oracle, context, order):
+            built.append(order)
+            return reference_table(oracle, context, order)
+
+        monkeypatch.setattr(ordererror, "pseudo_joint_table", counted)
+        monkeypatch.setattr(pseudojoint.StepLattice, "order_table", lambda *args: pytest.fail("order_table called"))
+        joint = generate_joint(SyntheticTaskSpec("chain", positions=6, vocab_size=8, seed=7, beta=0.8))
+        oracle = PerturbedConditionalModel(joint, 0.4, 2)
+        ranked = rank_orders(oracle, joint, PartialContext({}, tuple(range(6))))
+        assert len(ranked) == 720 and built == [ranked[0].order, ranked[-1].order]
+        built.clear()
+        assert order_cross_entropy(oracle, joint, PartialContext({}, (2, 0, 4)), (4, 0, 2)).order == (4, 0, 2)
+        assert built == [(4, 0, 2)]  # one candidate is both head and last: rebuilt once
+
+    def test_fault_in_the_joints_steps_trips_the_chain_rule(self, monkeypatch):
+        # 1e-6 on the joint's step of position 0 given nothing moves the KL edge sum, not the cross-entropy's
+        joint = random_joint(16, positions=3, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.4, 6)
+
+        def faulty_step(model, observed, axes, pos, given):
+            table = step_table(model, observed, axes, pos, given)
+            return table + 1e-6 if model is joint and (pos, set(given)) == (0, set()) else table
+
+        monkeypatch.setattr(ordererror, "step_table", faulty_step)
+        with pytest.raises(IdentityCheckError, match="^cross-entropy identity failed"):
+            rank_orders(oracle, joint, PartialContext({}, (0, 1, 2)))
+
+    @pytest.mark.parametrize("orders", [None, [(2, 1, 0)]], ids=["all-orders", "one-candidate"])
+    def test_fault_in_a_lattice_step_trips_the_reference_table(self, monkeypatch, orders):
+        # 1e-9 on every step of position 1 moves both edge sums alike, so only the reference tables see it
+        fault_lattice_steps(monkeypatch, position=1, given=None)
+        joint = random_joint(17, positions=3, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.4, 7)
+        with pytest.raises(IdentityCheckError, match="^order table check failed"):
+            rank_orders(oracle, joint, PartialContext({}, (0, 1, 2)), orders)
+        with pytest.raises(IdentityCheckError, match="^order table check failed"):
+            order_cross_entropy(oracle, joint, PartialContext({}, (0, 1, 2)), (1, 2, 0))
 
     def test_each_step_is_gathered_once(self, monkeypatch):
-        # m * 2^(m-1) oracle steps, all through the lattice, and as many transient joint steps,
-        # shared by all m! orders
+        # m * 2^(m-1) oracle steps through the lattice and as many transient joint steps, shared by
+        # all m! orders, then the m steps of each of the two reference tables, gathered apart
         calls = {pseudojoint: [], ordererror: []}
         for module, gathered in calls.items():
             def counted(*args, _calls=gathered):
@@ -230,7 +265,7 @@ class TestStepLattice:
         joint = random_joint(15, positions=4, vocab=2)
         oracle = PerturbedConditionalModel(joint, 0.4, 5)
         assert len(rank_orders(oracle, joint, PartialContext({}, (0, 1, 2, 3)))) == 24
-        assert calls[pseudojoint] == [oracle] * 4 * 2**3 and calls[ordererror] == [joint] * 4 * 2**3
+        assert calls[pseudojoint] == [oracle] * (4 * 2**3 + 2 * 4) and calls[ordererror] == [joint] * 4 * 2**3
 
 
 class TestPrefixTrainingDirection:

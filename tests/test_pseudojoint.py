@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fault_one_lattice_step, random_context, random_joint, random_oracle
+from conftest import fault_lattice_steps, random_context, random_joint, random_oracle
 from curlgauge import pseudojoint
 from curlgauge.core import (
     ConditionalOracle,
@@ -564,7 +564,7 @@ class TestSquareEngineMatchesScalarReference:
         assert report.witness == witness
 
     def test_fault_in_one_term_trips_both_identities(self, monkeypatch):
-        fault_one_lattice_step(monkeypatch)
+        fault_lattice_steps(monkeypatch)
         joint = random_joint(32, positions=3, vocab=3)
         ctx = PartialContext({}, (0, 1, 2))
         with pytest.raises(RuntimeError, match="circulation cross-check"):

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import curlgauge
-from conftest import fault_one_lattice_step
+from conftest import fault_lattice_steps
 from curlgauge.cli import main
 from curlgauge.core import LogitTable, LogitTableOracle, ModelBundle, load_model, save_model
 from curlgauge.errors import ConfigError
@@ -231,13 +231,24 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_failed_identity_check_exits_five(self, tmp_path, monkeypatch):
-        fault_one_lattice_step(monkeypatch)
+        fault_lattice_steps(monkeypatch)
         write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1})
         result = CliRunner().invoke(
             main, ["consistency", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 5
         assert result.stderr.startswith("identity check failed: circulation cross-check")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_order_table_check_exits_five(self, tmp_path, monkeypatch):
+        fault_lattice_steps(monkeypatch, position=1, given=None)
+        write_config(tmp_path / "cfg.json", {"model": PERTURBED_MODEL, "seed": 1})
+        result = CliRunner().invoke(
+            main, ["order-error", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 5
+        assert result.stderr.startswith("identity check failed: order table check")
         assert len(result.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
@@ -704,13 +715,15 @@ class TestArtifacts:
         assert run_cli(["order-error", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
         profiles = read_report(tmp_path / "out" / "order_error.json")["sections"]["order_error"][0]["profiles"]
         assert len(profiles) == 720
-        # brute force: every order's table on its own, ranked by the report's rule
+        # brute force: every order's table on its own, ranked by the report's rule; the report's
+        # kl_total is the order's edge sum, so it meets the table's KL to rounding
         bundle = resolve_model(model)
         ctx = PartialContext({}, tuple(range(6)))
         log_p = bundle.joint.log_block_conditional(ctx)
         kls = {order: float(kl(log_p, pseudo_joint_table(bundle.oracle, ctx, order))) for order in itertools.permutations(range(6))}
         best = min(kls, key=lambda order: (tie_key(kls[order]), order))
-        assert (tuple(profiles[0]["order"]), profiles[0]["kl_total"]) == (best, kls[best]) == (best, min(kls.values()))
+        assert tuple(profiles[0]["order"]) == best and kls[best] == min(kls.values())
+        assert abs(profiles[0]["kl_total"] - kls[best]) <= 1e-12
 
     def test_repeated_candidate_order_exits_two(self, tmp_path):
         order = list(range(6))

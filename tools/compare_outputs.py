@@ -14,6 +14,10 @@ file is read.  The job's exit code is kept beside its files.
 Files are compared byte for byte, except that a JSON report is compared after
 its ``meta`` section (timings and counters) is removed.  Prints each file that
 differs or exists on one side only, and exits 1 if there is any, 0 otherwise.
+Under a JSON report that differs it prints each leaf path whose values differ,
+list indices written ``[*]``, with how many leaves differ there and, where they
+are numbers on both sides, the largest |difference|, so that a declared
+last-bit change can be cited by field and size.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +107,43 @@ def without_meta(data: bytes) -> bytes | None:
     return json.dumps(report).encode()
 
 
+def _leaves(value, path=""):
+    """(path, value) for every leaf of a JSON value: ``a.b`` for a key, ``a[3]`` for a list index."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def leaf_differences(data_a: bytes, data_b: bytes) -> list[str]:
+    """One line per leaf path, list indices written ``[*]``, where two JSON reports differ with their
+    ``meta`` removed: how many leaves differ there and, if every one is a number on both sides, the
+    largest |difference|.  Empty unless both sides are such reports."""
+    reports = [without_meta(data) for data in (data_a, data_b)]
+    if None in reports:
+        return []
+    a, b = (dict(_leaves(json.loads(report))) for report in reports)
+    counts, largest, not_numbers = Counter(), {}, set()
+    for path in dict.fromkeys([*a, *b]):
+        x, y = a.get(path, ...), b.get(path, ...)  # ... marks a leaf on one side only
+        if x == y and type(x) is type(y):
+            continue
+        key = re.sub(r"\[\d+\]", "[*]", path)
+        counts[key] += 1
+        if all(type(v) in (int, float) for v in (x, y)):
+            largest[key] = max(largest.get(key, 0.0), abs(x - y))
+        else:
+            not_numbers.add(key)
+    return [
+        f"{key}: {n} differing" + ("" if key in not_numbers else f", largest |difference| {largest[key]:.3g}")
+        for key, n in counts.items()
+    ]
+
+
 def differences(left: Path, right: Path) -> list[str]:
     files = {p.relative_to(left) for p in left.rglob("*") if p.is_file()}
     files |= {p.relative_to(right) for p in right.rglob("*") if p.is_file()}
@@ -132,8 +175,12 @@ def main() -> int:
             run_side(checkout.resolve(), scratch / "run", seeds, scratch / side)
         found = differences(scratch / "parent", scratch / "change")
         compared = sum(1 for p in (scratch / "parent").rglob("*") if p.is_file())
-    for line in found:
-        print(line)
+        for line in found:
+            print(line)
+            if line.startswith("differs: "):
+                rel = line.removeprefix("differs: ")
+                for detail in leaf_differences(*((scratch / side / rel).read_bytes() for side in ("parent", "change"))):
+                    print(f"  {detail}")
     print(f"{compared} files compared, {len(found)} differ", file=sys.stderr)
     return 1 if found else 0
 
