@@ -1,32 +1,34 @@
 """Conditional dependence measures for a block given a fixed visible context.
 
 Quantifies how far the block's exact conditional joint is from the product
-of its per-position conditionals: the total correlation (computed both as a
-KL and as an entropy difference, cross-checked), the one-shot
+of its per-position conditionals: the total correlation, the one-shot
 independent-parallel KL gap of an oracle against the reference joint, and
 pairwise conditional mutual informations as the tractable per-pair proxy.
 All quantities are exact enumerations in nats.
+
+Each context reads one block table, in position order, from the joint and
+takes its ``exp`` once.  Every pair marginal comes from a reduction tree that
+sums the leading axes first, and the single marginals from the pairs; the
+values are then entropy differences of those small tables and one full-table
+entropy.  Two full-table KLs check them, each against an outer sum of log
+vectors: the total correlation in KL form, and the one-shot identity
+KL(p || prod_i q_i) = TC + sum_i KL(p_i || q_i), whose local terms come from
+``local_estimation_error``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConditionalOracle, PartialContext, TabularJointModel, _sum_in_order, entropy, kl
+from .core import ConditionalOracle, PartialContext, TabularJointModel, _sum_in_order, kl
 from .errors import IdentityCheckError
+from .ordererror import local_estimation_error
 
 _FORM_AGREEMENT_TOL = 1e-10
-
-
-def _axis_marginal(probs: np.ndarray, axis: int) -> np.ndarray:
-    others = tuple(k for k in range(probs.ndim) if k != axis)
-    return probs.sum(axis=others) if others else probs
-
-
-def _sum_marginal_entropies(probs: np.ndarray) -> float:
-    return float(sum(entropy(np.log(_axis_marginal(probs, k))) for k in range(probs.ndim)))
 
 
 def kl_vs_marginal_product(probs: np.ndarray, batch: int = 0) -> float | np.ndarray:
@@ -41,22 +43,41 @@ def kl_vs_marginal_product(probs: np.ndarray, batch: int = 0) -> float | np.ndar
     return value if batch else float(value)
 
 
-def total_correlation(joint: TabularJointModel, context: PartialContext) -> float:
-    """Total correlation of the block given the observed assignment.
+def _expect(p: np.ndarray, values: np.ndarray) -> float:
+    """Sum of p * values over every cell, in numpy's pairwise order (a dot product's running sums
+    lose a few more bits over the 262,144 cells of a table at the caps)."""
+    return float((p * values).sum())
 
-    Computed as KL(joint conditional over the block vs product of per-position
-    conditionals) and independently as the entropy difference
-    sum_i H(X_i | x_S) - H(X_block | x_S); the two must agree to 1e-10.
-    """
-    log_probs = joint.log_block_conditional(context)
-    probs = np.exp(log_probs)
-    kl_form = kl_vs_marginal_product(probs)
-    entropy_form = _sum_marginal_entropies(probs) - float(entropy(log_probs))
-    if abs(kl_form - entropy_form) > _FORM_AGREEMENT_TOL:
-        raise IdentityCheckError(
-            f"total-correlation forms disagree: KL {kl_form!r} vs entropy {entropy_form!r}"
-        )
-    return kl_form
+
+def _pair_marginals(p: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """The marginal of every axis pair a < b of ``p``.  A table over the axes ``kept`` is summed
+    from the table over ``kept`` plus the largest axis not in it, so going down from ``p`` each pair
+    drops the other axes smallest first: ``p`` itself is reduced along its axis 0, 1 or 2 only
+    (a leading-axis sum adds contiguous runs, a last-axis sum of 8-cell rows is several times
+    slower), and every later sum reads a table at most 1/V the size of ``p``."""
+    m = p.ndim
+    tables = {tuple(range(m)): p}
+
+    def marginal(kept: tuple[int, ...]) -> np.ndarray:
+        if kept not in tables:
+            c = max(set(range(m)) - set(kept))
+            parent = tuple(sorted(kept + (c,)))
+            tables[kept] = marginal(parent).sum(axis=parent.index(c))
+        return tables[kept]
+
+    return {pair: marginal(pair) for pair in itertools.combinations(range(m), 2)}
+
+
+def _outer_sum(vectors) -> np.ndarray:
+    """log prod_i q_i(x_i) over the block grid, from one log vector per axis.  Built from the last
+    axis outwards, so each outer add runs over whole contiguous tables, not rows of V cells."""
+    return functools.reduce(lambda rest, vector: np.add.outer(vector, rest), reversed(vectors))
+
+
+def total_correlation(joint: TabularJointModel, context: PartialContext) -> float:
+    """Total correlation of the block given the observed assignment: the
+    ``tc`` of the joint's own `dependence_report` (the joint as its oracle)."""
+    return dependence_report(joint, joint, context).tc
 
 
 def independent_parallel_gap(
@@ -64,33 +85,12 @@ def independent_parallel_gap(
 ) -> float:
     """KL of the reference block conditional against the oracle's one-shot
     independent product of per-position conditionals at the same context."""
-    log_probs = joint.log_block_conditional(context)
-    log_product = np.zeros_like(log_probs)
-    for axis, pos in enumerate(context.block):
-        vec = oracle.log_dist(pos, context.observed)
-        shape = [1] * log_probs.ndim
-        shape[axis] = oracle.vocab.size
-        log_product = log_product + vec.reshape(shape)
-    gap = float(kl(log_probs, log_product))
-    if not np.isfinite(gap):
-        raise RuntimeError("independent-parallel gap is non-finite; oracle assigns zero mass on the block")
-    return gap
+    return dependence_report(oracle, joint, context).independent_parallel_kl
 
 
 def pairwise_cmi(joint: TabularJointModel, context: PartialContext) -> dict[tuple[int, int], float]:
     """Mutual information of every unordered block pair given the observed set."""
-    probs = np.exp(joint.log_block_conditional(context))
-    block = context.block
-    out: dict[tuple[int, int], float] = {}
-    for ai in range(len(block)):
-        for aj in range(ai + 1, len(block)):
-            keep = (ai, aj)
-            drop = tuple(k for k in range(probs.ndim) if k not in keep)
-            pair = probs.sum(axis=drop) if drop else probs
-            i, j = block[ai], block[aj]
-            key = (i, j) if i < j else (j, i)
-            out[key] = kl_vs_marginal_product(pair if i < j else pair.T)
-    return out
+    return dependence_report(joint, joint, context).pairwise_cmi
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,47 @@ class DependenceReport:
 def dependence_report(
     oracle: ConditionalOracle, joint: TabularJointModel, context: PartialContext
 ) -> DependenceReport:
-    log_probs = joint.log_block_conditional(context)
-    probs = np.exp(log_probs)
+    """Every dependence value of one context from one block table of the joint.
+
+    TC = sum_i H_i - H and CMI(a, b) = H_a + H_b - H_ab from the marginals'
+    entropies; the gap is TC + sum_i ``local_estimation_error``, the KLs of
+    the joint's conditionals against the oracle's.  Two full-table KLs,
+    independent of the entropy sums, must agree with them to 1e-10:
+    KL(p || prod_i p_i) with TC, and KL(p || prod_i q_i) with the gap (so a
+    non-finite gap fails too).  Either failure raises ``IdentityCheckError``.
+    """
+    positions = tuple(sorted(context.block))
+    # the joint's states all have mass (it floors log masses), so p > 0 in every cell
+    log_p = joint.log_block_conditional(replace(context, block=positions))
+    p = np.exp(log_p)
+    joint_entropy = -_expect(p, log_p)
+
+    def entropy_of(table: np.ndarray) -> float:
+        # a marginal that is the whole table (one or two positions) takes the joint entropy's bits
+        return joint_entropy if table is p else -_expect(table, np.log(table))
+
+    pairs = _pair_marginals(p)
+    singles = [p] if p.ndim == 1 else [pairs[0, 1].sum(1)] + [pairs[0, a].sum(0) for a in range(1, p.ndim)]
+    h = [entropy_of(t) for t in singles]
+    sum_h = _sum_in_order(h)
+    tc = sum_h - joint_entropy
+    cmi = {(positions[a], positions[b]): h[a] + h[b] - entropy_of(t) for (a, b), t in pairs.items()}
+
+    # the gap's local terms read each conditional again, apart from the log vectors of the full-table KL
+    gap = tc + _sum_in_order(local_estimation_error(oracle, joint, context, pos) for pos in positions)
+
+    kl_form = _expect(p, log_p - _outer_sum([np.log(t) for t in singles]))
+    if not abs(kl_form - tc) <= _FORM_AGREEMENT_TOL:
+        raise IdentityCheckError(f"total-correlation forms disagree: KL {kl_form!r} vs entropy {tc!r}")
+    one_shot = _expect(p, log_p - _outer_sum([oracle.log_dist(pos, context.observed) for pos in positions]))
+    if not abs(one_shot - gap) <= _FORM_AGREEMENT_TOL:
+        raise IdentityCheckError(
+            f"one-shot identity failed: KL against the oracle's product {one_shot!r} vs TC + local errors {gap!r}"
+        )
     return DependenceReport(
-        tc=total_correlation(joint, context),
-        sum_marginal_entropies=_sum_marginal_entropies(probs),
-        joint_entropy=float(entropy(log_probs)),
-        independent_parallel_kl=independent_parallel_gap(oracle, joint, context),
-        pairwise_cmi=pairwise_cmi(joint, context),
+        tc=tc,
+        sum_marginal_entropies=sum_h,
+        joint_entropy=joint_entropy,
+        independent_parallel_kl=gap,
+        pairwise_cmi=cmi,
     )
