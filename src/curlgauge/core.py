@@ -16,12 +16,18 @@ Keyed randomness (derived seeds, the decoders' sample draws) comes from one
 kernel, :func:`seed_states`: numpy's ``SeedSequence`` hash written as masked
 integer arithmetic, so one call hashes one key or a whole array of keys and
 gives ``SeedSequence``'s bits either way.
+
+Reports and model files are written by one JSON writer, :func:`write_json`:
+the bytes of ``json.dumps(indent=1)``, from the standard library's C encoder
+on every container of scalars, with a model's tables streamed from their
+arrays in slices.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -580,6 +586,111 @@ def plain_json(obj):
 
 
 # ---------------------------------------------------------------------------
+# JSON text: the one writer of reports and model files
+
+# values of a numpy array turned into Python floats and encoded at a time: a slice's text is
+# about 25 KB, so writing a table adds next to nothing to a process's peak memory
+_JSON_SLICE = 1 << 10
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=64)
+def _level(depth: int, allow_nan: bool) -> tuple[json.JSONEncoder, str, str]:
+    """The C encoder of a flat container at indent ``depth``, whose one call gives
+    ``json.dumps(indent=1)``'s items and separators but not the newline after the opening
+    bracket and before the closing one; and those two newlines with their indents."""
+    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+    return json.JSONEncoder(separators=("," + inner, ": "), allow_nan=allow_nan), inner, outer
+
+
+def write_json(obj, fh, *, allow_nan: bool) -> None:
+    """Write ``obj`` to the text file ``fh`` as exactly ``json.dumps(obj, indent=1, allow_nan=allow_nan)``.
+
+    Python walks only the containers that hold containers.  A container of scalars is one call
+    of the stdlib's C encoder, and so are the values of a list of flat records that share
+    their keys; ``json.dumps(indent=1)`` always runs the pure-Python encoder.  A 1-D numpy
+    array is written as its ``tolist()`` would be, ``_JSON_SLICE`` values at a time, so a
+    model table is never whole as Python floats nor as one string.  The pieces before a
+    slice are joined and written, then the slice; the rest at the end.
+    """
+    parts: list[str] = []
+    _write_value(obj, 0, parts, fh, allow_nan)
+    fh.write("".join(parts))
+
+
+def _write_value(obj, depth: int, parts: list, fh, allow_nan: bool) -> None:
+    enc, inner, outer = _level(depth, allow_nan)
+    write = parts.append
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1:
+            raise TypeError(f"only 1-D arrays are written as JSON, got shape {obj.shape}")
+        if not obj.size:
+            write("[]")
+            return
+        write("[" + inner)
+        for k in range(0, obj.size, _JSON_SLICE):
+            fh.write("".join(parts))
+            parts.clear()
+            fh.write(("," + inner if k else "") + enc.encode(obj[k : k + _JSON_SLICE].tolist())[1:-1])
+        write(outer + "]")
+        return
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        write(enc.encode(obj))  # a scalar or an empty container: no newlines
+        return
+    types = set(map(type, obj.values() if is_dict else obj))
+    if types <= _SCALARS or not any(issubclass(t, _CONTAINERS) for t in types):
+        text = enc.encode(obj)
+        write(text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    if not is_dict and types == {dict} and (text := _records_text(obj, depth, allow_nan)) is not None:
+        write(text)
+        return
+    # a run of scalar items is one C call of the same container type; a container item recurses
+    sep, lead, run = "," + inner, ("{" if is_dict else "[") + inner, []
+    for item in obj.items() if is_dict else obj:
+        if not isinstance(item[1] if is_dict else item, _CONTAINERS):
+            run.append(item)
+            continue
+        if run:
+            write(lead + enc.encode(dict(run) if is_dict else run)[1:-1])
+            lead, run = sep, []
+        if is_dict:
+            key, item = item
+            write(lead + _key_text(enc, key) + ": ")
+        else:
+            write(lead)
+        _write_value(item, depth + 1, parts, fh, allow_nan)
+        lead = sep
+    if run:
+        write(lead + enc.encode(dict(run) if is_dict else run)[1:-1])
+    write(outer + ("}" if is_dict else "]"))
+
+
+def _records_text(records, depth: int, allow_nan: bool) -> str | None:
+    """The text of a list of dicts at indent ``depth``, or None unless the dicts share one non-empty
+    key tuple and hold only scalars.  All the values are one C call, a flat list whose separator
+    no scalar's text holds (a string's newlines are escaped), and are set into one record
+    template with ``%``."""
+    keys = set(map(tuple, records))
+    if len(keys) != 1 or not (first := keys.pop()):
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, records)))
+    if not set(map(type, values)) <= _SCALARS:
+        return None
+    (enc, field, item), at = _level(depth + 1, allow_nan), _level(depth, allow_nan)[2]
+    texts = enc.encode(values)[1:-1].split("," + field)
+    record = "{" + field + ("," + field).join(_key_text(enc, k).replace("%", "%%") + ": %s" for k in first) + item + "}"
+    return "[" + item + ("," + item).join([record] * len(records)) % tuple(texts) + at + "]"
+
+
+def _key_text(enc: json.JSONEncoder, key) -> str:
+    """A dict key as the C encoder writes it: an int, float, bool or None key becomes a string."""
+    return enc.encode(key) if type(key) is str else enc.encode({key: 0})[1:-4]
+
+
+# ---------------------------------------------------------------------------
 # the model record and its file format: save_model writes it, model_from_dict reads it
 
 
@@ -683,16 +794,17 @@ def load_model(path) -> ModelBundle:
 
 def save_model(bundle: ModelBundle, path) -> None:
     """Write the bundle as a model file, the fields it holds in the schema's key
-    order, so ``save_model(load_model(f))`` gives back f's bytes."""
+    order, so ``save_model(load_model(f))`` gives back f's bytes: the text of
+    ``json.dump(indent=1)``, the tables written from their arrays a slice at a time."""
     oracle, joint = bundle.oracle, bundle.joint
     fields = {
         "vocab_size": oracle.vocab.size,
         "positions": oracle.positions,
-        "logit_table": {"values": oracle.table.logits.reshape(-1).tolist()} if isinstance(oracle, LogitTableOracle) else None,
-        "log_mass": None if joint is None else joint.log_mass.tolist(),
+        "logit_table": {"values": oracle.table.logits.reshape(-1)} if isinstance(oracle, LogitTableOracle) else None,
+        "log_mass": None if joint is None else joint.log_mass,
         "perturbation": _perturbation(oracle),
         "train_config": bundle.train_config,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: v for k, v in fields.items() if v is not None}, fh, indent=1)
+        write_json({k: v for k, v in fields.items() if v is not None}, fh, allow_nan=True)
         fh.write("\n")

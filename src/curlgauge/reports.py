@@ -2,7 +2,11 @@
 
 JSON is the canonical report format; CSVs are derived long-format views of
 the tabular sections.  Floats are serialized with Python's shortest
-round-trip repr, so parsing a report back yields bit-identical values.
+round-trip repr, so parsing a report back yields bit-identical values.  A
+report's text is ``json.dumps(report, indent=1, allow_nan=False)``, written
+by :func:`core.write_json` through the C encoder.  CSV rows go to
+``csv.writer.writerows`` as the views give them, formatted first only in a
+file holding a bool or a float subclass.
 Report files are written atomically (temp file + rename), and every report
 embeds the tool version, the hash of the effective configuration, and the
 global seed.  Wall-clock metadata lives under "meta" and is the only part
@@ -13,17 +17,18 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import __version__
-from .core import ModelBundle, PartialContext, PerturbedConditionalModel, load_model, plain_json, seeded_rng
+from .core import ModelBundle, PartialContext, PerturbedConditionalModel, load_model, plain_json, seeded_rng, write_json
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -130,21 +135,24 @@ def _walk(value, kind, where: str):
 
 # ---------------------------------------------------------------------------
 # CSV views: the one place a section's CSV files and columns are declared.  A reader gives a section's
-# rows as mappings, and a cell is the row's value under its column, empty when the row lacks the key.
+# rows as mappings, and a cell is the row's value under its column, empty when the row lacks the key;
+# an in_order reader gives each row as a tuple of its cells instead.
 
 
 def _view(name: str, columns: str, read, in_order: bool = False) -> tuple:
-    """A CSV file of a section: its name, its columns, and its row reader; an ``in_order`` reader
-    gives each row as its values in column order."""
-    names = columns.split()
-    return name, names, (lambda section: (dict(zip(names, row)) for row in read(section))) if in_order else read
+    """A CSV file of a section: its name, its columns, its row reader, and whether the reader's
+    rows are their values in column order."""
+    return name, columns.split(), read, in_order
+
+
+_SAMPLE = operator.itemgetter("i", "j", "a", "b", "value", "normalized_value")
 
 
 # a section without views (synth_gen) is JSON-only
 CSV_VIEWS = {
     "curl_scan": (
         _view("curl_samples", "context_id i j a b value normalized_value",
-              lambda s: ({**e, **x} for e in s for x in e["report"]["samples"])),
+              lambda s: ((e["context_id"], *_SAMPLE(x)) for e in s for x in e["report"]["samples"]), in_order=True),
         _view("order_swap_kl", "context_id pair kl",
               lambda s: ((e["context_id"], *kv) for e in s for kv in e["report"]["stats"]["order_swap_kl"].items()),
               in_order=True),
@@ -175,7 +183,8 @@ CSV_VIEWS = {
     ),
     "training": (
         _view("train_history", "step loss penalty grad_norm",
-              lambda s: (dict(zip(s["history"], row), step=k) for k, row in enumerate(zip(*s["history"].values())))),
+              lambda s: zip(itertools.count(), *(s["history"][c] for c in ("loss", "penalty", "grad_norm"))),
+              in_order=True),
     ),
 }
 
@@ -269,13 +278,18 @@ def build_report(command: str, config: Mapping, seed: int, model_id: str, sectio
     }
 
 
-def atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def atomic_write_text(path, fill: Callable[[TextIO], object]) -> None:
+    """Write a text file atomically: ``fill(fh)`` writes it to a temporary file in the same
+    directory, which then replaces ``path``.  The directory is made if it is missing."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -284,28 +298,42 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_report_json(report: Mapping, path) -> str:
-    atomic_write_text(path, json.dumps(report, indent=1, allow_nan=False) + "\n")
+    """Write the report as ``json.dumps(report, indent=1, allow_nan=False)`` and a newline."""
+
+    def fill(fh):
+        write_json(report, fh, allow_nan=False)
+        fh.write("\n")
+
+    atomic_write_text(path, fill)
     return str(path)
 
 
-def _write_csv(path, columns: Sequence[str], rows: Iterable[Mapping]) -> str:
-    """Write each row's value under each column; a row without the key gives an empty cell."""
+# cells the csv module writes as they are: None empty, anything else as its str (a float's repr)
+_PLAIN_CELLS = frozenset((float, int, str, type(None)))
 
-    def fmt(value):
-        if type(value) is float:  # nearly every value; the checks below give repr to it too
-            return repr(value)
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(value).lower()
-        return repr(value) if isinstance(value, float) else str(value)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(row.get(c)) for c in columns])
-    atomic_write_text(path, buf.getvalue())
+def _cell(value):
+    """A bool as ``true`` or ``false``, a float subclass as its repr, any other value as it is."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else value
+
+
+def _write_csv(path, columns: Sequence[str], rows: Iterable, in_order: bool = False) -> str:
+    """Write each row's value under each column; a row without the key gives an empty cell.  An
+    ``in_order`` row is its values in column order.  The rows go to the csv module as they are,
+    unless a value in the file is of another type than those of ``_PLAIN_CELLS``: then every
+    cell is passed through ``_cell`` first."""
+    cells = list(rows) if in_order else [[row.get(c) for c in columns] for row in rows]
+    if not set(map(type, itertools.chain.from_iterable(cells))) <= _PLAIN_CELLS:
+        cells = [[*map(_cell, row)] for row in cells]
+
+    def fill(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
+
+    atomic_write_text(path, fill)
     return str(path)
 
 
@@ -318,8 +346,8 @@ def emit_plot_data(report: Mapping, out_dir, base: str) -> list[str]:
     """
     sections = report.get("sections", {})
     return [
-        _write_csv(os.path.join(out_dir, f"{base}_{name}.csv"), columns, read(sections[section]))
+        _write_csv(os.path.join(out_dir, f"{base}_{name}.csv"), columns, read(sections[section]), in_order)
         for section, views in CSV_VIEWS.items()
         if section in sections
-        for name, columns, read in views
+        for name, columns, read, in_order in views
     ]

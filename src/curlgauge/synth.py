@@ -92,7 +92,7 @@ def generate_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
             shape = [1] * m
             shape[k] = vocab
             shape[k + 1] = vocab
-            log_table = log_table + spec.beta * coupling.reshape(shape)
+            log_table += spec.beta * coupling.reshape(shape)
         return TabularJointModel(vocab, m, log_table)
 
     if spec.family == EXCHANGEABLE:
@@ -119,7 +119,7 @@ def generate_joint(spec: SyntheticTaskSpec) -> TabularJointModel:
                 prod = prod * np.power(comp[v], counts[v])
             table = table + weights[c] * prod
         with np.errstate(divide="ignore"):
-            return TabularJointModel(vocab, m, np.log(table[inverse].reshape((vocab,) * m)))
+            return TabularJointModel(vocab, m, np.log(table)[inverse])
 
     # tc-ladder: deterministic; the seed has no effect for this family
     lam = spec.level / (spec.levels_total + 1)

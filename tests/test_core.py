@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curlgauge
+from curlgauge import core
 from conftest import random_context, random_joint
 from curlgauge.core import (
     LogitTable,
@@ -36,6 +38,7 @@ from curlgauge.core import (
     save_model,
     seed_states,
     seeded_rng,
+    write_json,
 )
 from curlgauge.decoding import draw_row, draw_rows, sample_commit
 from curlgauge.errors import ContractViolationError, DimensionError, SizeCapError
@@ -591,6 +594,96 @@ def test_plain_json_equals_the_isinstance_walk():
         assert repr(got) == repr(want)
         assert json.dumps(got) == json.dumps(want)
         assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(want, sort_keys=True, indent=1)
+
+
+# JSON writer: strings with non-ASCII characters, quotes, backslashes, control characters and braces
+JSON_TEXT = st.text(st.sampled_from('ab {}[]":,\\\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(), max_size=6)
+JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])
+JSON_NUMBERS = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | JSON_FLOATS
+JSON_KEYS = JSON_TEXT | st.integers(-(2**70), 2**70) | JSON_FLOATS | st.booleans() | st.none()
+
+
+@st.composite
+def json_records(draw, values):
+    """A list of flat records that share their keys, whose values ``write_json`` encodes in one call,
+    keys with braces and % signs among them, or one that breaks that path: a container value, another
+    key set, an empty record."""
+    keys = draw(st.lists(st.sampled_from(["i", "j", "value", "{k", "v}", "%s", "a%", ""]) | st.integers(-3, 3),
+                         max_size=4, unique=True))
+    records = [{k: draw(JSON_NUMBERS) for k in keys} for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        record = draw(st.sampled_from(records))
+        record[draw(st.sampled_from(["x", *keys]))] = draw(JSON_TEXT | values)
+    return records
+
+
+def json_values(depth: int):
+    """JSON-encodable values nested up to ``depth`` containers deep, tuples and empty containers included."""
+    if depth == 0:
+        return JSON_NUMBERS | JSON_TEXT
+    inner = json_values(depth - 1)
+    return (
+        JSON_NUMBERS
+        | JSON_TEXT
+        | st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(JSON_KEYS, inner, max_size=4)
+        | json_records(inner)
+    )
+
+
+def written_json(obj, allow_nan: bool):
+    """``write_json``'s text of obj, or the type of the error it raised."""
+    buf = io.StringIO()
+    try:
+        write_json(obj, buf, allow_nan=allow_nan)
+    except ValueError:
+        return ValueError
+    return buf.getvalue()
+
+
+def dumped_json(obj, allow_nan: bool):
+    try:
+        return json.dumps(obj, indent=1, allow_nan=allow_nan)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_values(6), allow_nan=st.booleans())
+@example(obj={"a": [{"i": 0, "v": 1.5}, {"i": 1, "v": -0.0}], "b": {"c": (), "d": {}}}, allow_nan=False)
+@example(obj=[{"i": math.nan}, {"i": 5e-324}], allow_nan=False)
+@example(obj=[{"i": math.nan}, {"i": -math.inf}], allow_nan=True)
+@example(obj={1.5: [1], None: {"x": [2]}, True: 3, -(2**100): "é"}, allow_nan=False)
+@example(obj={math.nan: [1]}, allow_nan=False)
+@example(obj=[{"{": 1, "%s": 2, 5: None}, {"{": 3, "%s": 4, 5: True}], allow_nan=False)
+@example(obj=[{"i": 1, "s": "%s,\n }"}, {"i": "}, {", "s": ""}], allow_nan=False)
+@example(obj=[{"i": 1}, {"j": 2}, {}], allow_nan=False)
+def test_write_json_equals_json_dumps(obj, allow_nan):
+    assert written_json(obj, allow_nan) == dumped_json(obj, allow_nan)
+
+
+def test_model_tables_keep_their_bytes_at_every_slice_size(tmp_path, monkeypatch):
+    joint = random_joint(4, positions=3, vocab=3)
+    table = LogitTable.random(3, 3, seed=5)
+    bundle = ModelBundle(LogitTableOracle(table), joint, {"steps": 2})
+    fields = {
+        "vocab_size": 3,
+        "positions": 3,
+        "logit_table": {"values": table.logits.reshape(-1).tolist()},
+        "log_mass": joint.log_mass.tolist(),
+        "train_config": {"steps": 2},
+    }
+    want = (json.dumps(fields, indent=1) + "\n").encode()
+    for size in (1, 2, 7, core._JSON_SLICE):
+        monkeypatch.setattr(core, "_JSON_SLICE", size)
+        save_model(bundle, tmp_path / f"model-{size}.json")
+        assert (tmp_path / f"model-{size}.json").read_bytes() == want, size
+    buf = io.StringIO()
+    write_json({"a": np.zeros(0), "b": [np.arange(3.0)]}, buf, allow_nan=False)
+    assert buf.getvalue() == json.dumps({"a": [], "b": [[0.0, 1.0, 2.0]]}, indent=1)
+    with pytest.raises(TypeError):
+        write_json(np.zeros((2, 2)), buf, allow_nan=False)
 
 
 def test_every_exported_name_resolves():

@@ -529,6 +529,24 @@ class TestArtifacts:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
 
+    def test_reports_and_model_files_never_run_the_pure_python_encoder(self, tmp_path, monkeypatch):
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("json.dumps(indent=...) ran the pure-Python encoder")
+
+        scan = {**fuzz_config("curl-scan"), "plan": {"mode": "exhaustive"}, "contexts": None}
+        write_config(tmp_path / "scan.json", scan)
+        write_config(tmp_path / "train.json", fuzz_config("train"))
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+            assert run_cli(["curl-scan", "--config", "scan.json", "--out", "scan"], tmp_path).exit_code == 0
+            assert run_cli(["train", "--config", "train.json", "--out", "train"], tmp_path).exit_code == 0
+        written = [tmp_path / "scan" / "curl_scan.json", *(tmp_path / "train" / name for name in ("train.json", "trained.json"))]
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=1) + "\n", path.name
+        samples = json.loads(written[0].read_text(encoding="utf-8"))["sections"]["curl_scan"][0]["report"]["samples"]
+        assert len(samples) > 1 and load_model(written[2]).joint is not None
+
     def test_csv_bytes_equal_the_isinstance_formatter(self, tmp_path):
         def fmt(value):
             if value is None:
