@@ -243,7 +243,6 @@ def stress(config, seed, bundle, contexts, out_dir):
 def synth_gen(config, seed, bundle, contexts, out_dir):
     """Generate a synthetic joint and write it as a model file."""
     path = _model_path(config, out_dir, "model.json", "synth-gen")
-    os.makedirs(out_dir, exist_ok=True)
     save_model(bundle, path)
     return {"synth_gen": {"model_file": path, "model_id": bundle.model_id}}
 
@@ -255,7 +254,6 @@ def train(config, seed, bundle, contexts, out_dir):
     path = _model_path(config, out_dir, "trained_model.json", "train")
     train_config = TrainConfig(**config.get("train", {}))
     oracle, history = train_tabular(joint, train_config)
-    os.makedirs(out_dir, exist_ok=True)
     save_model(ModelBundle(oracle, joint, train_config.to_dict()), path)
     return {
         "training": {

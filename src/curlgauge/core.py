@@ -20,7 +20,8 @@ gives ``SeedSequence``'s bits either way.
 Reports and model files are written by one JSON writer, :func:`write_json`:
 the bytes of ``json.dumps(indent=1)``, from the standard library's C encoder
 on every container of scalars, with a model's tables streamed from their
-arrays in slices.
+arrays in slices, into a temporary file that then replaces the target
+(:func:`atomic_write_text`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -261,15 +264,6 @@ class PartialContext:
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "time", float(self.time))
-
-    def assign(self, position: int, token: int) -> "PartialContext":
-        """Move one block position into the observed set with the given value."""
-        if position not in self.block:
-            raise ContractViolationError(f"position {position} is not in the unresolved block")
-        observed = dict(self.observed)
-        observed[int(position)] = int(token)
-        block = tuple(p for p in self.block if p != position)
-        return PartialContext(observed=observed, block=block, time=self.time)
 
     def assigned_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.observed.items()))
@@ -566,25 +560,6 @@ class LogitTableOracle(ConditionalOracle):
         return log_normalize(self.table.logits[position, cls])
 
 
-def plain_json(obj):
-    """Copy of obj with numpy scalars and arrays turned into plain JSON types."""
-    if (kind := type(obj)) in (float, int, str, bool, type(None)):  # exact types skip the slow ABC and numpy checks
-        return obj
-    if kind is dict or kind not in (list, tuple) and isinstance(obj, Mapping):
-        return {str(k): plain_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain_json(v) for v in obj]
-    if isinstance(obj, np.ndarray):  # tolist() gives a scalar for a 0-d array
-        return plain_json(obj.tolist())
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # JSON text: the one writer of reports and model files
 
@@ -688,6 +663,26 @@ def _records_text(records, depth: int, allow_nan: bool) -> str | None:
 def _key_text(enc: json.JSONEncoder, key) -> str:
     """A dict key as the C encoder writes it: an int, float, bool or None key becomes a string."""
     return enc.encode(key) if type(key) is str else enc.encode({key: 0})[1:-4]
+
+
+def atomic_write_text(path, fill: Callable[[TextIO], object]) -> None:
+    """Write a text file atomically: ``fill(fh)`` writes it to a temporary file in the same
+    directory, which then replaces ``path``.  The directory is made if it is missing; if it
+    cannot be, the error names the directory, not a temporary file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except (FileNotFoundError, NotADirectoryError):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +790,8 @@ def load_model(path) -> ModelBundle:
 def save_model(bundle: ModelBundle, path) -> None:
     """Write the bundle as a model file, the fields it holds in the schema's key
     order, so ``save_model(load_model(f))`` gives back f's bytes: the text of
-    ``json.dump(indent=1)``, the tables written from their arrays a slice at a time."""
+    ``json.dump(indent=1)``, the tables written from their arrays a slice at a time,
+    atomically, as reports are."""
     oracle, joint = bundle.oracle, bundle.joint
     fields = {
         "vocab_size": oracle.vocab.size,
@@ -805,6 +801,9 @@ def save_model(bundle: ModelBundle, path) -> None:
         "perturbation": _perturbation(oracle),
         "train_config": bundle.train_config,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def fill(fh):
         write_json({k: v for k, v in fields.items() if v is not None}, fh, allow_nan=True)
         fh.write("\n")
+
+    atomic_write_text(path, fill)

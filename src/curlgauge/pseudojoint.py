@@ -14,6 +14,8 @@ These functions measure how much those products disagree across orders:
 
 Scans read every square from one ``StepLattice`` of the block and check each visible
 subset's largest circulation against reference ``pseudo_joint_table``s gathered apart.
+A pair record holds only its four terms and its circulation: the order-swap KLs sum the
+two pair tables from the terms, and ``plan_squares`` the normalised circulation.
 """
 
 from __future__ import annotations
@@ -171,15 +173,6 @@ class StepLattice:
             self._steps[key] = np.ascontiguousarray(table)
         return self._steps[key]
 
-    def order_table(self, order: Sequence[int], given=()) -> np.ndarray:
-        """The log product of ``order``'s steps after the positions ``given``: added to 0.0 in
-        resolution order, as ``pseudo_joint_table`` adds, with V on the axes of ``given`` and
-        ``order`` and length 1 elsewhere."""
-        table, given = np.zeros(()), set(given)
-        for pos in order:
-            table, given = table + self[pos, given], given | {pos}
-        return table
-
 
 def curl_local(
     oracle: ConditionalOracle,
@@ -226,39 +219,31 @@ def curl_local(
 @dataclass(frozen=True)
 class _PairRecord:
     """One square group (visible, i, j): the four terms q(i | S), q(j | S, i), q(j | S) and
-    q(i | S, j) as views of the lattice's steps, the i-first and j-first pair-order tables, all on
-    (visible, i, j) axes, and the C-order ``[values, a, b]`` circulation and normalised circulation."""
+    q(i | S, j) as views of the lattice's steps on (visible, i, j) axes, and the C-order
+    ``[values, a, b]`` circulation."""
 
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ij: np.ndarray
-    ji: np.ndarray
     value: np.ndarray
-    normalized: np.ndarray
 
 
-def _pair_circulation(lattice: StepLattice, visible, i: int, j: int, epsilon: float) -> _PairRecord:
-    """The record of the group (visible, i, j) of the lattice's block.  The terms are the steps
-    ``lattice[i, S]``, ``lattice[j, S + i]``, ``lattice[j, S]`` and ``lattice[i, S + j]`` (S the
-    visible positions) and the tables the lattice's order tables of (i, j) and (j, i) after S,
-    each moved to (visible, i, j) axes; the tables are copied in C order."""
+def _pair_circulation(lattice: StepLattice, visible, i: int, j: int) -> _PairRecord:
+    """The record of the group (visible, i, j) of the lattice's block: the steps ``lattice[i, S]``,
+    ``lattice[j, S + i]``, ``lattice[j, S]`` and ``lattice[i, S + j]`` (S the visible positions),
+    each moved to (visible, i, j) axes, and their circulation."""
     block, vocab = lattice.context.block, lattice.oracle.vocab.size
     kept = [p for p in block if p in visible or p in (i, j)]
     axes = [kept.index(p) for p in (*visible, i, j)]
     moved = lambda table: table.reshape([n for p, n in zip(block, table.shape) if p in kept]).transpose(axes)  # noqa: E731
-    ij, ji = (np.ascontiguousarray(moved(lattice.order_table(pair, visible))) for pair in ((i, j), (j, i)))
     steps = ((i, visible), (j, (*visible, i)), (j, visible), (i, (*visible, j)))
     terms = t0, t1, t2, t3 = tuple(moved(lattice[step]) for step in steps)
-    value = (t0 + t1) - (t2 + t3)
-    normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + epsilon)
-    value, normalized = (np.ascontiguousarray(grid.reshape(-1, vocab, vocab)) for grid in (value, normalized))
-    return _PairRecord(terms, ij, ji, value, normalized)
+    return _PairRecord(terms, np.ascontiguousarray(((t0 + t1) - (t2 + t3)).reshape(-1, vocab, vocab)))
 
 
-def _subset_records(lattice: StepLattice, visible, pairs, epsilon: float) -> list[_PairRecord]:
+def _subset_records(lattice: StepLattice, visible, pairs) -> list[_PairRecord]:
     """The records of the groups (visible, i, j) for the given pairs.  The V x V circulation grid
     that holds their largest |circulation| is checked against the reference pair tables, gathered
     without the lattice with the visible values observed: one independent check per subset."""
-    records = [_pair_circulation(lattice, visible, i, j, epsilon) for i, j in pairs]
+    records = [_pair_circulation(lattice, visible, i, j) for i, j in pairs]
     if not records:
         return records
     peaks = np.stack([np.abs(r.value).max(axis=(1, 2)) for r in records], axis=1)
@@ -277,12 +262,16 @@ def _subset_records(lattice: StepLattice, visible, pairs, epsilon: float) -> lis
 
 def _swap_kls(record: _PairRecord) -> tuple[float, float]:
     """KL(q_ij || q_ji) and KL(q_ji || q_ij) of a record with no visible positions, each checked
-    against the expectation of its own circulation under its first product.  The j-first sums
-    run over C-contiguous (j, i)-axis copies: the summation order of tables built j first."""
+    against the expectation of its own circulation under its first product.  The pair tables are
+    ``0.0 + t0 + t1`` and ``0.0 + t2 + t3`` in C order, the additions ``pseudo_joint_table`` makes;
+    the j-first sums run over C-contiguous (j, i)-axis copies: the summation order of tables built
+    j first."""
+    t0, t1, t2, t3 = record.terms
+    ij, ji = np.ascontiguousarray(0.0 + t0 + t1), np.ascontiguousarray(0.0 + t2 + t3)
     flip = lambda t: np.ascontiguousarray(t.T)  # noqa: E731
     curl = record.value[0]
     kls = []
-    for log_p, log_q, c in ((record.ij, record.ji, curl), (flip(record.ji), flip(record.ij), flip(-curl))):
+    for log_p, log_q, c in ((ij, ji, curl), (flip(ji), flip(ij), flip(-curl))):
         swap_kl = float(kl(log_p, log_q))
         curl_expectation = float((np.exp(log_p) * c).sum())
         if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
@@ -334,8 +323,9 @@ def plan_squares(oracle: ConditionalOracle, context: PartialContext, plan, epsil
     else:
         rng = seeded_rng(plan.seed)
         k, a, b = np.array([(rng.integers(len(pairs)), rng.integers(vocab), rng.integers(vocab)) for _ in range(plan.n)]).T
-    records = _subset_records(StepLattice(oracle, context), (), pairs, epsilon)
-    value, normalized = (np.concatenate([getattr(r, name) for r in records]) for name in ("value", "normalized"))
+    records = _subset_records(StepLattice(oracle, context), (), pairs)
+    value = np.concatenate([r.value for r in records])
+    normalized = np.stack([np.abs(r.value[0]) / (sum(map(np.abs, r.terms)) + epsilon) for r in records])
     return k, a, b, value[k, a, b], normalized[k, a, b], records
 
 
@@ -355,7 +345,7 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
     if mode != "exact" and not isinstance(mode, MonteCarloPlan):
         raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
-    (record,) = _subset_records(StepLattice(oracle, context), (), [(i, j)], DEFAULT_NORMALIZER_EPSILON)
+    (record,) = _subset_records(StepLattice(oracle, context), (), [(i, j)])
     swap_kl = _swap_kls(record)[0]
     return Estimate(value=swap_kl, mode="exact") if mode == "exact" else _swap_kl_draws(record, mode)
 
@@ -364,7 +354,7 @@ def order_gap_entries(oracle: ConditionalOracle, context: PartialContext, plan: 
     """Per block pair (i < j), KL(q_ij || q_ji), KL(q_ji || q_ij) and, given a plan, the
     Monte Carlo estimate of the first, all read from the pair's one record."""
     entries, pairs = [], _block_pairs(context)
-    records = _subset_records(StepLattice(oracle, context), (), pairs, DEFAULT_NORMALIZER_EPSILON)
+    records = _subset_records(StepLattice(oracle, context), (), pairs)
     for (i, j), record in zip(pairs, records):
         kl_ij, kl_ji = _swap_kls(record)
         entry = {"i": i, "j": j, "kl_ij": kl_ij, "kl_ji": kl_ji}
@@ -552,7 +542,7 @@ def order_consistency_check(
     squares = 0
     for visible, groups in itertools.groupby(_square_groups(context), key=lambda group: group[0]):
         pairs = [(i, j) for _, i, j in groups]
-        records = _subset_records(lattice, visible, pairs, DEFAULT_NORMALIZER_EPSILON)
+        records = _subset_records(lattice, visible, pairs)
         magnitude = np.abs(np.stack([r.value for r in records], axis=1))
         squares += magnitude.size
         subset_max = float(magnitude.max())

@@ -23,12 +23,11 @@ import math
 import operator
 import os
 import sys
-import tempfile
 import time
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import ModelBundle, PartialContext, PerturbedConditionalModel, load_model, plain_json, seeded_rng, write_json
+from .core import ModelBundle, PartialContext, PerturbedConditionalModel, atomic_write_text, load_model, seeded_rng, write_json
 from .errors import ConfigError
 from .synth import SyntheticTaskSpec, generate_joint
 
@@ -267,34 +266,15 @@ def build_report(command: str, config: Mapping, seed: int, model_id: str, sectio
     return {
         "tool_version": __version__,
         "command": command,
-        "config_hash": config_hash(plain_json(config)),
+        "config_hash": config_hash(config),
         "seed": seed,
         "model_id": model_id,
-        "sections": plain_json(sections),
+        "sections": sections,
         "meta": {
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
             "duration_s": time.time() - started,
         },
     }
-
-
-def atomic_write_text(path, fill: Callable[[TextIO], object]) -> None:
-    """Write a text file atomically: ``fill(fh)`` writes it to a temporary file in the same
-    directory, which then replaces ``path``.  The directory is made if it is missing."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except FileNotFoundError:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fill(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_report_json(report: Mapping, path) -> str:

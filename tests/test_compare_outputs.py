@@ -61,3 +61,14 @@ def test_leaf_differences_name_each_field_and_its_largest_change():
     ]
     assert compare_outputs.leaf_differences(parent, _report({"duration_s": 2.0}, rows=rows, note="a")) == []
     assert compare_outputs.leaf_differences(b"a,b\n1,2\n", b"a,b\n1,3\n") == []
+
+
+def test_reports_that_differ_only_in_layout_differ(tmp_path):
+    # the report's text is compared, with only meta's value masked: indent and separators count
+    report = {"command": "tc", "sections": {"dependence": [1.0, {"a": 2}]}, "meta": {"duration_s": 0.1}}
+    layouts = {"indent-1.json": {"indent": 1}, "indent-2.json": {"indent": 2}, "compact.json": {"separators": (",", ":")}}
+    parent = _tree(tmp_path / "parent", {name: json.dumps(report, indent=1).encode() for name in layouts})
+    change = _tree(tmp_path / "change", {name: json.dumps(report, **layout).encode() for name, layout in layouts.items()})
+    assert compare_outputs.differences(parent, change) == ["differs: compact.json", "differs: indent-2.json"]
+    masked = compare_outputs.without_meta(json.dumps(report, indent=1).encode())
+    assert masked == json.dumps({**report, "meta": 0}, indent=1).replace("0\n}", "<meta>\n}").encode()

@@ -4,10 +4,7 @@ import json
 import math
 import sys
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 import pytest
@@ -34,7 +31,6 @@ from curlgauge.core import (
     log_normalize,
     logsumexp,
     model_from_dict,
-    plain_json,
     save_model,
     seed_states,
     seeded_rng,
@@ -66,14 +62,6 @@ class TestPartialContext:
     def test_rejects_negative_time(self):
         with pytest.raises(ContractViolationError):
             PartialContext(observed={}, block=(0,), time=-1.0)
-
-    def test_assign_moves_position(self):
-        ctx = PartialContext(observed={0: 2}, block=(1, 2))
-        out = ctx.assign(1, 0)
-        assert out.observed == {0: 2, 1: 0}
-        assert out.block == (2,)
-        with pytest.raises(ContractViolationError):
-            ctx.assign(0, 1)
 
     def test_dict_round_trip(self):
         ctx = PartialContext(observed={2: 1}, block=(0, 3), time=4.0)
@@ -551,51 +539,6 @@ def test_seed_states_equal_seed_sequence(seed):
                 assert row[p] == float(state >> np.uint64(11)) * 2.0**-53
 
 
-def _plain_json_reference(obj):
-    """The isinstance walk alone, with no exact-type shortcut."""
-    if isinstance(obj, Mapping):
-        return {str(k): _plain_json_reference(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain_json_reference(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist() if obj.ndim == 0 else [_plain_json_reference(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
-class _Section(dict):
-    pass
-
-
-def test_plain_json_equals_the_isinstance_walk():
-    joint = random_joint(21, positions=4, vocab=3)
-    scan = curl_scan_report(PerturbedConditionalModel(joint, 0.5, 3), PartialContext({0: 1}, (1, 2, 3)), model_id="m")
-    reports = [
-        scan,
-        {"sections": _Section(scan=[scan], order=(2, 0, 1)), "n": np.int64(7), "ok": np.bool_(True)},
-        {
-            3: np.float64(0.1),
-            "a": np.arange(6, dtype=np.int32).reshape(2, 3),
-            "b": np.linspace(0.0, 1.0, 4),
-            "c": (True, False, None, 1, 1.5, "x"),
-            "d": OrderedDict([("z", np.float32(2.5)), ("y", [np.uint8(3), (np.bool_(False),)])]),
-            "e": MappingProxyType({"k": np.array([True, False])}),
-            "f": np.array([[np.nan], [np.inf]]),
-            "g": [np.array(np.nan), np.array(np.int64(4)), np.array(True), np.array(-0.0)],
-        },
-    ]
-    for report in reports:
-        got, want = plain_json(report), _plain_json_reference(report)
-        assert repr(got) == repr(want)
-        assert json.dumps(got) == json.dumps(want)
-        assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(want, sort_keys=True, indent=1)
-
-
 # JSON writer: strings with non-ASCII characters, quotes, backslashes, control characters and braces
 JSON_TEXT = st.text(st.sampled_from('ab {}[]":,\\\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(), max_size=6)
 JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])
@@ -661,6 +604,26 @@ def dumped_json(obj, allow_nan: bool):
 @example(obj=[{"i": 1}, {"j": 2}, {}], allow_nan=False)
 def test_write_json_equals_json_dumps(obj, allow_nan):
     assert written_json(obj, allow_nan) == dumped_json(obj, allow_nan)
+
+
+def test_a_save_that_stops_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    joint = random_joint(4, positions=4, vocab=8)
+    path = tmp_path / "model.json"
+    save_model(ModelBundle(joint, joint), path)
+    old, train_config, written, exact = path.read_bytes(), {"steps": 2}, [], core._write_value
+
+    def stop_at_the_train_config(obj, *args):
+        # the log-mass table, about 80 KB, is in the temporary file by now
+        if obj is train_config:
+            written.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+            raise RuntimeError("stopped")
+        return exact(obj, *args)
+
+    monkeypatch.setattr(core, "_write_value", stop_at_the_train_config)
+    with pytest.raises(RuntimeError, match="stopped"):
+        save_model(ModelBundle(PerturbedConditionalModel(joint, 0.5, 1), joint, train_config), path)
+    assert len(written) == 1 and written[0] > 0
+    assert path.read_bytes() == old and list(tmp_path.glob("*.tmp")) == []
 
 
 def test_model_tables_keep_their_bytes_at_every_slice_size(tmp_path, monkeypatch):

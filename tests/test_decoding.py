@@ -19,7 +19,6 @@ from curlgauge.core import (
     TabularJointModel,
     _seed_key,
     derived_seed,
-    plain_json,
     seed_states,
     seeded_rng,
     tie_key,
@@ -555,7 +554,7 @@ class TestStress:
         report = stress_test(PerturbedConditionalModel(joint, 0.5, 9), joint, [PartialContext({}, (0, 1, 2))],
                              widths=[1, 2], schedulers=[SchedulerSpec("confidence")], operator=threshold_commit(0.4),
                              runs=3, seed=6)
-        assert canonical_json(plain_json(report.to_dict())) == canonical_json(plain_json(dataclasses.asdict(report)))
+        assert canonical_json(report.to_dict()) == canonical_json(dataclasses.asdict(report))
 
     def test_one_decode_call_per_context(self, monkeypatch):
         batches = []

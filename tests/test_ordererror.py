@@ -126,7 +126,7 @@ class TestLocalEstimationError:
         step2 = 0.0
         p_first = np.exp(joint.log_dist(order[0], {}))
         for v in range(3):
-            sub = ctx.assign(order[0], v)
+            sub = PartialContext({**ctx.observed, order[0]: v}, tuple(p for p in ctx.block if p != order[0]))
             step2 += p_first[v] * local_estimation_error(oracle, joint, sub, order[1])
         assert profile.per_step_kl[1] == pytest.approx(step2, abs=1e-10)
 
@@ -219,7 +219,6 @@ class TestStepLattice:
             return reference_table(oracle, context, order)
 
         monkeypatch.setattr(ordererror, "pseudo_joint_table", counted)
-        monkeypatch.setattr(pseudojoint.StepLattice, "order_table", lambda *args: pytest.fail("order_table called"))
         joint = generate_joint(SyntheticTaskSpec("chain", positions=6, vocab_size=8, seed=7, beta=0.8))
         oracle = PerturbedConditionalModel(joint, 0.4, 2)
         ranked = rank_orders(oracle, joint, PartialContext({}, tuple(range(6))))

@@ -16,6 +16,7 @@ from curlgauge.core import (
     PartialContext,
     PerturbedConditionalModel,
     context_class_index,
+    kl,
     seeded_rng,
 )
 from curlgauge.errors import ContractViolationError
@@ -453,12 +454,7 @@ def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, voc
     rest = [p for p in ctx.block if p not in visible]
     lattice = pseudojoint.StepLattice(oracle, ctx)
     for i, j in data.draw(st.permutations(list(itertools.permutations(rest, 2))))[:3]:
-        record = pseudojoint._pair_circulation(lattice, visible, i, j, 1e-6)
-        assert record.ij.flags.c_contiguous and record.ji.flags.c_contiguous
-        for values in itertools.product(range(vocab), repeat=len(visible)):
-            pair = PartialContext({**ctx.observed, **dict(zip(visible, values))}, (i, j))
-            assert np.array_equal(record.ij[values], pseudo_joint_table(oracle, pair, (i, j)))
-            assert np.array_equal(record.ji[values], pseudo_joint_table(oracle, pair, (j, i)))
+        record = pseudojoint._pair_circulation(lattice, visible, i, j)
         # the four terms as four gathers of their own, leading axis over the visible values:
         # the record's terms are views of its lattice steps with these values
         free, obs = list(visible), ctx.observed
@@ -470,21 +466,19 @@ def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, voc
             assert np.array_equal(term.reshape(reference.shape), reference)
             assert np.shares_memory(term, lattice[step[0], visible + step[1]])
         value = (t0 + t1) - (t2 + t3)
-        normalized = np.abs(value) / (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3) + 1e-6)
         assert np.array_equal(record.value, value) and record.value.flags.c_contiguous
-        assert np.array_equal(record.normalized, normalized) and record.normalized.flags.c_contiguous
-        assert np.array_equal(record.ij.reshape(value.shape), t0 + t1)
-        assert np.array_equal(record.ji.reshape(value.shape), t2 + t3)
-    # an order of the positions outside a random set given: at each value of given, the order
-    # table has the bits of the reference table of the context with those values observed
-    given = tuple(data.draw(st.sets(st.sampled_from(ctx.block), max_size=len(ctx.block) - 1)))
-    order = tuple(data.draw(st.permutations([p for p in ctx.block if p not in given])))
-    table = lattice.order_table(order, given)
-    rest = tuple(p for p in ctx.block if p not in given)
-    for values in itertools.product(range(vocab), repeat=len(given)):
-        at = tuple(values[given.index(p)] if p in given else slice(None) for p in ctx.block)
-        reference = pseudo_joint_table(oracle, PartialContext({**ctx.observed, **dict(zip(given, values))}, rest), order)
-        assert table[at].tobytes() == reference.tobytes()
+        # with nothing visible: both swap KLs are those of the reference pair tables, the j-first
+        # one over tables built on (j, i) axes
+        ij, ji = (pseudo_joint_table(oracle, PartialContext(obs, (i, j)), pair) for pair in ((i, j), (j, i)))
+        ij_t, ji_t = (pseudo_joint_table(oracle, PartialContext(obs, (j, i)), pair) for pair in ((i, j), (j, i)))
+        kls = pseudojoint._swap_kls(pseudojoint._pair_circulation(lattice, (), i, j))
+        assert kls == (float(kl(ij, ji)), float(kl(ji_t, ij_t)))
+    # plan_squares' normalised circulation is curl_local's, square by square
+    epsilon = data.draw(st.sampled_from([1e-6, 0.01]))
+    pairs = pseudojoint._block_pairs(ctx)
+    k, a, b, _, normalized, _ = pseudojoint.plan_squares(oracle, ctx, ExhaustivePlan(), epsilon)
+    for p, x, y, nv in zip(k.tolist(), a.tolist(), b.tolist(), normalized.tolist()):
+        assert nv == curl_local(oracle, ctx, *pairs[p], x, y, epsilon).normalized_value
     assert all(step.flags.c_contiguous for step in lattice._steps.values())
 
 
@@ -517,9 +511,8 @@ def _scalar_consistency_scan(oracle, context, tol):
         for visible in itertools.combinations(block, size):
             rest = [p for p in block if p not in visible]
             for values in itertools.product(range(vocab), repeat=size):
-                ctx = context
-                for p, v in zip(visible, values):
-                    ctx = ctx.assign(p, v)
+                observed = {**context.observed, **dict(zip(visible, values))}
+                ctx = PartialContext(observed, tuple(p for p in context.block if p not in observed), context.time)
                 for i, j in itertools.combinations(rest, 2):
                     for a in range(vocab):
                         for b in range(vocab):
@@ -579,7 +572,7 @@ class TestSquareEngineMatchesScalarReference:
         # block (0, 1, 2, 3) with 0 visible: three pairs over the 3 values of position 0
         oracle = PerturbedConditionalModel(random_joint(30, positions=4, vocab=3), 0.4, 30)
         ctx, visible, pairs = PartialContext({}, (0, 1, 2, 3)), (0,), [(1, 2), (1, 3), (2, 3)]
-        records = pseudojoint._subset_records(pseudojoint.StepLattice(oracle, ctx), visible, pairs, 1e-6)
+        records = pseudojoint._subset_records(pseudojoint.StepLattice(oracle, ctx), visible, pairs)
         peaks = np.array([np.abs(r.value).max(axis=(1, 2)) for r in records])
         k, v = np.unravel_index(peaks.argmax(), peaks.shape)
         assert (k, v) == (2, 1)
@@ -589,7 +582,7 @@ class TestSquareEngineMatchesScalarReference:
             i, j = pairs[pair]
             lattice = pseudojoint.StepLattice(oracle, ctx)
             lattice[i, (0, j)][value] += 1e-9
-            return pseudojoint._subset_records(lattice, visible, pairs, 1e-6)
+            return pseudojoint._subset_records(lattice, visible, pairs)
 
         with pytest.raises(RuntimeError, match="circulation cross-check"):
             records_with_fault(k, v)
@@ -617,9 +610,8 @@ def _scalar_swap_walk(oracle, context, path, assignment):
     for k in path.steps:
         i, j = current[k - 1], current[k]
         prefix = tuple(current[: k - 1])
-        ctx = context
-        for p in prefix:
-            ctx = ctx.assign(p, assignment[p])
+        observed = {**context.observed, **{p: assignment[p] for p in prefix}}
+        ctx = PartialContext(observed, tuple(p for p in context.block if p not in observed), context.time)
         value = curl_local(oracle, ctx, i, j, assignment[i], assignment[j]).value
         terms.append(SwapTerm(i=i, j=j, a=assignment[i], b=assignment[j], prefix=prefix, value=value))
         current[k - 1], current[k] = current[k], current[k - 1]

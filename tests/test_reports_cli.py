@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import curlgauge
+from curlgauge import cli
 from conftest import fault_lattice_steps
 from curlgauge.cli import main
 from curlgauge.core import LogitTable, LogitTableOracle, ModelBundle, load_model, save_model
@@ -323,12 +324,12 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command", ["tc", "synth-gen"])
     def test_out_that_is_a_file_exits_two_with_one_line(self, tmp_path, command):
-        # tc fails only when it writes its report, synth-gen when it makes --out for its model
+        # tc fails only when it writes its report, synth-gen when it saves its model
         (tmp_path / "out").write_text("kept\n", encoding="utf-8")
         write_config(tmp_path / "cfg.json", {"model": CHAIN_MODEL})
         result = CliRunner().invoke(main, [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert result.stderr.startswith(f"config error: cannot write {tmp_path / 'out'}")
+        assert result.stderr.startswith(f"config error: cannot write {tmp_path / 'out'}: ")
         assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
         assert (tmp_path / "out").read_text(encoding="utf-8") == "kept\n"
 
@@ -574,6 +575,30 @@ class TestArtifacts:
             writer.writerow([fmt(row.get(c)) for c in columns])
         _write_csv(tmp_path / "rows.csv", columns, rows)
         assert (tmp_path / "rows.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_every_section_holds_only_exact_json_types(self, tmp_path, monkeypatch):
+        # reports hold their sections as built: a numpy scalar would reach a CSV cell as np.float64(...)
+        def exact_json(value):
+            if type(value) is dict:
+                return all(type(k) is str and exact_json(v) for k, v in value.items())
+            if type(value) in (list, tuple):
+                return all(map(exact_json, value))
+            return type(value) in (str, int, float, bool, type(None))
+
+        assert not exact_json({"a": [1.0, np.float64(1.0)]}) and not exact_json({1: 0}) and exact_json({"a": (1, [None])})
+        built, exact = {}, cli.build_report
+
+        def capture(command, config, seed, model_id, sections, started):
+            built[command] = sections
+            return exact(command, config, seed, model_id, sections, started)
+
+        monkeypatch.setattr(cli, "build_report", capture)
+        for command in sorted(FUZZ_CONFIGS):
+            write_config(tmp_path / "cfg.json", fuzz_config(command))
+            assert run_cli([command, "--config", "cfg.json", "--out", command], tmp_path).exit_code == 0
+        assert sorted(built) == sorted(FUZZ_CONFIGS)
+        for command, sections in built.items():
+            assert exact_json(sections), command
 
     def test_every_csv_keeps_its_header(self, tmp_path):
         # every command's CSV files and their headers; a section without CSV files is JSON-only

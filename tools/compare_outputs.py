@@ -11,13 +11,15 @@ interpreter with ``PYTHONDONTWRITEBYTECODE=1``, from the same scratch path in
 turn, so paths written into configs and reports agree and no stale ``.pyc``
 file is read.  The job's exit code is kept beside its files.
 
-Files are compared byte for byte, except that a JSON report is compared after
-its ``meta`` section (timings and counters) is removed.  Prints each file that
-differs or exists on one side only, and exits 1 if there is any, 0 otherwise.
-Under a JSON report that differs it prints each leaf path whose values differ,
-list indices written ``[*]``, with how many leaves differ there and, where they
-are numbers on both sides, the largest |difference|, so that a declared
-last-bit change can be cited by field and size.
+Files are compared byte for byte, except that a JSON report is compared as
+text with the value of its top-level ``meta`` key (timings and counters)
+masked, so a change of layout (indent, separators, key order) counts as a
+difference.  Prints each file that differs or exists on one side only, and
+exits 1 if there is any, 0 otherwise.  Under a JSON report that differs it
+prints each leaf path whose values differ, list indices written ``[*]``, with
+how many leaves differ there and, where they are numbers on both sides, the
+largest |difference|, so that a declared last-bit change can be cited by field
+and size.
 """
 
 from __future__ import annotations
@@ -95,16 +97,27 @@ def run_side(checkout: Path, run_dir: Path, seeds: list[int], result_dir: Path) 
     shutil.move(str(run_dir), str(result_dir))
 
 
-def without_meta(data: bytes) -> bytes | None:
-    """A JSON report's text with its ``meta`` section removed, or None if ``data`` is no such report."""
+def _report(data: bytes) -> dict | None:
+    """A JSON report parsed, or None if ``data`` is no JSON object with a ``meta`` key."""
     try:
         report = json.loads(data)
     except ValueError:
         return None
-    if not isinstance(report, dict) or "meta" not in report:
+    return report if isinstance(report, dict) and "meta" in report else None
+
+
+def without_meta(data: bytes) -> bytes | None:
+    """A JSON report's text with the value of its ``meta`` key masked, or None if ``data`` is no
+    such report.  The key is found where ``json.dumps(indent=1)`` writes a top-level key, on a
+    line of its own after one space; a report laid out otherwise is kept whole."""
+    if _report(data) is None:
         return None
-    del report["meta"]
-    return json.dumps(report).encode()
+    text, key = data.decode("utf-8"), '\n "meta": '
+    if (start := text.find(key)) < 0:
+        return data
+    start += len(key)
+    end = json.JSONDecoder().raw_decode(text, start)[1]
+    return (text[:start] + "<meta>" + text[end:]).encode("utf-8")
 
 
 def _leaves(value, path=""):
@@ -123,10 +136,10 @@ def leaf_differences(data_a: bytes, data_b: bytes) -> list[str]:
     """One line per leaf path, list indices written ``[*]``, where two JSON reports differ with their
     ``meta`` removed: how many leaves differ there and, if every one is a number on both sides, the
     largest |difference|.  Empty unless both sides are such reports."""
-    reports = [without_meta(data) for data in (data_a, data_b)]
+    reports = [_report(data) for data in (data_a, data_b)]
     if None in reports:
         return []
-    a, b = (dict(_leaves(json.loads(report))) for report in reports)
+    a, b = (dict(_leaves({k: v for k, v in report.items() if k != "meta"})) for report in reports)
     counts, largest, not_numbers = Counter(), {}, set()
     for path in dict.fromkeys([*a, *b]):
         x, y = a.get(path, ...), b.get(path, ...)  # ... marks a leaf on one side only
