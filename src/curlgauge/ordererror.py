@@ -14,7 +14,7 @@ reference joint supplies the true distribution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,11 +97,13 @@ def rank_orders(
     Every edge (position, conditioning set) the candidates use is read from one
     ``StepLattice`` of the context and a transient gather of the joint's step, and
     its expected conditional KL, the oracle's expected entropy and the expected
-    cross-entropy E_p[-log q] are taken once.  An order's kl_total and cross_entropy
-    are the left-to-right sums of its edge values; no order builds its table.  Per
-    order, asserts the chain rule cross_entropy - kl_total = conditional_entropy (of
-    the full block table); per scan, asserts the head and last-ranked orders' sums
-    against ``pseudo_joint_table``, gathered without the lattice.  Both to 1e-10.
+    cross-entropy E_p[-log q] are taken once, each row weighted by the mass of its
+    conditioning values, read once per set from the joint's marginal array.  An order's
+    kl_total and cross_entropy are the left-to-right sums of its edge values; no order
+    builds its table.  Per order, asserts the chain rule cross_entropy - kl_total =
+    conditional_entropy (of the full block table); per scan, asserts the head and
+    last-ranked orders' sums against ``pseudo_joint_table``, gathered without the
+    lattice.  Both to 1e-10.
     """
     block = context.block
     orders = [PseudoJointSpec(context, o).order for o in (itertools.permutations(block) if orders is None else orders)]
@@ -114,18 +116,23 @@ def rank_orders(
     p = np.exp(log_p)
     conditional_entropy = float(entropy(log_p))
 
-    edges = {}
-    for pos, given in dict.fromkeys((pos, frozenset(order[:m])) for order in orders for m, pos in enumerate(order)):
-        # one row per value of given, weighted by its mass under p (> 0: the joint floors log masses at -50);
-        # the sums run over C-contiguous rows, tokens last, the gathered rows' layout (a strided token
-        # axis may add in another order)
+    edges = dict.fromkeys((pos, frozenset(order[:m])) for order in orders for m, pos in enumerate(order))
+    weights = {frozenset(): 1.0}
+    for pos, given in edges:
+        if given not in weights:
+            # p(x_given | observed) on the block's axes, length 1 off given: the joint's sub-block read
+            # (> 0: the joint floors log masses at -50)
+            sub_block = replace(context, block=tuple(q for q in block if q in given))
+            shape = [joint.vocab.size if q in given else 1 for q in block]
+            weights[given] = np.exp(joint.log_block_conditional(sub_block)).reshape(shape)
+        # one row per value of given, weighted by its mass; the sums run over C-contiguous rows, tokens
+        # last, the gathered rows' layout (a strided token axis may add in another order)
         log_p_step, log_q_step = (
             np.ascontiguousarray(np.swapaxes(t[..., None], block.index(pos), -1))
             for t in (step_table(joint, context.observed, block, pos, given), lattice[pos, given])
         )
-        weight = p.sum(axis=tuple(k for k, q in enumerate(block) if q not in given), keepdims=True)
         rows = kl(log_p_step, log_q_step, -1), entropy(log_q_step, -1), -(np.exp(log_p_step) * log_q_step).sum(-1)
-        edges[pos, given] = tuple(float((weight * t).sum()) for t in rows)  # KL, oracle entropy, cross-entropy
+        edges[pos, given] = tuple(float((weights[given] * t).sum()) for t in rows)  # KL, oracle entropy, cross-entropy
     del lattice  # each step is read once: free them all before the reference tables are built
 
     profiles = []

@@ -13,7 +13,8 @@ These functions measure how much those products disagree across orders:
   on all assignments iff every reachable square is circulation-free.
 
 Scans read every square from one ``StepLattice`` of the block and check each visible
-subset's largest circulation against reference ``pseudo_joint_table``s gathered apart.
+subset's largest circulation, and the largest order-swap KLs, against reference
+``pseudo_joint_table``s gathered apart.
 A pair record holds only its four terms and its circulation: the order-swap KLs sum the
 two pair tables from the terms, and ``plan_squares`` the normalised circulation.
 """
@@ -33,8 +34,8 @@ from .errors import ContractViolationError, IdentityCheckError
 DEFAULT_NORMALIZER_EPSILON = 1e-6
 DEFAULT_CONSISTENCY_TOL = 1e-8
 
-# A circulation grid is checked against the pair-order products gathered without the lattice, and
-# the order-swap KL against the circulation's expectation; disagreement beyond this means a bug.
+# A circulation grid, and one pair's order-swap KLs per scan, are checked against the pair-order
+# products gathered without the lattice; disagreement beyond this means a bug.
 _CROSSCHECK_TOL = 1e-12
 
 
@@ -260,26 +261,28 @@ def _subset_records(lattice: StepLattice, visible, pairs) -> list[_PairRecord]:
     return records
 
 
-def _swap_kls(record: _PairRecord) -> tuple[float, float]:
-    """KL(q_ij || q_ji) and KL(q_ji || q_ij) of a record with no visible positions, each checked
-    against the expectation of its own circulation under its first product.  The pair tables are
-    ``0.0 + t0 + t1`` and ``0.0 + t2 + t3`` in C order, the additions ``pseudo_joint_table`` makes;
-    the j-first sums run over C-contiguous (j, i)-axis copies: the summation order of tables built
-    j first."""
-    t0, t1, t2, t3 = record.terms
-    ij, ji = np.ascontiguousarray(0.0 + t0 + t1), np.ascontiguousarray(0.0 + t2 + t3)
+def _swap_kls(oracle: ConditionalOracle, context: PartialContext, pairs, records) -> list[tuple[float, float]]:
+    """KL(q_ij || q_ji) and KL(q_ji || q_ij) of each pair's record with no visible positions.  The pair
+    tables are ``0.0 + t0 + t1`` and ``0.0 + t2 + t3`` in C order, the additions ``pseudo_joint_table``
+    makes; the j-first sums run over C-contiguous (j, i)-axis copies: the summation order of tables built
+    j first.  Every KL must be finite, and the pair with the largest is checked against its reference
+    pair tables, gathered without the lattice and summed without ``kl``: one independent check per scan."""
     flip = lambda t: np.ascontiguousarray(t.T)  # noqa: E731
-    curl = record.value[0]
     kls = []
-    for log_p, log_q, c in ((ij, ji, curl), (flip(ji), flip(ij), flip(-curl))):
-        swap_kl = float(kl(log_p, log_q))
-        curl_expectation = float((np.exp(log_p) * c).sum())
-        if abs(swap_kl - curl_expectation) > _CROSSCHECK_TOL:
-            raise IdentityCheckError(
-                f"order-swap KL cross-check failed: {swap_kl!r} vs circulation expectation {curl_expectation!r}"
-            )
-        kls.append(swap_kl)
-    return kls[0], kls[1]
+    for t0, t1, t2, t3 in (record.terms for record in records):
+        ij, ji = np.ascontiguousarray(0.0 + t0 + t1), np.ascontiguousarray(0.0 + t2 + t3)
+        kls.append((float(kl(ij, ji)), float(kl(flip(ji), flip(ij)))))
+    if not kls:
+        return kls
+    if not np.isfinite(kls).all():
+        raise IdentityCheckError(f"order-swap KL cross-check failed: non-finite KLs {kls!r}")
+    k = int(np.argmax(np.max(kls, axis=1)))
+    pair = PartialContext(context.observed, pairs[k], context.time)
+    ij, ji = (pseudo_joint_table(oracle, pair, order) for order in (pairs[k], pairs[k][::-1]))
+    reference = float((np.exp(ij) * (ij - ji)).sum()), float((np.exp(ji) * (ji - ij)).sum())
+    if max(abs(a - b) for a, b in zip(kls[k], reference)) > _CROSSCHECK_TOL:
+        raise IdentityCheckError(f"order-swap KL cross-check failed: {kls[k]!r} vs reference pair tables' {reference!r}")
+    return kls
 
 
 def _swap_kl_draws(record: _PairRecord, plan: MonteCarloPlan) -> Estimate:
@@ -338,15 +341,15 @@ def order_swap_kl(oracle: ConditionalOracle, context: PartialContext, i: int, j:
     """KL between the two order-induced pair products, resolving i first vs j first.
 
     Both modes read one pair record and cross-check the exact KL of each direction against
-    the expectation of its circulation under its first product; Monte Carlo mode then
-    averages circulation over samples drawn from the i-first product.
+    the pair's reference tables; Monte Carlo mode then averages circulation over samples
+    drawn from the i-first product.
     """
     if i == j or i not in context.block or j not in context.block:
         raise ContractViolationError(f"positions {i}, {j} must be distinct block members")
     if mode != "exact" and not isinstance(mode, MonteCarloPlan):
         raise ContractViolationError(f"mode must be 'exact' or a MonteCarloPlan, got {mode!r}")
     (record,) = _subset_records(StepLattice(oracle, context), (), [(i, j)])
-    swap_kl = _swap_kls(record)[0]
+    swap_kl = _swap_kls(oracle, context, [(i, j)], [record])[0][0]
     return Estimate(value=swap_kl, mode="exact") if mode == "exact" else _swap_kl_draws(record, mode)
 
 
@@ -355,8 +358,7 @@ def order_gap_entries(oracle: ConditionalOracle, context: PartialContext, plan: 
     Monte Carlo estimate of the first, all read from the pair's one record."""
     entries, pairs = [], _block_pairs(context)
     records = _subset_records(StepLattice(oracle, context), (), pairs)
-    for (i, j), record in zip(pairs, records):
-        kl_ij, kl_ji = _swap_kls(record)
+    for (i, j), record, (kl_ij, kl_ji) in zip(pairs, records, _swap_kls(oracle, context, pairs, records)):
         entry = {"i": i, "j": j, "kl_ij": kl_ij, "kl_ji": kl_ji}
         if plan is not None:
             est = _swap_kl_draws(record, plan)
@@ -589,7 +591,7 @@ def curl_scan_report(
     values = np.abs(value)
     i, j, x, y, v, nv = samples[int(values.argmax())].values()
     witness = {"i": i, "j": j, "a": x, "b": y, "context": context.to_dict(), "value": v, "normalized_value": nv}
-    pair_kl = {f"{i}-{j}": _swap_kls(record)[0] for (i, j), record in zip(pairs, records)}
+    pair_kl = {f"{i}-{j}": kls[0] for (i, j), kls in zip(pairs, _swap_kls(oracle, context, pairs, records))}
     return {
         "model_id": model_id,
         "context": context.to_dict(),

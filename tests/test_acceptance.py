@@ -35,7 +35,7 @@ from curlgauge.decoding import (
     sample_commit,
     stress_test,
 )
-from curlgauge.dependence import dependence_report, independent_parallel_gap, total_correlation
+from curlgauge.dependence import dependence_report, total_correlation
 from curlgauge.ordererror import order_cross_entropy, rank_orders
 from curlgauge.pseudojoint import (
     ExhaustivePlan,
@@ -208,8 +208,8 @@ def test_criterion_7_logit_shift_invariance():
 
             assert abs(order_swap_kl(before, ctx, 0, 1).value - order_swap_kl(after, ctx, 0, 1).value) < 1e-10
 
-            gap1 = independent_parallel_gap(before, joint, ctx)
-            gap2 = independent_parallel_gap(after, joint, ctx)
+            gap1 = dependence_report(before, joint, ctx).independent_parallel_kl
+            gap2 = dependence_report(after, joint, ctx).independent_parallel_kl
             assert abs(gap1 - gap2) < 1e-10
 
             rank1 = rank_orders(before, joint, ctx)

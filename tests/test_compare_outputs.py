@@ -63,6 +63,20 @@ def test_leaf_differences_name_each_field_and_its_largest_change():
     assert compare_outputs.leaf_differences(b"a,b\n1,2\n", b"a,b\n1,3\n") == []
 
 
+def test_column_differences_name_each_column_and_its_largest_change():
+    parent = b"context_id,pair,cmi\nc0,0-1,0.5\nc0,0-2,0.25\nc1,0-1,0.125\n"
+    change = b"context_id,pair,cmi\nc0,0-1,0.5000000000000001\nc0,1-2,0.2499999999999991\nc1,0-1,0.125\nc2,0-1,1\n"
+    assert compare_outputs.column_differences(parent, change) == [
+        "cmi: 3 differing, largest |difference| 8.88e-16",  # the row on one side only is not a number pair
+        "pair: 2 differing",
+        "context_id: 1 differing",
+    ]
+    assert compare_outputs.column_differences(parent, parent) == []
+    # a renamed column is a differing header cell, under the parent's name
+    assert compare_outputs.column_differences(b"a,b\n1,2\n", b"a,c\n1,2.5\n") == [
+        "b: 2 differing, largest |difference| 0.5"
+    ]
+
 def test_reports_that_differ_only_in_layout_differ(tmp_path):
     # the report's text is compared, with only meta's value masked: indent and separators count
     report = {"command": "tc", "sections": {"dependence": [1.0, {"a": 2}]}, "meta": {"duration_s": 0.1}}

@@ -9,8 +9,6 @@ from curlgauge.core import PartialContext, PerturbedConditionalModel, TabularJoi
 from curlgauge.dependence import (
     DependenceReport,
     dependence_report,
-    independent_parallel_gap,
-    pairwise_cmi,
     total_correlation,
 )
 
@@ -67,13 +65,13 @@ class TestIndependentParallelGap:
         for seed in range(10):
             joint = random_joint(200 + seed, positions=3, vocab=3)
             ctx = random_context(seed, joint)
-            gap = independent_parallel_gap(joint, joint, ctx)
+            gap = dependence_report(joint, joint, ctx).independent_parallel_kl
             assert gap == pytest.approx(total_correlation(joint, ctx), abs=1e-10)
 
     def test_independent_joint_with_exact_oracle_is_zero(self):
         joint = product_joint(4)
         ctx = PartialContext({}, (0, 1, 2))
-        assert independent_parallel_gap(joint, joint, ctx) == pytest.approx(0.0, abs=1e-12)
+        assert dependence_report(joint, joint, ctx).independent_parallel_kl == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_oracle_reported_side_by_side(self):
         # no inequality against TC is asserted; both columns must exist and be finite
@@ -90,22 +88,23 @@ class TestPairwiseCMI:
     def test_independent_joint_all_zero(self):
         joint = product_joint(6)
         ctx = PartialContext({}, (0, 1, 2))
-        for value in pairwise_cmi(joint, ctx).values():
+        for value in dependence_report(joint, joint, ctx).pairwise_cmi.values():
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_correlated_pair_is_ln_two(self, correlated_bits):
         ctx = PartialContext({}, (0, 1))
-        assert pairwise_cmi(correlated_bits, ctx)[(0, 1)] == pytest.approx(math.log(2), abs=1e-12)
+        cmi = dependence_report(correlated_bits, correlated_bits, ctx).pairwise_cmi
+        assert cmi[(0, 1)] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_position_block_cmi_equals_tc_exactly(self):
         joint = random_joint(7, positions=3, vocab=3)
         ctx = PartialContext(observed={0: 1}, block=(1, 2))
-        assert pairwise_cmi(joint, ctx)[(1, 2)] == total_correlation(joint, ctx)
+        assert dependence_report(joint, joint, ctx).pairwise_cmi[(1, 2)] == total_correlation(joint, ctx)
 
     def test_nonnegative(self):
         joint = random_joint(8, positions=4, vocab=3)
         ctx = PartialContext({}, (0, 1, 2, 3))
-        for value in pairwise_cmi(joint, ctx).values():
+        for value in dependence_report(joint, joint, ctx).pairwise_cmi.values():
             assert value >= -1e-12
 
 
@@ -125,7 +124,7 @@ def test_free_positions_marginalized_by_hand():
     q1 = np.exp(oracle.log_dist(1, {0: 1}))
     q3 = np.exp(oracle.log_dist(3, {0: 1}))
     gap_manual = float(rel_entr(p, np.outer(q1, q3)).sum())
-    assert independent_parallel_gap(oracle, joint, ctx) == pytest.approx(gap_manual, abs=1e-12)
+    assert dependence_report(oracle, joint, ctx).independent_parallel_kl == pytest.approx(gap_manual, abs=1e-12)
 
 
 def test_report_serialization():

@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_joint
-from curlgauge import dependence
 from curlgauge.cli import main
 from curlgauge.core import (
     ConditionalOracle,
@@ -103,20 +102,22 @@ def test_tc_reads_one_block_table_per_context(tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps({"model": model, "contexts": {"explicit": contexts}}))
     result = CliRunner().invoke(main, ["tc", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
-    assert calls == [(0, 1, 2, 3, 4, 5), (1, 2, 3, 5)]  # one per context, in position order
+    # one full block per context, in position order; every other read is a marginal of at most two positions
+    assert [block for block in calls if len(block) > 2] == [(0, 1, 2, 3, 4, 5), (1, 2, 3, 5)]
+    assert len(calls) == 2 + 15 + 6
 
 
 def fault_a_marginal(monkeypatch):
-    """Add 1e-9 to one cell of the pair marginal (0, 1), which the single marginals 0 and 1 are summed from."""
-    exact = dependence._pair_marginals
+    """Add 1e-9 to the first single-position marginal the joint reads, which the marginal entropies
+    and the KL form both take: a table that no longer sums to one moves them apart."""
+    exact = TabularJointModel.log_dist
+    reads = []
 
-    def faulty(p):
-        pairs = exact(p)
-        pairs[0, 1] = pairs[0, 1].copy()
-        pairs[0, 1][0, 0] += 1e-9
-        return pairs
+    def faulty(model, pos, assigned):
+        reads.append(pos)
+        return exact(model, pos, assigned) + (1e-9 if len(reads) == 1 else 0.0)
 
-    monkeypatch.setattr(dependence, "_pair_marginals", faulty)
+    monkeypatch.setattr(TabularJointModel, "log_dist", faulty)
 
 
 def fault_first_read(monkeypatch, position=1):

@@ -202,9 +202,11 @@ class TestStepLattice:
             assert abs(profile.kl_total - float(kl(log_p, reference))) <= 1e-12
             assert abs(profile.cross_entropy - float(-(p * reference).sum())) <= 1e-12
             for k, (pos, step) in enumerate(zip(order, profile.steps)):
-                # one gather per step, rows weighted by the prefix's mass under p
+                # one gather per step, rows weighted by the prefix's mass: the joint's sub-block read of it
                 free = [q if q in order[:k] else None for q in block]
-                weight = p.sum(axis=tuple(a for a, q in enumerate(free) if q is None), keepdims=True)
+                prefix = PartialContext(observed, tuple(q for q in free if q is not None))
+                shape = [vocab if q is not None else 1 for q in free]
+                weight = np.exp(joint.log_block_conditional(prefix)).reshape(shape) if k else 1.0
                 grid = joint.class_grid(pos, observed, free)
                 log_p_rows, log_q_rows = joint.log_rows(pos, grid), oracle.log_rows(pos, grid)
                 assert step.kl == float((weight * kl(log_p_rows, log_q_rows, axis=-1)).sum())
@@ -237,6 +239,20 @@ class TestStepLattice:
             return table + 1e-6 if model is joint and (pos, set(given)) == (0, set()) else table
 
         monkeypatch.setattr(ordererror, "step_table", faulty_step)
+        with pytest.raises(IdentityCheckError, match="^cross-entropy identity failed"):
+            rank_orders(oracle, joint, PartialContext({}, (0, 1, 2)))
+
+    def test_fault_in_a_conditioning_sets_mass_trips_the_chain_rule(self, monkeypatch):
+        # 1e-6 on the joint's sub-block read of {0} scales the weight of every edge given 0 alike, so the
+        # KL and cross-entropy edge sums move together and their difference leaves the block's entropy
+        joint = random_joint(18, positions=3, vocab=3)
+        oracle = PerturbedConditionalModel(joint, 0.4, 8)
+        exact = TabularJointModel.log_block_conditional
+
+        def faulty(model, context):
+            return exact(model, context) + (1e-6 if context.block == (0,) else 0.0)
+
+        monkeypatch.setattr(TabularJointModel, "log_block_conditional", faulty)
         with pytest.raises(IdentityCheckError, match="^cross-entropy identity failed"):
             rank_orders(oracle, joint, PartialContext({}, (0, 1, 2)))
 

@@ -403,9 +403,9 @@ def test_curl_scan_gathers_each_block_pair_once(monkeypatch):
     oracle = PerturbedConditionalModel(random_joint(27, positions=6, vocab=3), 0.4, 27)
     counts = _count_gathers(monkeypatch, oracle)
     curl_scan_report(oracle, PartialContext({}, tuple(range(6))), model_id="test")
-    # one lattice: each of the 6 positions given nothing and given each of the 5 others;
-    # then the reference check's two pair tables of two steps each
-    assert counts["log_rows"] == 36 + 4
+    # one lattice: each of the 6 positions given nothing and given each of the 5 others; then
+    # the circulation check's and the swap-KL check's two pair tables of two steps each
+    assert counts["log_rows"] == 36 + 4 + 4
 
 
 def _count_gathers(monkeypatch, oracle) -> Counter:
@@ -471,7 +471,7 @@ def test_pair_records_equal_the_reference_pair_tables(kind, seed, positions, voc
         # one over tables built on (j, i) axes
         ij, ji = (pseudo_joint_table(oracle, PartialContext(obs, (i, j)), pair) for pair in ((i, j), (j, i)))
         ij_t, ji_t = (pseudo_joint_table(oracle, PartialContext(obs, (j, i)), pair) for pair in ((i, j), (j, i)))
-        kls = pseudojoint._swap_kls(pseudojoint._pair_circulation(lattice, (), i, j))
+        (kls,) = pseudojoint._swap_kls(oracle, ctx, [(i, j)], [pseudojoint._pair_circulation(lattice, (), i, j)])
         assert kls == (float(kl(ij, ji)), float(kl(ji_t, ij_t)))
     # plan_squares' normalised circulation is curl_local's, square by square
     epsilon = data.draw(st.sampled_from([1e-6, 0.01]))
@@ -601,6 +601,28 @@ class TestSquareEngineMatchesScalarReference:
             order_swap_kl(joint, ctx, 0, 1)
         with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
             curl_scan_report(joint, ctx, model_id="test")
+
+    def test_fault_in_the_steps_given_nothing_trips_only_the_swap_kl_check(self, monkeypatch):
+        # 1e-6 on every step given nothing cancels in each circulation (t0 - t2) but scales each pair
+        # table, and so its swap KL, by e^1e-6; an exact oracle's swap KLs are 0, so a perturbed one is used
+        oracle = PerturbedConditionalModel(random_joint(34, positions=3, vocab=3), 0.4, 34)
+        ctx = PartialContext({}, (0, 1, 2))
+        consistency, circulation = order_consistency_check(oracle, ctx), ecirc_abs(oracle, ctx).value
+        exact_step = pseudojoint.StepLattice.__getitem__
+        monkeypatch.setattr(
+            pseudojoint.StepLattice, "__getitem__", lambda lattice, step: exact_step(lattice, step) + (0.0 if step[1] else 1e-6)
+        )
+        faulted = order_consistency_check(oracle, ctx)
+        assert (faulted.consistent, faulted.witness) == (consistency.consistent, consistency.witness)
+        assert faulted.max_curl == pytest.approx(consistency.max_curl, abs=1e-12)
+        assert faulted.max_order_gap == pytest.approx(consistency.max_order_gap, abs=1e-12)
+        assert ecirc_abs(oracle, ctx).value == pytest.approx(circulation, abs=1e-12)
+        with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
+            order_swap_kl(oracle, ctx, 0, 1)
+        with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
+            pseudojoint.order_gap_entries(oracle, ctx, None)
+        with pytest.raises(RuntimeError, match="order-swap KL cross-check"):
+            curl_scan_report(oracle, ctx, model_id="test")
 
 
 def _scalar_swap_walk(oracle, context, path, assignment):

@@ -745,9 +745,9 @@ class TestArtifacts:
         contexts = {"explicit": [{"observed": {"1": 2, "4": 0}, "block": [0, 2, 3, 5]}]}
         write_config(tmp_path / "cfg.json", {"model": model, "contexts": contexts, "monte_carlo": {"n": 20, "seed": 3}})
         assert run_cli(["order-gap", "--config", "cfg.json", "--out", "out"], tmp_path).exit_code == 0
-        # one lattice: each of the 4 positions given nothing and given each of the 3 others;
-        # then the reference check's two pair tables of two steps each
-        assert counts["log_rows"] == 16 + 4
+        # one lattice: each of the 4 positions given nothing and given each of the 3 others; then
+        # the circulation check's and the swap-KL check's two pair tables of two steps each
+        assert counts["log_rows"] == 16 + 4 + 4
 
     def test_order_error_ranks_all_orders_of_six_positions(self, tmp_path):
         from curlgauge.core import PartialContext, kl, tie_key

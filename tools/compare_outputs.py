@@ -17,14 +17,17 @@ masked, so a change of layout (indent, separators, key order) counts as a
 difference.  Prints each file that differs or exists on one side only, and
 exits 1 if there is any, 0 otherwise.  Under a JSON report that differs it
 prints each leaf path whose values differ, list indices written ``[*]``, with
-how many leaves differ there and, where they are numbers on both sides, the
-largest |difference|, so that a declared last-bit change can be cited by field
-and size.
+how many leaves differ there and, over those that are numbers on both sides,
+the largest |difference|; under a CSV file that differs, each column the same way,
+cell by cell.  So a declared last-bit change can be cited by field and size.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import itertools
 import json
 import os
 import re
@@ -132,29 +135,56 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _tally(changes) -> list[str]:
+    """One line per key of (key, x, y) changes: how many there are and, over those whose x and y
+    are both numbers, the largest |x - y|."""
+    counts, largest = Counter(), {}
+    for key, x, y in changes:
+        counts[key] += 1
+        if all(type(v) in (int, float) for v in (x, y)):
+            largest[key] = max(largest.get(key, 0.0), abs(x - y))
+    return [
+        f"{key}: {n} differing" + (f", largest |difference| {largest[key]:.3g}" if key in largest else "")
+        for key, n in counts.items()
+    ]
+
+
 def leaf_differences(data_a: bytes, data_b: bytes) -> list[str]:
     """One line per leaf path, list indices written ``[*]``, where two JSON reports differ with their
-    ``meta`` removed: how many leaves differ there and, if every one is a number on both sides, the
-    largest |difference|.  Empty unless both sides are such reports."""
+    ``meta`` removed: how many leaves differ there and, over those that are numbers on both sides,
+    the largest |difference|.  Empty unless both sides are such reports."""
     reports = [_report(data) for data in (data_a, data_b)]
     if None in reports:
         return []
     a, b = (dict(_leaves({k: v for k, v in report.items() if k != "meta"})) for report in reports)
-    counts, largest, not_numbers = Counter(), {}, set()
+    changes = []
     for path in dict.fromkeys([*a, *b]):
         x, y = a.get(path, ...), b.get(path, ...)  # ... marks a leaf on one side only
-        if x == y and type(x) is type(y):
-            continue
-        key = re.sub(r"\[\d+\]", "[*]", path)
-        counts[key] += 1
-        if all(type(v) in (int, float) for v in (x, y)):
-            largest[key] = max(largest.get(key, 0.0), abs(x - y))
-        else:
-            not_numbers.add(key)
-    return [
-        f"{key}: {n} differing" + ("" if key in not_numbers else f", largest |difference| {largest[key]:.3g}")
-        for key, n in counts.items()
-    ]
+        if not (x == y and type(x) is type(y)):
+            changes.append((re.sub(r"\[\d+\]", "[*]", path), x, y))
+    return _tally(changes)
+
+
+def _cell(text: str | None):
+    """A CSV cell as a float if it reads as one, else as its text (None past the end of a row)."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def column_differences(data_a: bytes, data_b: bytes) -> list[str]:
+    """One line per column, named by the parent's header, where two CSV files' cells differ, row by
+    row, header included: how many cells differ there and, over those that are numbers on both
+    sides, the largest |difference|.  A cell on one side only differs."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(data.decode("utf-8")))) for data in (data_a, data_b))
+    head = rows_a[0] if rows_a else []
+    return _tally(
+        (head[k] if k < len(head) else f"column {k}", _cell(x), _cell(y))
+        for row_a, row_b in itertools.zip_longest(rows_a, rows_b, fillvalue=[])
+        for k, (x, y) in enumerate(itertools.zip_longest(row_a, row_b))
+        if x != y
+    )
 
 
 def differences(left: Path, right: Path) -> list[str]:
@@ -192,7 +222,8 @@ def main() -> int:
             print(line)
             if line.startswith("differs: "):
                 rel = line.removeprefix("differs: ")
-                for detail in leaf_differences(*((scratch / side / rel).read_bytes() for side in ("parent", "change"))):
+                details = column_differences if rel.endswith(".csv") else leaf_differences
+                for detail in details(*((scratch / side / rel).read_bytes() for side in ("parent", "change"))):
                     print(f"  {detail}")
     print(f"{compared} files compared, {len(found)} differ", file=sys.stderr)
     return 1 if found else 0
