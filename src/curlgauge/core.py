@@ -33,6 +33,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
 
@@ -324,9 +325,10 @@ class ConditionalOracle:
     Subclasses implement :meth:`log_rows`; every other query is a gather
     through it.  Their conditionals are fixed at construction.  The one memo,
     :class:`PerturbedConditionalModel`'s offset chunks, is written once per
-    chunk, with values that are a pure function of the chunk's key, before
-    the chunk is marked drawn; so concurrent queries are safe and every
-    answer is independent of the query order.
+    chunk, under a lock, with values that are a pure function of the chunk's
+    key, and the chunk is marked drawn only after its rows and their map
+    entries are written; so concurrent queries are safe and every answer is
+    independent of the query order.
     """
 
     def __init__(self, vocab_size: int, positions: int):
@@ -471,10 +473,15 @@ class PerturbedConditionalModel(ConditionalOracle):
     position ``i`` is the stream of ``seeded_rng(seed, i, c)``, drawn the
     first time a query reads one of its rows.  So every offset is a pure
     function of (seed, position, class, token), whatever the query order, and
-    a model is built without drawing: at the caps a bench job reads at most
-    135 of a position's 59,049 classes (a whole-block ``consistency`` or
-    ``order-error`` reads them all).  ``delta = 0`` reproduces the
-    base conditionals exactly (after renormalization).
+    a model is built without drawing.  Drawn chunks, times delta, fill one
+    table in the order they are drawn, and an int32 class -> row map locates
+    them, so only the drawn rows are resident.  At the caps a whole-block
+    ``curl-scan`` draws 17 of a position's 116 chunks, and the bench's
+    perturbed m6v8 jobs (seed 201) draw 18 to 252 of the 696 chunks,
+    reading 18 to 571 classes in all (a whole-block ``consistency`` or
+    ``order-error`` reads every class).
+    ``delta = 0`` reproduces the base conditionals exactly (after
+    renormalization).
     """
 
     DRAW = "chunks-4096"  # the draw's name in a model file and its id
@@ -488,30 +495,40 @@ class PerturbedConditionalModel(ConditionalOracle):
         self.base = base
         self.delta = float(delta)
         self.perturbation_seed = int(perturbation_seed)
-        classes = context_class_count(self.positions, self.vocab.size)
+        self._classes = context_class_count(self.positions, self.vocab.size)
         self._chunk = max(1, 4096 // self.vocab.size)
-        self._offsets = np.empty((self.positions, classes, self.vocab.size))
-        self._drawn = np.zeros((self.positions, -(-classes // self._chunk)), dtype=bool)
+        # room for every chunk, filled from row 0 as chunks are drawn: the pages past the fill stay
+        # untouched (numpy asks for huge pages from 4 MiB, so a scattered write would hold 2 MB)
+        self._offsets = np.empty((self.positions * self._classes, self.vocab.size))
+        self._rows = np.empty((self.positions, self._classes), dtype=np.int32)
+        self._filled = 0
+        self._lock = threading.Lock()
+        self._drawn = np.zeros((self.positions, -(-self._classes // self._chunk)), dtype=bool)
         self._complete = [False] * self.positions
 
     def _draw(self, position: int, cls) -> None:
-        """Draw the chunks of ``cls`` that no query drew yet.  A chunk's bit is set only after its rows are
-        written, and two threads that draw one chunk write the same values, so a position is marked
-        complete only from its whole mask (a count of chunks left would be decremented by both)."""
-        drawn = self._drawn[position]
-        wanted = np.zeros_like(drawn)
-        wanted[np.asarray(cls) // self._chunk] = True
-        for c in np.flatnonzero(wanted & ~drawn).tolist():
-            rows = self._offsets[position, c * self._chunk : (c + 1) * self._chunk]
-            seeded_rng(self.perturbation_seed, position, c).standard_normal(out=rows)
-            drawn[c] = True
-        if drawn.all():
-            self._complete[position] = True
+        """Draw the chunks of ``cls`` that no query drew yet, each into the next free rows of the table.
+        The lock keeps two threads from drawing one chunk (which would write past the table); a chunk's
+        bit is set only after its rows and map entries are written, so readers take no lock."""
+        with self._lock:
+            drawn = self._drawn[position]
+            wanted = np.zeros_like(drawn)
+            wanted[np.asarray(cls) // self._chunk] = True
+            for c in np.flatnonzero(wanted & ~drawn).tolist():
+                first, last = c * self._chunk, min((c + 1) * self._chunk, self._classes)
+                start, self._filled = self._filled, self._filled + last - first
+                rows = self._offsets[start : self._filled]
+                seeded_rng(self.perturbation_seed, position, c).standard_normal(out=rows)
+                rows *= self.delta
+                self._rows[position, first:last] = np.arange(start, self._filled)
+                drawn[c] = True
+            if drawn.all():
+                self._complete[position] = True
 
     def log_rows(self, position: int, cls) -> np.ndarray:
         if not (self._complete[position] or self._drawn[position][cls // self._chunk].all()):
             self._draw(position, cls)
-        return log_normalize(self.base.log_rows(position, cls) + self.delta * self._offsets[position, cls])
+        return log_normalize(self.base.log_rows(position, cls) + self._offsets[self._rows[position, cls]])
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def rank_orders(
     cross-entropy E_p[-log q] are taken once, each row weighted by the mass of its
     conditioning values, read once per set from the joint's marginal array.  An order's
     kl_total and cross_entropy are the left-to-right sums of its edge values; no order
-    builds its table.  Per order, asserts the chain rule cross_entropy - kl_total =
+    builds its table, and all orders' strata come from one array pass over the edge
+    values.  Per order, asserts the chain rule cross_entropy - kl_total =
     conditional_entropy (of the full block table); per scan, asserts the head and
     last-ranked orders' sums against ``pseudo_joint_table``, gathered without the
     lattice.  Both to 1e-10.
@@ -135,19 +136,26 @@ def rank_orders(
         edges[pos, given] = tuple(float((weights[given] * t).sum()) for t in rows)  # KL, oracle entropy, cross-entropy
     del lattice  # each step is read once: free them all before the reference tables are built
 
+    # each order's steps as indices into the distinct edges, whose values give every order's strata at once
+    values, index = list(edges.values()), {edge: k for k, edge in enumerate(edges)}
+    prefix = [_is_prefix_like(pos, given, block) for pos, given in edges]
+    paths = [[index[pos, frozenset(order[:m])] for m, pos in enumerate(order)] for order in orders]
+    kls, entropies, _ = np.array(values).T
+    strata = _order_strata(kls[paths], entropies[paths], np.array(prefix)[paths])
+
     profiles = []
-    for order in orders:
-        path = [(pos, order[:m], *edges[pos, frozenset(order[:m])]) for m, pos in enumerate(order)]
-        records = tuple(StepRecord(*step[:4], _is_prefix_like(*step[:2], block)) for step in path)
+    for order, path, order_strata in zip(orders, paths, strata):
+        steps = enumerate(zip(order, path))
+        records = tuple(StepRecord(pos, order[:m], *values[k][:2], prefix[k]) for m, (pos, k) in steps)
         per_step = tuple(s.kl for s in records)
-        kl_total, cross_entropy = _sum_in_order(per_step), _sum_in_order(step[-1] for step in path)
+        kl_total, cross_entropy = _sum_in_order(per_step), _sum_in_order(values[k][2] for k in path)
         if abs(cross_entropy - conditional_entropy - kl_total) > _IDENTITY_TOL:
             raise IdentityCheckError(
                 f"cross-entropy identity failed: H {conditional_entropy!r} + KL {kl_total!r} "
                 f"vs CE {cross_entropy!r}"
             )
         profiles.append(
-            OrderErrorProfile(order, cross_entropy, conditional_entropy, kl_total, per_step, records, stratify_steps(records))
+            OrderErrorProfile(order, cross_entropy, conditional_entropy, kl_total, per_step, records, order_strata)
         )
     profiles.sort(key=lambda prof: (tie_key(prof.kl_total), prof.order))
     for prof in {prof.order: prof for prof in (profiles[0], profiles[-1])}.values():
@@ -189,6 +197,26 @@ def stratify_steps(steps: Sequence[StepRecord]) -> dict:
         }
     out["total_steps"] = len(steps)
     return out
+
+
+def _order_strata(kls: np.ndarray, entropies: np.ndarray, prefix: np.ndarray) -> list[dict]:
+    """``stratify_steps`` of every row of (orders, steps) arrays of the steps' KLs, entropies and
+    prefix-like flags, with its bits: the same median and tie grid, and each mean the sum of its values
+    added to 0.0 in step order over their count, as ``np.mean`` adds fewer than 8 values."""
+    half, ordered = entropies.shape[1] // 2, np.sort(entropies, axis=1)
+    median = ordered[:, half] if entropies.shape[1] % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2
+    groups = {
+        STRATUM_PREFIX: prefix,
+        STRATUM_RANDOM: ~prefix,
+        STRATUM_HIGH_ENTROPY: tie_key(entropies) > tie_key(median)[:, None],
+    }
+    columns = []
+    for mask in groups.values():
+        counts = mask.sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            means = _sum_in_order(np.where(mask, kls, 0.0).T) / counts
+        columns.append([{"count": c, "mean_kl": m if c else None} for c, m in zip(counts.tolist(), means.tolist())])
+    return [{**dict(zip(groups, row)), "total_steps": entropies.shape[1]} for row in zip(*columns)]
 
 
 def stratify_contexts(profiles: Sequence[OrderErrorProfile]) -> dict:

@@ -334,7 +334,8 @@ def test_concurrent_queries_match_sequential():
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
     # at the caps, 8 threads gather overlapping runs of classes of one position, each run spanning
-    # several offset chunks, switching often: a chunk marked drawn before its rows were written would show
+    # several offset chunks, switching often: a chunk marked drawn before its rows were written would show,
+    # and a chunk drawn twice would fill more rows than the drawn chunks hold
     joint = random_joint(32, positions=6, vocab=8)
     queries = [(k % 2, np.arange(400 * k, 400 * k + 3000)) for k in range(8)]
     expected = [PerturbedConditionalModel(joint, 0.3, 1).log_rows(i, cls) for i, cls in queries]
@@ -346,6 +347,7 @@ def test_concurrent_queries_match_sequential():
                 fresh = PerturbedConditionalModel(joint, 0.3, 1)
                 for got, want in zip(pool.map(lambda q: fresh.log_rows(*q), queries, timeout=120), expected):
                     assert np.array_equal(got, want)
+                assert fresh._filled == _drawn_rows(fresh) <= len(fresh._offsets)
     finally:
         sys.setswitchinterval(interval)
 
@@ -384,6 +386,40 @@ def test_whole_block_curl_scan_draws_few_offset_chunks():
     assert not model._drawn.any()
     curl_scan_report(model, PartialContext({}, tuple(range(6))), model_id="m")
     assert 0 < model._drawn.mean() < 0.15
+
+
+def test_whole_block_curl_scan_draws_17_of_each_positions_116_chunks():
+    model = PerturbedConditionalModel(random_joint(33, positions=6, vocab=8), 0.4, 5)
+    curl_scan_report(model, PartialContext({}, tuple(range(6))), model_id="m")
+    assert model._drawn.shape == (6, 116)
+    assert model._drawn.sum(axis=1).tolist() == [17] * 6
+    assert model._filled == _drawn_rows(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), positions=st.integers(2, 4), vocab=st.integers(2, 8), data=st.data())
+def test_drawn_chunks_fill_the_table_in_draw_order(seed, positions, vocab, data):
+    """Each drawn chunk takes the next free rows: the fill is the drawn chunks' rows, the map sends the
+    drawn classes to rows 0 to fill - 1, and every mapped row is delta times the offset's definition."""
+    model = PerturbedConditionalModel(random_joint(seed, positions, vocab), 0.7, seed)
+    classes = (vocab + 1) ** (positions - 1)
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, positions - 1))
+        model.log_rows(i, np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=40))))
+        assert model._filled == _drawn_rows(model) <= len(model._offsets)
+    rows = []
+    for i in range(positions):
+        for c in np.flatnonzero(model._drawn[i]).tolist():
+            for cls in range(c * model._chunk, min((c + 1) * model._chunk, classes)):
+                rows.append(int(model._rows[i, cls]))
+                assert np.array_equal(model._offsets[rows[-1]], model.delta * _offset_row(model, i, cls))
+    assert sorted(rows) == list(range(model._filled))
+
+
+def _drawn_rows(model: PerturbedConditionalModel) -> int:
+    """The rows of a perturbed model's drawn chunks, a position's last chunk the shorter one."""
+    starts = np.arange(model._drawn.shape[1]) * model._chunk
+    return int((model._drawn * np.minimum(model._chunk, model._classes - starts)).sum())
 
 
 def _model_of_kind(kind: str, seed: int, positions: int, vocab: int):

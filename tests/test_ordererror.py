@@ -391,3 +391,38 @@ def test_median_has_the_bits_of_np_median():
     for size in range(1, 51):
         for values in (rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4), rng.integers(0, 4, size) * 0.1):
             assert ordererror._median(values.tolist()) == np.median(values), (size, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    positions=st.integers(1, 5),
+    vocab=st.integers(2, 4),
+    family=st.sampled_from(["random", "exchangeable"]),
+    delta=st.sampled_from([None, 0.4]),
+    data=st.data(),
+)
+def test_every_orders_strata_equal_stratify_steps(seed, positions, vocab, family, delta, data):
+    # rank_orders fills every profile's strata in one pass; exchangeable joints give entropies that tie
+    if family == "exchangeable":
+        joint = generate_joint(SyntheticTaskSpec(family, positions=positions, vocab_size=vocab, seed=seed))
+    else:
+        joint = random_joint(seed, positions, vocab)
+    ctx = random_context(seed, joint, min_block=1)
+    candidates = list(itertools.permutations(ctx.block))
+    orders = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=len(candidates), unique=True))
+    profiles = rank_orders(random_oracle(seed, joint, delta), joint, ctx, orders)
+    assert sorted(prof.order for prof in profiles) == sorted(orders)
+    for prof in profiles:
+        assert prof.context_strata == stratify_steps(prof.steps)
+
+
+def test_one_pass_strata_decide_ties_on_the_grid():
+    # entropies on a coarse grid, each moved by a few 1e-15: equal on the tie grid, as rounding leaves them
+    rng = np.random.default_rng(53)
+    for size in range(1, 7):
+        entropies = rng.integers(0, 3, (200, size)) * 0.5 + rng.integers(-3, 4, (200, size)) * 1e-15
+        kls, prefix = rng.random((200, size)), rng.random((200, size)) < 0.5
+        for row, strata in enumerate(ordererror._order_strata(kls, entropies, prefix)):
+            steps = [StepRecord(p, (), *values) for p, values in enumerate(zip(kls[row], entropies[row], prefix[row]))]
+            assert strata == stratify_steps(steps), (size, row)
